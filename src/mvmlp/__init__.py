@@ -42,7 +42,6 @@ from .randomness import (
 )
 from .reference import (
     KuramotoMoments,
-    OuMoments,
     kuramoto_moments,
     kuramoto_reference_path,
     ou_exact_path,

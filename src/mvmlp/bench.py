@@ -3,8 +3,10 @@
 Model parameters are drawn once per experiment from a dedicated parameter
 stream (multi-index (0,)) and shared across all cells and runs, so a level
 sweep varies only the estimator. Run r uses top-level multi-index (1, r).
-Runs can execute on a thread pool; results are assembled by run index, so
-the output is byte-identical for any thread count.
+A cell draws every run's increments, computes the reference of all runs in
+one call, then runs the estimator per run, serially or on a thread pool;
+results are assembled by run index, so the output is byte-identical for
+any thread count.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ _PARAM_INDEX = (0,)
 _RUN_PREFIX = 1
 
 CSV_HEADER = "model,d,n,m,K,l2_error,time_s,cost"
+FORMATS = ("csv", "json", "md")
 
 # guard rails before launching very large cells without --allow-large
 DESK_MAX_D = 100
@@ -48,14 +51,21 @@ class ExperimentConfig:
     drift_scale_mode: str = SPEC
     threads: int = 1
     out_dir: Optional[str] = None
-    formats: Sequence[str] = ("csv", "json", "md")
+    formats: Sequence[str] = FORMATS
     substeps: int = 4
     allow_large: bool = False
     unit_costs: Optional[CostUnits] = None
 
     def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        unknown = sorted(set(self.formats) - set(FORMATS))
+        if unknown:
+            raise ValueError(f"formats must be among {', '.join(FORMATS)}, got {unknown}")
         for n, m in self.levels:
             if n < 0 or m < 1:
                 raise ValueError(f"invalid level pair (n={n}, m={m})")
@@ -123,34 +133,30 @@ def _single_run(
     cfg: ExperimentConfig,
     model: ModelSpec,
     mlp_cfg: MlpConfig,
-    moments,
+    increments: np.ndarray,
     run: int,
-) -> Tuple[float, float, CostLedger]:
-    grid = mlp_cfg.grid
-    theta = (_RUN_PREFIX, run)
-    stream = derive_stream(cfg.seed, theta)
-    increments = sample_brownian_increments(stream, mlp_cfg.K, model.d, grid.dt)
-
-    if cfg.model == "ou":
-        reference = ou_exact_path(model.params, model.initial_value, grid, increments)
-    else:
-        reference = kuramoto_reference_path(
-            model.params, model.initial_value, grid, increments, moments
-        )
-
+) -> Tuple[DiscretePath, float]:
     ledger = CostLedger()
     start = time.perf_counter()
-    estimate = mlp_estimate(model, mlp_cfg, theta, cfg.seed, increments, ledger)
+    estimate = mlp_estimate(model, mlp_cfg, (_RUN_PREFIX, run), cfg.seed, increments, ledger)
     elapsed = time.perf_counter() - start
-
-    diff = reference.values[1:] - estimate.values[1:]
-    sq_sum = float(np.sum(diff * diff))
     if not verify_ledger(ledger, mlp_cfg.n, mlp_cfg.m, mlp_cfg.K, model.d,
                          model.unit_costs):
         raise RuntimeError(
             f"cost ledger mismatch in run {run} of cell (n={mlp_cfg.n}, m={mlp_cfg.m})"
         )
-    return sq_sum, elapsed, ledger
+    return estimate, elapsed
+
+
+def _reference(cfg: ExperimentConfig, model: ModelSpec, grid: TimeGrid,
+               increments: np.ndarray) -> np.ndarray:
+    """Reference values (R, K+1, d) of all runs of a cell, in one call."""
+    if cfg.model == "ou":
+        return ou_exact_path(model.params, model.initial_value, grid, increments)
+    moments = kuramoto_moments(model.params, model.initial_value, grid, cfg.substeps)
+    return kuramoto_reference_path(
+        model.params, model.initial_value, grid, increments, moments
+    )
 
 
 def run_cell(
@@ -166,28 +172,32 @@ def run_cell(
         drift_time_mode=cfg.drift_time_mode,
         drift_scale_mode=cfg.drift_scale_mode,
     )
-    moments = None
-    if cfg.model == "kuramoto":
-        moments = kuramoto_moments(model.params, model.initial_value, grid, cfg.substeps)
+    runs = range(cfg.runs)
+    increments = np.stack([
+        sample_brownian_increments(
+            derive_stream(cfg.seed, (_RUN_PREFIX, r)), K, model.d, grid.dt
+        )
+        for r in runs
+    ])
+    reference = _reference(cfg, model, grid, increments)
 
-    runs = list(range(cfg.runs))
+    def one(r: int) -> Tuple[DiscretePath, float]:
+        return _single_run(cfg, model, mlp_cfg, increments[r], r)
+
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(
-                pool.map(lambda r: _single_run(cfg, model, mlp_cfg, moments, r), runs)
-            )
+            results = list(pool.map(one, runs))
     else:
-        results = [_single_run(cfg, model, mlp_cfg, moments, r) for r in runs]
+        results = [one(r) for r in runs]
 
-    sq_sums = [r[0] for r in results]
-    times = [r[1] for r in results]
-    per_run = [float(np.sqrt(s / (model.d * K))) for s in sq_sums]
-    err = float(np.sqrt(sum(sq_sums) / (cfg.runs * model.d * K)))
-    cost = analytic_cost(n, m, K, model.d, model.unit_costs)
+    pairs = [(DiscretePath(grid=grid, values=ref), est)
+             for ref, (est, _) in zip(reference, results)]
     return ResultRow(
         model=cfg.model, d=model.d, n=n, m=m, K=K,
-        l2_error=err, time_s=float(np.mean(times)), cost=cost,
-        per_run_errors=per_run,
+        l2_error=l2_error(pairs),
+        time_s=float(np.mean([elapsed for _, elapsed in results])),
+        cost=analytic_cost(n, m, K, model.d, model.unit_costs),
+        per_run_errors=[l2_error([pair]) for pair in pairs],
     )
 
 

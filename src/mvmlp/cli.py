@@ -22,12 +22,15 @@ def _parse_levels(text: str) -> List[Tuple[int, int]]:
         token = token.strip()
         if not token:
             continue
-        if "x" in token:
-            n, m = token.split("x")
-            pairs.append((int(n), int(m)))
-        else:
-            v = int(token)
-            pairs.append((v, v))
+        try:
+            if "x" in token:
+                n, m = token.split("x")
+                pairs.append((int(n), int(m)))
+            else:
+                v = int(token)
+                pairs.append((v, v))
+        except ValueError:
+            raise ValueError(f"levels entry {token!r} is not N or NxM") from None
     return pairs
 
 
@@ -88,11 +91,11 @@ def config_from_args(argv: Optional[List[str]] = None) -> ExperimentConfig:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    cfg = config_from_args(argv)
-    if cfg.allow_large:
-        print(f"estimated total cost: {estimate_experiment_cost(cfg)} units",
-              file=sys.stderr)
     try:
+        cfg = config_from_args(argv)
+        if cfg.allow_large:
+            print(f"estimated total cost: {estimate_experiment_cost(cfg)} units",
+                  file=sys.stderr)
         rows = run_experiment(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -167,7 +167,7 @@ def random_params(
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A concrete McKean-Vlasov model: coefficients, Lipschitz data, costs.
+    """A concrete McKean-Vlasov model: initial value, coefficients, costs.
 
     `drift_partner_mean` / `diffusion_partner_mean`, when set, compute the
     empirical-average coefficient (1/N) sum_m f(x_i, X_m) for a batch of
@@ -179,7 +179,6 @@ class ModelSpec:
     initial_value: np.ndarray
     drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lipschitz_c: float
     unit_costs: CostUnits
     drift_partner_mean: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     diffusion_partner_mean: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -205,11 +204,6 @@ def ou_model(
 ) -> ModelSpec:
     d = p.d
     xi = np.full(d, 20.0) if initial_value is None else np.asarray(initial_value, float)
-    b_family = float(np.linalg.norm(p.B))
-    lip = max(
-        1.0,
-        2.0 * max(np.linalg.norm(p.A1), np.linalg.norm(p.A2), b_family),
-    )
 
     def drift_partner_mean(x: np.ndarray, partners: np.ndarray) -> np.ndarray:
         return ou_drift(p, x, np.broadcast_to(partners.mean(axis=0), x.shape))
@@ -224,7 +218,6 @@ def ou_model(
         initial_value=xi,
         drift=lambda x1, x2: ou_drift(p, x1, x2),
         diffusion=lambda x1, x2: ou_diffusion(p, x2),
-        lipschitz_c=lip,
         unit_costs=unit_costs or default_cost_units(d),
         drift_partner_mean=drift_partner_mean,
         diffusion_partner_mean=diffusion_partner_mean,
@@ -239,7 +232,6 @@ def kuramoto_model(
 ) -> ModelSpec:
     d = p.d
     xi = np.full(d, 10.0) if initial_value is None else np.asarray(initial_value, float)
-    lip = max(1.0, 2.0 * abs(p.mu0), 2.0 * float(np.linalg.norm(p.Sigma)))
 
     def drift_partner_mean(x: np.ndarray, partners: np.ndarray) -> np.ndarray:
         # mean of sin(x - y) over partners y, via the angle-difference identity
@@ -256,7 +248,6 @@ def kuramoto_model(
         initial_value=xi,
         drift=lambda x1, x2: kuramoto_drift(p, x1, x2),
         diffusion=lambda x1, x2: kuramoto_diffusion(p, x1),
-        lipschitz_c=lip,
         unit_costs=unit_costs or default_cost_units(d),
         drift_partner_mean=drift_partner_mean,
         diffusion_partner_mean=diffusion_partner_mean,

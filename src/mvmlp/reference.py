@@ -4,6 +4,8 @@ The mean-field OU reference is pathwise: exact propagator per step,
 Gauss-Legendre quadrature for the drift integral, left-point diffusion in
 time. It therefore consumes exactly the increments array later fed to the
 paired estimator call, which is what the paired-error metric requires.
+Each path function takes one run's increments (K, d) or a cell's stacked
+increments (R, K, d), and a run's values do not depend on R.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from .models import (
     KuramotoParams,
     ModelSpec,
     OuParams,
+    kuramoto_diffusion,
     ou_diffusion,
 )
-from .numerics import DiscretePath, TimeGrid, mat_exp, solve_linear_ode, solve_lyapunov_ode
+from .numerics import TimeGrid, mat_exp, solve_linear_ode, solve_lyapunov_ode
 from .randomness import RandomStream
 
 # Gauss-Legendre 4-point nodes/weights on [-1, 1]
@@ -30,14 +33,6 @@ _GL_W = np.array([
     0.3478548451374538, 0.6521451548625461,
     0.6521451548625461, 0.3478548451374538,
 ])
-
-
-@dataclass(frozen=True)
-class OuMoments:
-    """Closed-form mean path and marginal covariance path of the OU model."""
-
-    mean: np.ndarray                 # (K+1, d)
-    covariance: list                 # K+1 matrices (d, d)
 
 
 @dataclass(frozen=True)
@@ -108,15 +103,27 @@ def ou_marginal_cov(
     return solve_lyapunov_ode(p.A1, Q, grid, substeps)
 
 
-def _ou_exact_values(
+def _check_increments(increments: np.ndarray, K: int, d: int) -> np.ndarray:
+    incr = np.asarray(increments, dtype=float)
+    if incr.ndim not in (2, 3) or incr.shape[-2:] != (K, d):
+        raise ValueError(f"increments must have shape ({K}, {d}) or (R, {K}, {d}), "
+                         f"got {incr.shape}")
+    return incr
+
+
+def ou_exact_path(
     p: OuParams, xi: np.ndarray, grid: TimeGrid, increments: np.ndarray
 ) -> np.ndarray:
-    """Variation-of-constants stepping; increments may carry a batch dim."""
+    """Pathwise OU reference: increments (K, d) or (R, K, d) -> values (..., K+1, d).
+
+    Variation-of-constants stepping. The run-independent propagators are
+    built once per call, so a cell passes all its runs' increments at once.
+    The state contractions use einsum rather than BLAS, whose summation
+    order can depend on the batch size: a run's row is bit-identical for
+    any number of runs in the call.
+    """
     d, K, dt = p.d, grid.K, grid.dt
-    incr = np.asarray(increments, dtype=float)
-    batched = incr.ndim == 3
-    if incr.shape[-2:] != (K, d):
-        raise ValueError(f"increments must end in shape ({K}, {d}), got {incr.shape}")
+    incr = _check_increments(increments, K, d)
 
     E = mat_exp(p.A1, dt)
     # quadrature nodes tau_i in (0, dt), propagators from node to step end
@@ -128,10 +135,9 @@ def _ou_exact_values(
     E12, V12 = _transition(A12, dt)
 
     mean = np.asarray(xi, dtype=float)
-    shape = (incr.shape[0], K + 1, d) if batched else (K + 1, d)
-    out = np.zeros(shape)
+    out = np.zeros(incr.shape[:-2] + (K + 1, d))
     out[..., 0, :] = mean
-    X = np.broadcast_to(mean, shape[:-2] + (d,)).copy()
+    X = out[..., 0, :].copy()
 
     for j in range(K):
         # deterministic forcing over (t_j, t_{j+1}] by 4-point quadrature
@@ -140,31 +146,11 @@ def _ou_exact_values(
             m_node = En @ mean + Vn @ p.a0
             forcing += w * (P @ (p.a0 + p.A2 @ m_node))
         sigma = ou_diffusion(p, mean)     # left-point diffusion time rule
-        X = X @ E.T + forcing + incr[..., j, :] @ sigma.T
+        X = (np.einsum("ij,...j->...i", E, X) + forcing
+             + np.einsum("ik,...k->...i", sigma, incr[..., j, :]))
         out[..., j + 1, :] = X
         mean = E12 @ mean + V12 @ p.a0
     return out
-
-
-def ou_exact_path(
-    p: OuParams, xi: np.ndarray, grid: TimeGrid, increments: np.ndarray
-) -> DiscretePath:
-    """Pathwise OU reference on the given increments."""
-    return DiscretePath(grid=grid, values=_ou_exact_values(p, xi, grid, increments))
-
-
-def ou_exact_path_batch(
-    p: OuParams, xi: np.ndarray, grid: TimeGrid, increments: np.ndarray
-) -> np.ndarray:
-    """Batched variant: increments (N, K, d) -> values (N, K+1, d)."""
-    return _ou_exact_values(p, xi, grid, increments)
-
-
-def ou_moments(p: OuParams, xi: np.ndarray, grid: TimeGrid, substeps: int = 4) -> OuMoments:
-    return OuMoments(
-        mean=ou_mean(p, xi, grid, substeps),
-        covariance=ou_marginal_cov(p, xi, grid, substeps),
-    )
 
 
 def kuramoto_moments(
@@ -179,53 +165,31 @@ def kuramoto_moments(
     return KuramotoMoments(variance=variance, A=A, b=b)
 
 
-def _kuramoto_reference_values(
-    p: KuramotoParams,
-    xi: np.ndarray,
-    grid: TimeGrid,
-    increments: np.ndarray,
-    moments: KuramotoMoments,
-) -> np.ndarray:
-    d, K, dt = p.d, grid.K, grid.dt
-    xi = np.asarray(xi, dtype=float)
-    incr = np.asarray(increments, dtype=float)
-    batched = incr.ndim == 3
-    if incr.shape[-2:] != (K, d):
-        raise ValueError(f"increments must end in shape ({K}, {d}), got {incr.shape}")
-
-    shape = (incr.shape[0], K + 1, d) if batched else (K + 1, d)
-    out = np.zeros(shape)
-    out[..., 0, :] = xi
-    X = np.broadcast_to(xi, shape[:-2] + (d,)).copy()
-    for j in range(K):
-        damp = 1.0 - 0.5 * moments.variance[j]
-        drift = p.mu0 * damp * np.sin(X - xi)
-        sigma = np.einsum("kil,...l->...ik", p.Sigma, X)
-        X = X + drift * dt + np.einsum("...ik,...k->...i", sigma, incr[..., j, :])
-        out[..., j + 1, :] = X
-    return out
-
-
 def kuramoto_reference_path(
     p: KuramotoParams,
     xi: np.ndarray,
     grid: TimeGrid,
     increments: np.ndarray,
     moments: KuramotoMoments,
-) -> DiscretePath:
-    """Euler-Maruyama reference with moment-damped mean-field drift."""
-    values = _kuramoto_reference_values(p, xi, grid, increments, moments)
-    return DiscretePath(grid=grid, values=values)
-
-
-def kuramoto_reference_path_batch(
-    p: KuramotoParams,
-    xi: np.ndarray,
-    grid: TimeGrid,
-    increments: np.ndarray,
-    moments: KuramotoMoments,
 ) -> np.ndarray:
-    return _kuramoto_reference_values(p, xi, grid, increments, moments)
+    """Euler-Maruyama reference with moment-damped mean-field drift.
+
+    Increments (K, d) or (R, K, d) -> values (..., K+1, d).
+    """
+    d, K, dt = p.d, grid.K, grid.dt
+    xi = np.asarray(xi, dtype=float)
+    incr = _check_increments(increments, K, d)
+
+    out = np.zeros(incr.shape[:-2] + (K + 1, d))
+    out[..., 0, :] = xi
+    X = out[..., 0, :].copy()
+    for j in range(K):
+        damp = 1.0 - 0.5 * moments.variance[j]
+        drift = p.mu0 * damp * np.sin(X - xi)
+        sigma = kuramoto_diffusion(p, X)
+        X = X + drift * dt + np.einsum("...ik,...k->...i", sigma, incr[..., j, :])
+        out[..., j + 1, :] = X
+    return out
 
 
 def _pairwise_partner_mean(fn, X: np.ndarray, partners: np.ndarray, chunk: int = 256):

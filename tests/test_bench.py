@@ -109,6 +109,14 @@ class TestRunCell:
 
         assert strip_time(rows1) == strip_time(rows8)
 
+    def test_run_count_does_not_change_results(self):
+        base = dict(model="ou", d=50, seed=0)
+        model = build_model(ExperimentConfig(**base))
+        full = run_cell(ExperimentConfig(runs=20, **base), 2, 2, model=model).per_run_errors
+        for R in (1, 2, 17):
+            row = run_cell(ExperimentConfig(runs=R, **base), 2, 2, model=model)
+            assert row.per_run_errors == full[:R], R
+
     def test_cost_grows_with_n(self):
         cfg = ExperimentConfig(model="ou", d=2, runs=1, seed=0)
         costs = [run_cell(cfg, n, 2).cost for n in (1, 2, 3)]
@@ -216,3 +224,20 @@ class TestCli:
         rc = main(["--model", "ou", "--d", "2", "--levels", "5", "--runs", "1"])
         assert rc == 2
         assert "desk-scale caps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--levels", "2x"], "levels entry '2x'"),
+    (["--runs", "0"], "runs must be >= 1"),
+    (["--format", "xml"], "formats must be among csv, json, md"),
+    (["--threads", "0"], "threads must be >= 1"),
+    (["--d", "0"], "d must be >= 1"),
+])
+def test_bad_cli_input_exits_2(argv, message, tmp_path, capsys):
+    rc = main(["--model", "ou", "--d", "2", "--levels", "1", "--runs", "1",
+               "--out", str(tmp_path), *argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not any(tmp_path.iterdir())

@@ -146,7 +146,6 @@ class TestInvariants:
             diffusion=lambda x1, x2: np.broadcast_to(
                 const_sig, np.shape(x1)[:-1] + (d, d)
             ),
-            lipschitz_c=1.0,
             unit_costs=default_cost_units(d),
         )
         grid = TimeGrid(T=1.0, K=4)
@@ -178,7 +177,6 @@ class TestInvariants:
             diffusion=lambda x1, x2: np.broadcast_to(
                 np.eye(d), np.shape(x1)[:-1] + (d, d)
             ),
-            lipschitz_c=1.0,
             unit_costs=default_cost_units(d),
         )
         grid = TimeGrid(T=1.0, K=4)

@@ -8,15 +8,13 @@ from mvmlp.models import (
     ou_model,
     random_params,
 )
-from mvmlp.numerics import TimeGrid
+from mvmlp.numerics import DiscretePath, TimeGrid
 from mvmlp.randomness import derive_stream, sample_brownian_increments
 from mvmlp.reference import (
     _pairwise_partner_mean,
     kuramoto_moments,
     kuramoto_reference_path,
-    kuramoto_reference_path_batch,
     ou_exact_path,
-    ou_exact_path_batch,
     ou_marginal_cov,
     ou_mean,
     ou_q_process,
@@ -118,7 +116,7 @@ class TestOuMarginalCov:
         grid = TimeGrid(T=1.0, K=8)
         C_T = ou_marginal_cov(p, xi, grid)[-1]
         incr = _batch_increments(seed, N, grid.K, d, grid.dt)
-        vals = ou_exact_path_batch(p, xi, grid, incr)[:, -1, :]
+        vals = ou_exact_path(p, xi, grid, incr)[:, -1, :]
         centered = vals - vals.mean(axis=0)
         sample_cov = centered.T @ centered / (N - 1)
         # entrywise 5-standard-error band for a covariance estimate
@@ -137,7 +135,7 @@ class TestOuExactPath:
         grid = TimeGrid(T=1.0, K=5)
         inc = np.random.default_rng(0).normal(scale=np.sqrt(grid.dt), size=(5, d))
         xi = np.array([1.0, -1.0])
-        path = ou_exact_path(p, xi, grid, inc)
+        path = DiscretePath(grid=grid, values=ou_exact_path(p, xi, grid, inc))
         W = np.vstack([np.zeros(d), np.cumsum(inc, axis=0)])
         np.testing.assert_allclose(path.values, xi + W @ b.T, atol=1e-12)
 
@@ -146,7 +144,9 @@ class TestOuExactPath:
         p = OuParams(a0=np.array([a0]), A1=np.array([[a]]), A2=np.zeros((1, 1)),
                      b=np.array([[0.2]]), B=np.zeros((1, 1, 1)))
         grid = TimeGrid(T=1.0, K=10)
-        path = ou_exact_path(p, np.array([xi]), grid, np.zeros((10, 1)))
+        path = DiscretePath(
+            grid=grid, values=ou_exact_path(p, np.array([xi]), grid, np.zeros((10, 1)))
+        )
         t = grid.times()
         want = np.exp(a * t) * xi + (a0 / a) * (np.exp(a * t) - 1)
         np.testing.assert_allclose(path.values[:, 0], want, atol=1e-10)
@@ -157,7 +157,7 @@ class TestOuExactPath:
         xi = np.full(d, 20.0)
         grid = TimeGrid(T=1.0, K=8)
         incr = _batch_increments(seed, N, grid.K, d, grid.dt)
-        vals = ou_exact_path_batch(p, xi, grid, incr)[:, -1, :]
+        vals = ou_exact_path(p, xi, grid, incr)[:, -1, :]
         want = ou_mean(p, xi, grid)[-1]
         se = vals.std(axis=0, ddof=1) / np.sqrt(N)
         assert np.all(np.abs(vals.mean(axis=0) - want) <= 5 * se)
@@ -168,7 +168,7 @@ class TestOuExactPath:
         xi = np.full(d, 20.0)
         grid = TimeGrid(T=1.0, K=16)
         incr = _batch_increments(seed, N, grid.K, d, grid.dt)
-        vals = ou_exact_path_batch(p, xi, grid, incr)[:, -1, :]
+        vals = ou_exact_path(p, xi, grid, incr)[:, -1, :]
         m_T = ou_mean(p, xi, grid)[-1]
         C_T = ou_marginal_cov(p, xi, grid)[-1]
         z = (vals - m_T) / np.sqrt(np.diag(C_T))
@@ -179,7 +179,7 @@ class TestOuExactPath:
         p = _ou(5, seed=7)
         grid = TimeGrid(T=1.0, K=32)
         inc = sample_brownian_increments(derive_stream(7, (1, 0)), 32, 5, grid.dt)
-        path = ou_exact_path(p, np.full(5, 20.0), grid, inc)
+        path = DiscretePath(grid=grid, values=ou_exact_path(p, np.full(5, 20.0), grid, inc))
         assert np.max(np.abs(path.values)) < 1e6
 
 
@@ -221,10 +221,10 @@ class TestKuramotoReferencePath:
         grid = TimeGrid(T=1.0, K=8)
         xi = np.full(3, 10.0)
         mom = kuramoto_moments(p, xi, grid)
-        path = kuramoto_reference_path(
+        path = DiscretePath(grid=grid, values=kuramoto_reference_path(
             KuramotoParams(mu0=p.mu0, Sigma=np.zeros((3, 3, 3))),
             xi, grid, np.zeros((8, 3)), mom,
-        )
+        ))
         np.testing.assert_allclose(path.values, np.broadcast_to(xi, (9, 3)), atol=1e-12)
 
     def test_monte_carlo_mean_small_noise(self):
@@ -234,7 +234,7 @@ class TestKuramotoReferencePath:
         grid = TimeGrid(T=1.0, K=16)
         mom = kuramoto_moments(p, xi, grid)
         incr = _batch_increments(seed, N, grid.K, d, grid.dt)
-        vals = kuramoto_reference_path_batch(p, xi, grid, incr, mom)[:, -1, :]
+        vals = kuramoto_reference_path(p, xi, grid, incr, mom)[:, -1, :]
         se = vals.std(axis=0, ddof=1) / np.sqrt(N)
         assert np.all(np.abs(vals.mean(axis=0) - xi) <= 5 * se)
 
@@ -303,3 +303,27 @@ class TestParticleSystem:
         model = ou_model(_ou(2))
         with pytest.raises(ValueError):
             particle_system_path(model, 0, TimeGrid(T=1.0, K=2), derive_stream(0, (2,)))
+
+
+class TestBatchDeterminism:
+    """A run's reference values do not depend on how many runs share the call."""
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("d", [3, 50])
+    def test_rows_independent_of_run_count(self, kind, d):
+        p = random_params(kind, d, derive_stream(17, (0,)))
+        xi = np.full(d, 20.0 if kind == "ou" else 10.0)
+        grid = TimeGrid(T=1.0, K=8)
+        incr = _batch_increments(17, 64, grid.K, d, grid.dt)
+        if kind == "ou":
+            def path(inc):
+                return ou_exact_path(p, xi, grid, inc)
+        else:
+            mom = kuramoto_moments(p, xi, grid)
+
+            def path(inc):
+                return kuramoto_reference_path(p, xi, grid, inc, mom)
+        full = path(incr)
+        for R in (1, 2, 17):
+            assert np.array_equal(path(incr[:R]), full[:R]), R
+        assert np.array_equal(path(incr[0]), full[0])
