@@ -2,8 +2,6 @@
 
 from .bench import ExperimentConfig, ResultRow, l2_error, run_cell, run_experiment
 from .mlp import (
-    ALG1,
-    SPEC,
     CostLedger,
     MlpConfig,
     NumericOverflowError,

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mlp import SPEC, CostLedger, MlpConfig, analytic_cost, mlp_estimate, verify_ledger
+from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate, verify_ledger
 from .models import CostUnits, ModelSpec, kuramoto_model, ou_model, random_params
 from .numerics import DiscretePath, TimeGrid
 from .randomness import derive_stream, sample_brownian_increments
@@ -47,12 +47,9 @@ class ExperimentConfig:
     T: float = 1.0
     rho: float = 0.25
     mu0: float = 0.5
-    drift_time_mode: str = SPEC
-    drift_scale_mode: str = SPEC
     threads: int = 1
     out_dir: Optional[str] = None
     formats: Sequence[str] = FORMATS
-    substeps: int = 4
     allow_large: bool = False
     unit_costs: Optional[CostUnits] = None
 
@@ -153,7 +150,7 @@ def _reference(cfg: ExperimentConfig, model: ModelSpec, grid: TimeGrid,
     """Reference values (R, K+1, d) of all runs of a cell, in one call."""
     if cfg.model == "ou":
         return ou_exact_path(model.params, model.initial_value, grid, increments)
-    moments = kuramoto_moments(model.params, model.initial_value, grid, cfg.substeps)
+    moments = kuramoto_moments(model.params, model.initial_value, grid)
     return kuramoto_reference_path(
         model.params, model.initial_value, grid, increments, moments
     )
@@ -167,11 +164,7 @@ def run_cell(
         model = build_model(cfg)
     K = m**n if n >= 1 else 1
     grid = TimeGrid(T=cfg.T, K=K)
-    mlp_cfg = MlpConfig(
-        n=n, m=m, K=K, grid=grid,
-        drift_time_mode=cfg.drift_time_mode,
-        drift_scale_mode=cfg.drift_scale_mode,
-    )
+    mlp_cfg = MlpConfig(n=n, m=m, K=K, grid=grid)
     runs = range(cfg.runs)
     increments = np.stack([
         sample_brownian_increments(

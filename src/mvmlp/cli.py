@@ -7,11 +7,13 @@ override config-file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional, Tuple
 
 from .bench import ExperimentConfig, estimate_experiment_cost, run_experiment
+from .mlp import NumericOverflowError
 from .models import CostUnits
 
 
@@ -31,6 +33,8 @@ def _parse_levels(text: str) -> List[Tuple[int, int]]:
                 pairs.append((v, v))
         except ValueError:
             raise ValueError(f"levels entry {token!r} is not N or NxM") from None
+    if not pairs:
+        raise ValueError(f"levels {text!r} has no entries")
     return pairs
 
 
@@ -48,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float)
     p.add_argument("--rho", type=float)
     p.add_argument("--mu0", type=float)
-    p.add_argument("--drift-time-mode", choices=["spec", "alg1"])
-    p.add_argument("--drift-scale-mode", choices=["spec", "alg1"])
     p.add_argument("--threads", type=int)
     p.add_argument("--out", help="output directory")
     p.add_argument("--format", help="comma list among csv,json,md")
@@ -58,12 +60,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object in `path`, whose keys must be ExperimentConfig fields."""
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
+    if not isinstance(values, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    return values
+
+
 def config_from_args(argv: Optional[List[str]] = None) -> ExperimentConfig:
     args = build_parser().parse_args(argv)
-    values: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            values.update(json.load(fh))
+    values = _read_config(args.config) if args.config else {}
     if "levels" in values:
         values["levels"] = [tuple(pair) if isinstance(pair, list) else (pair, pair)
                             for pair in values["levels"]]
@@ -79,8 +93,6 @@ def config_from_args(argv: Optional[List[str]] = None) -> ExperimentConfig:
         "T": args.T,
         "rho": args.rho,
         "mu0": args.mu0,
-        "drift_time_mode": args.drift_time_mode,
-        "drift_scale_mode": args.drift_scale_mode,
         "threads": args.threads,
         "out_dir": args.out,
         "formats": args.format.split(",") if args.format is not None else None,
@@ -97,7 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"estimated total cost: {estimate_experiment_cost(cfg)} units",
                   file=sys.stderr)
         rows = run_experiment(cfg)
-    except ValueError as exc:
+    except (ValueError, NumericOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for row in rows:

@@ -14,12 +14,17 @@ calls use theta + (n, k, l, 1) and theta + (n, k, l, 2) as their identity,
 while the two fresh-noise calls use theta + (n, k, l, 0) itself. All
 appended blocks have length 4, so distinct call histories always produce
 distinct indices.
+
+Drift correction: the (n, k, l) iteration draws one uniform time u and
+adds t_j / m^(n-l) * (mu(x1, x2) - mu(x3, x4)) to row j, with the four
+sub-estimates read at the grid floor of t_j * u (one array call of
+:func:`grid_floor_index` per iteration).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +33,6 @@ from .numerics import DiscretePath, TimeGrid, grid_floor_index
 from .randomness import MultiIndex, derive_stream
 
 logger = logging.getLogger(__name__)
-
-SPEC = "spec"
-ALG1 = "alg1"
 
 # tags for the index blocks appended per (n, k, l) iteration
 _FRESH = 0
@@ -56,17 +58,12 @@ class MlpConfig:
     m: int
     K: int
     grid: TimeGrid
-    drift_time_mode: str = SPEC
-    drift_scale_mode: str = SPEC
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.m < 1 or self.K < 1:
             raise ValueError(f"need n >= 0, m >= 1, K >= 1, got {(self.n, self.m, self.K)}")
         if self.grid.K != self.K:
             raise ValueError(f"grid has K={self.grid.K}, config has K={self.K}")
-        for mode in (self.drift_time_mode, self.drift_scale_mode):
-            if mode not in (SPEC, ALG1):
-                raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass
@@ -151,22 +148,11 @@ def mlp_estimate(
                 # drift correction: one uniform time draw per (n, k, l)
                 u = child_stream.uniform()
                 ledger.rv_draws += 1
-                if cfg.drift_time_mode == SPEC:
-                    rows = np.array(
-                        [grid_floor_index(times[j] * u, grid) for j in range(K + 1)]
-                    )
-                else:
-                    rows = np.clip(
-                        np.floor(np.arange(-1, K) * u).astype(int) + 1, 0, K
-                    )
+                rows = grid_floor_index(times * u, grid)
                 mu_hi = model.drift(x1[rows], x2[rows])
                 mu_lo = model.drift(x3[rows], x4[rows])
                 ledger.mu_evals += 2
-                if cfg.drift_scale_mode == SPEC:
-                    scale = times[:, None] / fanout
-                else:
-                    scale = 1.0 / fanout
-                X += scale * (mu_hi - mu_lo)
+                X += times[:, None] / fanout * (mu_hi - mu_lo)
                 _check_finite(X, n, level, k)
         return X
 

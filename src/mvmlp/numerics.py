@@ -63,23 +63,26 @@ class DiscretePath:
         return self.values.shape[1]
 
 
-def grid_floor_index(t: float, grid: TimeGrid) -> int:
+def grid_floor_index(t: float | np.ndarray, grid: TimeGrid) -> int | np.ndarray:
     """Index of the largest grid point strictly below t; 0 maps to 0.
 
     An exact grid point maps to the *previous* index (strict inequality),
-    so t = T yields K-1.
+    so t = T yields K-1. Takes a float (returns an int) or an array of
+    times (returns an int array of the same shape).
     """
-    if not (0.0 <= t <= grid.T):
-        raise ValueError(f"t = {t} outside [0, {grid.T}]")
-    if t == 0.0:
-        return 0
-    k = int(np.floor(t * grid.K / grid.T))
-    # float guard: enforce value(k) < t <= value(k+1) exactly
-    while k > 0 and k * grid.T / grid.K >= t:
-        k -= 1
-    while k + 1 <= grid.K - 1 and (k + 1) * grid.T / grid.K < t:
-        k += 1
-    return min(k, grid.K - 1)
+    ts = np.asarray(t, dtype=float)
+    outside = ~((0.0 <= ts) & (ts <= grid.T))
+    if outside.any():
+        raise ValueError(f"t = {ts[outside].flat[0]} outside [0, {grid.T}]")
+    K, T = grid.K, grid.T
+    k = np.floor(ts * K / T).astype(int)
+    # float guard: enforce value(k) < t <= value(k+1) exactly, per element
+    while (down := (k > 0) & (k * T / K >= ts)).any():
+        k -= down
+    while (up := (k + 1 <= K - 1) & ((k + 1) * T / K < ts)).any():
+        k += up
+    k = np.where(ts == 0.0, 0, np.minimum(k, K - 1))
+    return int(k) if k.ndim == 0 else k
 
 
 def _check_square(A: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from mvmlp.bench import (
     run_experiment,
 )
 from mvmlp.cli import config_from_args, main
-from mvmlp.mlp import analytic_cost
+from mvmlp.mlp import NumericOverflowError, analytic_cost
 from mvmlp.models import OuParams, ou_model
 from mvmlp.numerics import DiscretePath, TimeGrid
 
@@ -232,12 +232,40 @@ class TestCli:
     (["--format", "xml"], "formats must be among csv, json, md"),
     (["--threads", "0"], "threads must be >= 1"),
     (["--d", "0"], "d must be >= 1"),
+    (["--config", "{configs}/nope.json"], "cannot read config file {configs}/nope.json"),
+    (["--config", "{configs}/typo.json"], "unknown config key(s) in {configs}/typo.json: dd"),
+    (["--config", "{configs}/removed.json"],
+     "unknown config key(s) in {configs}/removed.json: drift_time_mode, substeps"),
+    (["--levels", ","], "levels ',' has no entries"),
+    (["--config", "{configs}/list.json"], "config file {configs}/list.json must hold a JSON object"),
 ])
-def test_bad_cli_input_exits_2(argv, message, tmp_path, capsys):
+def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
+    argv = [a.format(configs=configs) for a in argv]
     rc = main(["--model", "ou", "--d", "2", "--levels", "1", "--runs", "1",
                "--out", str(tmp_path), *argv])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message.format(configs=configs) in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    """Config files outside the output directory the CLI tests inspect."""
+    path = tmp_path_factory.mktemp("configs")
+    (path / "typo.json").write_text(json.dumps({"dd": 3}))
+    (path / "removed.json").write_text(json.dumps({"drift_time_mode": "spec", "substeps": 4}))
+    (path / "list.json").write_text(json.dumps([["d", 3]]))
+    return path
+
+
+def test_overflow_exits_2(monkeypatch, capsys):
+    def overflow(cfg):
+        raise NumericOverflowError(2, 1, 1, 3)
+
+    monkeypatch.setattr("mvmlp.cli.run_experiment", overflow)
+    rc = main(["--model", "ou", "--d", "2", "--levels", "1", "--runs", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: non-finite value at level n=2, l=1, k=1, row j=3\n"

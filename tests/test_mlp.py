@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mvmlp.mlp import (
-    ALG1,
     CostLedger,
     MlpConfig,
     NumericOverflowError,
@@ -186,53 +185,6 @@ class TestInvariants:
             mlp_estimate(model, cfg, (1, 0), 0, inc, CostLedger())
         n, level, k, row = err.value.location
         assert n == 2 and level == 1 and k == 1
-
-
-class TestDriftModes:
-    def test_alg1_modes_differ_from_spec(self):
-        model = _models(2, seed=6)[0]
-        grid = TimeGrid(T=1.0, K=4)
-        inc = _top_increments(6, 0, 4, 2, grid.dt)
-        spec = mlp_estimate(
-            model, MlpConfig(n=3, m=2, K=4, grid=grid), (1, 0), 6, inc, CostLedger()
-        )
-        alg1 = mlp_estimate(
-            model,
-            MlpConfig(n=3, m=2, K=4, grid=grid,
-                      drift_time_mode=ALG1, drift_scale_mode=ALG1),
-            (1, 0), 6, inc, CostLedger(),
-        )
-        assert not np.allclose(spec.values, alg1.values)
-
-    def test_alg1_row_zero_gets_drift_correction(self):
-        # literal pseudocode reproduction: without the time factor, row 0
-        # can pick up a nonzero drift correction
-        model = _models(2, seed=6)[0]
-        grid = TimeGrid(T=1.0, K=4)
-        inc = _top_increments(6, 0, 4, 2, grid.dt)
-        alg1 = mlp_estimate(
-            model,
-            MlpConfig(n=3, m=2, K=4, grid=grid,
-                      drift_time_mode=ALG1, drift_scale_mode=ALG1),
-            (1, 0), 6, inc, CostLedger(),
-        )
-        assert not np.allclose(alg1.values[0], model.initial_value)
-
-    def test_cost_identical_across_modes(self):
-        model = _models(2, seed=6)[0]
-        grid = TimeGrid(T=1.0, K=4)
-        inc = _top_increments(6, 0, 4, 2, grid.dt)
-        ledgers = []
-        for tm, sm in (("spec", "spec"), ("alg1", "alg1")):
-            led = CostLedger()
-            mlp_estimate(
-                model,
-                MlpConfig(n=3, m=2, K=4, grid=grid,
-                          drift_time_mode=tm, drift_scale_mode=sm),
-                (1, 0), 6, inc, led,
-            )
-            ledgers.append(led)
-        assert ledgers[0] == ledgers[1]
 
 
 class TestAnalyticCost:

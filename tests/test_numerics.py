@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmlp.numerics import (
     DiscretePath,
@@ -48,6 +50,7 @@ class TestGridFloorIndex:
         assert grid_floor_index(0.3, g) == 2
         assert grid_floor_index(0.35, g) == 3
         assert grid_floor_index(1.0, g) == 9
+        assert type(grid_floor_index(0.35, g)) is int
 
     def test_out_of_range(self):
         g = TimeGrid(T=1.0, K=10)
@@ -55,6 +58,8 @@ class TestGridFloorIndex:
             grid_floor_index(-0.1, g)
         with pytest.raises(ValueError):
             grid_floor_index(1.1, g)
+        with pytest.raises(ValueError, match="t = 1.1 outside"):
+            grid_floor_index(np.array([0.0, 0.5, 1.1, 1.0]), g)
 
     def test_strict_floor_property(self):
         # exhaustive over K <= 64, random times including exact grid points
@@ -62,12 +67,37 @@ class TestGridFloorIndex:
         for K in range(1, 65):
             g = TimeGrid(T=1.0, K=K)
             ts = np.concatenate([rng.uniform(0, 1, 150), g.times()])
+            scalar = []
             for t in ts:
                 k = grid_floor_index(float(t), g)
                 assert 0 <= k <= K - 1
                 if t > 0:
                     assert g.value(k) < t
                     assert g.value(k + 1) >= t
+                scalar.append(k)
+            batch = grid_floor_index(ts, g)
+            assert batch.dtype.kind == "i" and batch.shape == ts.shape
+            assert np.array_equal(batch, scalar)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        K=st.integers(1, 1024),
+        T=st.floats(1e-3, 1e3),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=50),
+    )
+    def test_array_invariants(self, K, T, fractions):
+        g = TimeGrid(T=T, K=K)
+        points = np.array([g.value(k) for k in range(K + 1)] + [T])
+        ts = np.concatenate([points[points <= T], np.array(fractions) * T])
+        k = grid_floor_index(ts, g)
+        assert ((0 <= k) & (k <= K - 1)).all()
+        assert (k[ts == 0] == 0).all()
+        pos = ts > 0
+        lower = k * T / K
+        # K*T/K may round one ulp off T, so the top point is T itself
+        upper = np.where(k + 1 < K, (k + 1) * T / K, T)
+        assert (lower[pos] < ts[pos]).all()
+        assert (ts[pos] <= upper[pos]).all()
 
     def test_monotone(self):
         g = TimeGrid(T=3.0, K=17)
