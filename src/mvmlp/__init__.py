@@ -1,6 +1,13 @@
 """Multilevel Picard approximation of mean-field SDEs with nonconstant diffusion."""
 
-from .bench import ExperimentConfig, ResultRow, l2_error, run_cell, run_experiment
+from .bench import (
+    ExperimentConfig,
+    LedgerMismatchError,
+    ResultRow,
+    l2_error,
+    run_cell,
+    run_experiment,
+)
 from .mlp import (
     CostLedger,
     MlpConfig,

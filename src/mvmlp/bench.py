@@ -12,7 +12,9 @@ any thread count.
 from __future__ import annotations
 
 import json
+import numbers
 import time
+from os import PathLike
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +39,24 @@ DESK_MAX_D = 100
 DESK_MAX_N = 4
 
 
+class LedgerMismatchError(RuntimeError):
+    """A run's cost ledger differs from the closed-form cost of its cell."""
+
+    def __init__(self, model: str, d: int, n: int, m: int, run: int):
+        self.location = (model, d, n, m, run)
+        super().__init__(
+            f"cost ledger mismatch at model={model}, d={d}, n={n}, m={m}, run={run}"
+        )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     model: str = "ou"
@@ -54,6 +74,24 @@ class ExperimentConfig:
     unit_costs: Optional[CostUnits] = None
 
     def __post_init__(self) -> None:
+        for name in ("d", "runs", "seed", "threads"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("T", "rho", "mu0"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        for pair in self.levels:
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(_is_int(v) for v in pair)):
+                raise ValueError(f"levels entries must be integer pairs (n, m), got {pair!r}")
+        if isinstance(self.formats, str) or not all(isinstance(f, str) for f in self.formats):
+            raise ValueError(f"formats must be a list of names, got {self.formats!r}")
+        if not (self.out_dir is None or isinstance(self.out_dir, (str, PathLike))):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
+        if not isinstance(self.allow_large, bool):
+            raise ValueError(f"allow_large must be true or false, got {self.allow_large!r}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.runs < 1:
@@ -139,9 +177,7 @@ def _single_run(
     elapsed = time.perf_counter() - start
     if not verify_ledger(ledger, mlp_cfg.n, mlp_cfg.m, mlp_cfg.K, model.d,
                          model.unit_costs):
-        raise RuntimeError(
-            f"cost ledger mismatch in run {run} of cell (n={mlp_cfg.n}, m={mlp_cfg.m})"
-        )
+        raise LedgerMismatchError(cfg.model, model.d, mlp_cfg.n, mlp_cfg.m, run)
     return estimate, elapsed
 
 

@@ -12,7 +12,12 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .bench import ExperimentConfig, estimate_experiment_cost, run_experiment
+from .bench import (
+    ExperimentConfig,
+    LedgerMismatchError,
+    estimate_experiment_cost,
+    run_experiment,
+)
 from .mlp import NumericOverflowError
 from .models import CostUnits
 
@@ -79,10 +84,18 @@ def config_from_args(argv: Optional[List[str]] = None) -> ExperimentConfig:
     args = build_parser().parse_args(argv)
     values = _read_config(args.config) if args.config else {}
     if "levels" in values:
+        if not isinstance(values["levels"], list):
+            raise ValueError(f"config levels must be a list, got {values['levels']!r}")
         values["levels"] = [tuple(pair) if isinstance(pair, list) else (pair, pair)
                             for pair in values["levels"]]
     if "unit_costs" in values and values["unit_costs"] is not None:
-        values["unit_costs"] = CostUnits(**values["unit_costs"])
+        try:
+            values["unit_costs"] = CostUnits(**values["unit_costs"])
+        except (TypeError, ValueError):
+            raise ValueError(
+                "config unit_costs must be an object of nonnegative integers "
+                f"cost_mu, cost_sigma, cost_rv, got {values['unit_costs']!r}"
+            ) from None
 
     overrides = {
         "model": args.model,
@@ -109,7 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"estimated total cost: {estimate_experiment_cost(cfg)} units",
                   file=sys.stderr)
         rows = run_experiment(cfg)
-    except (ValueError, NumericOverflowError) as exc:
+    except (ValueError, NumericOverflowError, LedgerMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for row in rows:

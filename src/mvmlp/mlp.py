@@ -142,7 +142,7 @@ def mlp_estimate(
                 s_hi = model.diffusion(x1[:-1], x2[:-1])
                 s_lo = model.diffusion(x3[:-1], x4[:-1])
                 ledger.sigma_evals += 2 * K
-                steps = np.einsum("jik,jk->ji", s_hi - s_lo, incr) / fanout
+                steps = np.matmul(s_hi - s_lo, incr[:, :, None])[:, :, 0] / fanout
                 X[1:] += np.cumsum(steps, axis=0)
 
                 # drift correction: one uniform time draw per (n, k, l)

@@ -8,6 +8,7 @@ benchmark coefficients broadcast over leading batch dimensions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -25,7 +26,11 @@ class CostUnits:
     cost_rv: int
 
     def __post_init__(self) -> None:
-        if min(self.cost_mu, self.cost_sigma, self.cost_rv) < 0:
+        units = (self.cost_mu, self.cost_sigma, self.cost_rv)
+        # the cost recursion is exact integer arithmetic
+        if not all(isinstance(u, numbers.Integral) and not isinstance(u, bool) for u in units):
+            raise ValueError(f"cost units must be integers, got {units}")
+        if min(units) < 0:
             raise ValueError("cost units must be nonnegative")
 
 
@@ -101,10 +106,25 @@ def ou_drift(p: OuParams, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return p.a0 + x1 @ p.A1.T + x2 @ p.A2.T
 
 
+def _stacked_apply(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[..., k, i] = sum_j P[k, i, j] x[..., j], as one BLAS GEMM.
+
+    The (d, d, d) family reshapes for free to the (d*d, d) map x -> vec of
+    the transposed matrix, so all leading rows of x go through one product;
+    callers return the swapped view, which is the [i, k] layout. BLAS bits
+    depend on the number of rows per call, so a caller that needs a row's
+    value independent of a batch size stacks a leading axis instead.
+    """
+    d = P.shape[0]
+    return np.matmul(x, P.reshape(d * d, d).T).reshape(x.shape[:-1] + (d, d))
+
+
 def ou_diffusion(p: OuParams, x2: np.ndarray) -> np.ndarray:
     """Matrix with column k = b_k + B_k x2; independent of x1."""
     x2 = _check_dim(x2, p.d, "x2")
-    return p.b + np.einsum("kij,...j->...ik", p.B, x2)
+    sigma_t = _stacked_apply(p.B, x2)
+    sigma_t += p.b.T    # in the contiguous [k, i] layout; slower on the swapped view
+    return sigma_t.swapaxes(-1, -2)
 
 
 def kuramoto_drift(p: KuramotoParams, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -117,7 +137,7 @@ def kuramoto_drift(p: KuramotoParams, x1: np.ndarray, x2: np.ndarray) -> np.ndar
 def kuramoto_diffusion(p: KuramotoParams, x1: np.ndarray) -> np.ndarray:
     """Matrix with column k = Sigma_k x1; independent of x2."""
     x1 = _check_dim(x1, p.d, "x1")
-    return np.einsum("kij,...j->...ik", p.Sigma, x1)
+    return _stacked_apply(p.Sigma, x1).swapaxes(-1, -2)
 
 
 def random_params(

@@ -186,7 +186,9 @@ def kuramoto_reference_path(
     for j in range(K):
         damp = 1.0 - 0.5 * moments.variance[j]
         drift = p.mu0 * damp * np.sin(X - xi)
-        sigma = kuramoto_diffusion(p, X)
+        # a leading axis per run keeps one BLAS call per run, so a run's
+        # row does not depend on how many runs share the call
+        sigma = kuramoto_diffusion(p, X[..., None, :])[..., 0, :, :]
         X = X + drift * dt + np.einsum("...ik,...k->...i", sigma, incr[..., j, :])
         out[..., j + 1, :] = X
     return out

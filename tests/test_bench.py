@@ -17,7 +17,7 @@ from mvmlp.bench import (
     run_experiment,
 )
 from mvmlp.cli import config_from_args, main
-from mvmlp.mlp import NumericOverflowError, analytic_cost
+from mvmlp.mlp import NumericOverflowError, analytic_cost, mlp_estimate
 from mvmlp.models import OuParams, ou_model
 from mvmlp.numerics import DiscretePath, TimeGrid
 
@@ -109,13 +109,20 @@ class TestRunCell:
 
         assert strip_time(rows1) == strip_time(rows8)
 
-    def test_run_count_does_not_change_results(self):
-        base = dict(model="ou", d=50, seed=0)
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    def test_run_count_does_not_change_results(self, kind):
+        base = dict(model=kind, d=50, seed=0)
         model = build_model(ExperimentConfig(**base))
         full = run_cell(ExperimentConfig(runs=20, **base), 2, 2, model=model).per_run_errors
         for R in (1, 2, 17):
             row = run_cell(ExperimentConfig(runs=R, **base), 2, 2, model=model)
             assert row.per_run_errors == full[:R], R
+
+    def test_threads_do_not_change_kuramoto_d100(self):
+        base = dict(model="kuramoto", d=100, levels=((2, 2), (3, 3)), runs=4, seed=0)
+        rows1 = run_experiment(ExperimentConfig(threads=1, **base))
+        rows2 = run_experiment(ExperimentConfig(threads=2, **base))
+        assert [r.per_run_errors for r in rows1] == [r.per_run_errors for r in rows2]
 
     def test_cost_grows_with_n(self):
         cfg = ExperimentConfig(model="ou", d=2, runs=1, seed=0)
@@ -238,16 +245,38 @@ class TestCli:
      "unknown config key(s) in {configs}/removed.json: drift_time_mode, substeps"),
     (["--levels", ","], "levels ',' has no entries"),
     (["--config", "{configs}/list.json"], "config file {configs}/list.json must hold a JSON object"),
+    (["--config", "{configs}/d_str.json"], "d must be an integer, got '3'"),
+    (["--config", "{configs}/runs_float.json"], "runs must be an integer, got 2.5"),
+    (["--config", "{configs}/threads_bool.json"], "threads must be an integer, got True"),
+    (["--config", "{configs}/rho_str.json"], "rho must be a real number, got '0.25'"),
+    (["--config", "{configs}/levels_str.json"],
+     "levels entries must be integer pairs (n, m), got ('2', 2)"),
+    (["--config", "{configs}/levels_triple.json"],
+     "levels entries must be integer pairs (n, m), got (1, 2, 3)"),
+    (["--config", "{configs}/levels_int.json"], "config levels must be a list, got 3"),
+    (["--config", "{configs}/units_str.json"],
+     "config unit_costs must be an object of nonnegative integers"),
+    (["--config", "{configs}/units_float.json"],
+     "config unit_costs must be an object of nonnegative integers"),
+    (["--config", "{configs}/formats_str.json"], "formats must be a list of names, got 'csv'"),
+    (["--config", "{configs}/allow_large_str.json"],
+     "allow_large must be true or false, got 'no'"),
 ])
 def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
+    # no --d/--levels/--runs here: they would override the config files' values
     argv = [a.format(configs=configs) for a in argv]
-    rc = main(["--model", "ou", "--d", "2", "--levels", "1", "--runs", "1",
-               "--out", str(tmp_path), *argv])
+    rc = main(["--model", "ou", "--out", str(tmp_path), *argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and message.format(configs=configs) in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_out_dir_must_be_a_path():
+    # the CLI tests pass --out, which overrides a config file's out_dir
+    with pytest.raises(ValueError, match="out_dir must be a path, got 3"):
+        ExperimentConfig(out_dir=3)
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +286,21 @@ def configs(tmp_path_factory):
     (path / "typo.json").write_text(json.dumps({"dd": 3}))
     (path / "removed.json").write_text(json.dumps({"drift_time_mode": "spec", "substeps": 4}))
     (path / "list.json").write_text(json.dumps([["d", 3]]))
+    bad_values = {
+        "d_str": {"d": "3"},
+        "runs_float": {"runs": 2.5},
+        "threads_bool": {"threads": True},
+        "rho_str": {"rho": "0.25"},
+        "levels_str": {"levels": [["2", 2]]},
+        "levels_triple": {"levels": [[1, 2, 3]]},
+        "levels_int": {"levels": 3},
+        "units_str": {"unit_costs": {"cost_mu": "1", "cost_sigma": 1, "cost_rv": 1}},
+        "units_float": {"unit_costs": {"cost_mu": 1.5, "cost_sigma": 1, "cost_rv": 1}},
+        "formats_str": {"formats": "csv"},
+        "allow_large_str": {"allow_large": "no"},
+    }
+    for name, values in bad_values.items():
+        (path / f"{name}.json").write_text(json.dumps(values))
     return path
 
 
@@ -269,3 +313,16 @@ def test_overflow_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == "error: non-finite value at level n=2, l=1, k=1, row j=3\n"
+
+
+def test_ledger_mismatch_exits_2(monkeypatch, capsys):
+    def miscounted(model, cfg, theta, root_seed, increments, ledger):
+        path = mlp_estimate(model, cfg, theta, root_seed, increments, ledger)
+        ledger.sigma_evals += 1
+        return path
+
+    monkeypatch.setattr("mvmlp.bench.mlp_estimate", miscounted)
+    rc = main(["--model", "kuramoto", "--d", "2", "--levels", "1", "--runs", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: cost ledger mismatch at model=kuramoto, d=2, n=1, m=1, run=0\n"

@@ -85,6 +85,36 @@ class TestOuDiffusion:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+class TestDiffusionKernel:
+    """The GEMM kernels equal the einsum definition up to summation order."""
+
+    @pytest.mark.parametrize("lead", [(), (27,), (4, 1), (4, 27)])
+    @pytest.mark.parametrize("d", [1, 3, 50, 100])
+    def test_matches_einsum_definition(self, d, lead):
+        x = np.random.default_rng(d).normal(scale=5.0, size=lead + (d,))
+        ou = _ou_params(d, seed=1)
+        ku = random_params("kuramoto", d, derive_stream(1, (0,)))
+
+        def definition(P, v):
+            return np.einsum("kij,...j->...ik", P, v)
+
+        ou_want = ou.b + definition(ou.B, x)
+        ou_scale = np.abs(ou.b) + definition(np.abs(ou.B), np.abs(x))
+        ku_want = definition(ku.Sigma, x)
+        ku_scale = definition(np.abs(ku.Sigma), np.abs(x))
+        cases = [
+            (ou_diffusion(ou, x), ou_want, ou_scale),
+            (ou_model(ou).diffusion(x, x), ou_want, ou_scale),
+            (kuramoto_diffusion(ku, x), ku_want, ku_scale),
+            (kuramoto_model(ku).diffusion(x, x), ku_want, ku_scale),
+        ]
+        for got, want, scale in cases:
+            assert got.shape == lead + (d, d)
+            # relative to the summed magnitudes, the scale of a dot
+            # product's rounding error, since single entries may cancel
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
 class TestKuramoto:
     def test_drift_zero_at_equal_args(self):
         p = random_params("kuramoto", 3, derive_stream(0, (0,)))

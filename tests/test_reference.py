@@ -309,7 +309,7 @@ class TestBatchDeterminism:
     """A run's reference values do not depend on how many runs share the call."""
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
-    @pytest.mark.parametrize("d", [3, 50])
+    @pytest.mark.parametrize("d", [3, 50, 100])
     def test_rows_independent_of_run_count(self, kind, d):
         p = random_params(kind, d, derive_stream(17, (0,)))
         xi = np.full(d, 20.0 if kind == "ou" else 10.0)
