@@ -43,16 +43,13 @@ from .randomness import (
     RandomStream,
     derive_stream,
     sample_brownian_increments,
-    sample_uniform,
 )
 from .reference import (
-    KuramotoMoments,
     kuramoto_moments,
     kuramoto_reference_path,
     ou_exact_path,
     ou_marginal_cov,
     ou_mean,
-    ou_q_process,
     particle_system_path,
 )
 

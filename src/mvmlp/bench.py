@@ -12,6 +12,7 @@ any thread count.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from os import PathLike
@@ -57,6 +58,13 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an integer too large for a float
+        return False
+
+
 @dataclass
 class ExperimentConfig:
     model: str = "ou"
@@ -82,6 +90,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not _is_finite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for pair in self.levels:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                     and all(_is_int(v) for v in pair)):
@@ -98,6 +108,9 @@ class ExperimentConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        for name in ("T", "rho"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         unknown = sorted(set(self.formats) - set(FORMATS))
         if unknown:
             raise ValueError(f"formats must be among {', '.join(FORMATS)}, got {unknown}")
@@ -186,9 +199,9 @@ def _reference(cfg: ExperimentConfig, model: ModelSpec, grid: TimeGrid,
     """Reference values (R, K+1, d) of all runs of a cell, in one call."""
     if cfg.model == "ou":
         return ou_exact_path(model.params, model.initial_value, grid, increments)
-    moments = kuramoto_moments(model.params, model.initial_value, grid)
+    variance = kuramoto_moments(model.params, model.initial_value, grid)
     return kuramoto_reference_path(
-        model.params, model.initial_value, grid, increments, moments
+        model.params, model.initial_value, grid, increments, variance
     )
 
 

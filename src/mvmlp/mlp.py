@@ -129,7 +129,7 @@ def mlp_estimate(
             for k in range(1, fanout + 1):
                 block = (n, k, level)
                 child_stream = derive_stream(root_seed, theta + block + (_FRESH,))
-                fresh = np.sqrt(dt) * child_stream.normals((K, d)) if dt > 0 else np.zeros((K, d))
+                fresh = np.sqrt(dt) * child_stream.normals((K, d))
                 ledger.rv_draws += K * d
 
                 x1 = estimate(level, theta + block + (_CALLER_HI,), incr)

@@ -204,18 +204,6 @@ class ModelSpec:
     diffusion_partner_mean: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     params: object = field(default=None, repr=False)
 
-    def growth_bound(self) -> float:
-        """||xi|| + ||mu(0,0)|| + ||sigma(0,0)|| (finiteness is asserted)."""
-        zero = np.zeros(self.d)
-        value = (
-            float(np.linalg.norm(self.initial_value))
-            + float(np.linalg.norm(self.drift(zero, zero)))
-            + float(np.linalg.norm(self.diffusion(zero, zero)))
-        )
-        if not np.isfinite(value):
-            raise ValueError("growth bound is not finite")
-        return value
-
 
 def ou_model(
     p: OuParams,

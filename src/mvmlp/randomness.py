@@ -96,14 +96,4 @@ def sample_brownian_increments(
         raise ValueError(f"K and d must be >= 1, got K={K}, d={d}")
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
-    if dt == 0:
-        # degenerate Gaussian; still consume the draws so stream state is
-        # independent of dt
-        stream.normals((K, d))
-        return np.zeros((K, d))
     return np.sqrt(dt) * stream.normals((K, d))
-
-
-def sample_uniform(stream: RandomStream) -> float:
-    """One uniform draw on [0, 1)."""
-    return stream.uniform()

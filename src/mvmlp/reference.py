@@ -10,7 +10,7 @@ increments (R, K, d), and a run's values do not depend on R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,15 +35,6 @@ _GL_W = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class KuramotoMoments:
-    """Componentwise variance path of the Kuramoto model and its ODE data."""
-
-    variance: np.ndarray             # (K+1, d)
-    A: np.ndarray                    # (d, d)
-    b: np.ndarray                    # (d,)
-
-
 def _transition(A: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """e^{A tau} and int_0^tau e^{A u} du via the augmented-matrix trick."""
     d = A.shape[0]
@@ -54,50 +45,33 @@ def _transition(A: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return E[:d, :d], E[:d, d:]
 
 
-def ou_mean(p: OuParams, xi: np.ndarray, grid: TimeGrid, substeps: int = 4) -> np.ndarray:
-    """Mean path: homogeneous flow of A1+A2 plus the a0 forcing integral."""
-    A12 = p.A1 + p.A2
-    P = mat_exp(A12, grid.dt)
-    hom = np.empty((grid.K + 1, p.d))
-    hom[0] = np.asarray(xi, dtype=float)
+def ou_mean(p: OuParams, xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Mean path (K+1, d), stepped exactly by the A1+A2 flow and its a0 forcing."""
+    E12, V12 = _transition(p.A1 + p.A2, grid.dt)
+    mean = np.asarray(xi, dtype=float)
+    out = np.empty((grid.K + 1, p.d))
+    out[0] = mean
     for j in range(grid.K):
-        hom[j + 1] = P @ hom[j]
-    part = solve_linear_ode(A12, p.a0, grid, substeps)
-    return hom + part
-
-
-def _ou_mean_fn(p: OuParams, xi: np.ndarray):
-    """Continuous-time mean evaluator with per-time caching."""
-    A12 = p.A1 + p.A2
-    xi = np.asarray(xi, dtype=float)
-    cache: dict[float, np.ndarray] = {}
-
-    def m(s: float) -> np.ndarray:
-        got = cache.get(s)
-        if got is None:
-            E, V = _transition(A12, s)
-            got = E @ xi + V @ p.a0
-            cache[s] = got
-        return got
-
-    return m
-
-
-def ou_q_process(p: OuParams, mean: np.ndarray) -> list:
-    """Q(t_j) = sum_k (b_k + B_k m(t_j)) (b_k + B_k m(t_j))^T, i.e. S S^T."""
-    S = ou_diffusion(p, np.asarray(mean, dtype=float))
-    Q = np.einsum("...ik,...jk->...ij", S, S)
-    return [0.5 * (q + q.T) for q in Q]
+        mean = E12 @ mean + V12 @ p.a0
+        out[j + 1] = mean
+    return out
 
 
 def ou_marginal_cov(
     p: OuParams, xi: np.ndarray, grid: TimeGrid, substeps: int = 4
 ) -> list:
-    """Marginal covariance path via the Lyapunov ODE driven by Q(t)."""
-    m = _ou_mean_fn(p, xi)
+    """Marginal covariance path via the Lyapunov ODE driven by Q(t) = S S^T.
 
+    S is the diffusion at the exact mean m(t); Q is cached per time, since
+    consecutive RK4 stages share their end points.
+    """
+    A12 = p.A1 + p.A2
+    xi = np.asarray(xi, dtype=float)
+
+    @lru_cache(maxsize=None)
     def Q(s: float) -> np.ndarray:
-        S = ou_diffusion(p, m(s))
+        E, V = _transition(A12, s)
+        S = ou_diffusion(p, E @ xi + V @ p.a0)
         return S @ S.T
 
     return solve_lyapunov_ode(p.A1, Q, grid, substeps)
@@ -132,14 +106,14 @@ def ou_exact_path(
     props = [mat_exp(p.A1, dt - tau) for tau in taus]
     A12 = p.A1 + p.A2
     node_flows = [_transition(A12, tau) for tau in taus]
-    E12, V12 = _transition(A12, dt)
+    means = ou_mean(p, xi, grid)
 
-    mean = np.asarray(xi, dtype=float)
     out = np.zeros(incr.shape[:-2] + (K + 1, d))
-    out[..., 0, :] = mean
+    out[..., 0, :] = means[0]
     X = out[..., 0, :].copy()
 
     for j in range(K):
+        mean = means[j]
         # deterministic forcing over (t_j, t_{j+1}] by 4-point quadrature
         forcing = np.zeros(d)
         for w, P, (En, Vn) in zip(weights, props, node_flows):
@@ -149,20 +123,16 @@ def ou_exact_path(
         X = (np.einsum("ij,...j->...i", E, X) + forcing
              + np.einsum("ik,...k->...i", sigma, incr[..., j, :]))
         out[..., j + 1, :] = X
-        mean = E12 @ mean + V12 @ p.a0
     return out
 
 
 def kuramoto_moments(
     p: KuramotoParams, xi: np.ndarray, grid: TimeGrid, substeps: int = 4
-) -> KuramotoMoments:
-    """Componentwise variance path from the linear moment ODE."""
+) -> np.ndarray:
+    """Componentwise variance path (K+1, d) from the linear moment ODE."""
     xi = np.asarray(xi, dtype=float)
-    sq = p.Sigma**2                       # sq[k, i, j] = (sigma_k^{i,j})^2
-    A = sq.sum(axis=0)                    # (d, d)
-    b = A @ (xi**2)                       # (d,)
-    variance = solve_linear_ode(A, b, grid, substeps)
-    return KuramotoMoments(variance=variance, A=A, b=b)
+    A = (p.Sigma**2).sum(axis=0)          # A[i, j] = sum_k (sigma_k^{i,j})^2
+    return solve_linear_ode(A, A @ (xi**2), grid, substeps)
 
 
 def kuramoto_reference_path(
@@ -170,7 +140,7 @@ def kuramoto_reference_path(
     xi: np.ndarray,
     grid: TimeGrid,
     increments: np.ndarray,
-    moments: KuramotoMoments,
+    variance: np.ndarray,
 ) -> np.ndarray:
     """Euler-Maruyama reference with moment-damped mean-field drift.
 
@@ -184,7 +154,7 @@ def kuramoto_reference_path(
     out[..., 0, :] = xi
     X = out[..., 0, :].copy()
     for j in range(K):
-        damp = 1.0 - 0.5 * moments.variance[j]
+        damp = 1.0 - 0.5 * variance[j]
         drift = p.mu0 * damp * np.sin(X - xi)
         # a leading axis per run keeps one BLAS call per run, so a run's
         # row does not depend on how many runs share the call

@@ -261,6 +261,14 @@ class TestCli:
     (["--config", "{configs}/formats_str.json"], "formats must be a list of names, got 'csv'"),
     (["--config", "{configs}/allow_large_str.json"],
      "allow_large must be true or false, got 'no'"),
+    (["--rho", "-1"], "rho must be > 0, got -1.0"),
+    (["--rho", "0"], "rho must be > 0, got 0.0"),
+    (["--rho", "nan"], "rho must be finite, got nan"),
+    (["--rho", "inf"], "rho must be finite, got inf"),
+    (["--T", "0"], "T must be > 0, got 0.0"),
+    (["--T", "nan"], "T must be finite, got nan"),
+    (["--mu0", "nan"], "mu0 must be finite, got nan"),
+    (["--config", "{configs}/T_huge_int.json"], "T must be finite, got 1000"),
 ])
 def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
     # no --d/--levels/--runs here: they would override the config files' values
@@ -298,6 +306,7 @@ def configs(tmp_path_factory):
         "units_float": {"unit_costs": {"cost_mu": 1.5, "cost_sigma": 1, "cost_rv": 1}},
         "formats_str": {"formats": "csv"},
         "allow_large_str": {"allow_large": "no"},
+        "T_huge_int": {"T": 10**400},
     }
     for name, values in bad_values.items():
         (path / f"{name}.json").write_text(json.dumps(values))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmlp.mlp import (
     CostLedger,
@@ -248,3 +250,22 @@ class TestVerifyLedger:
         mlp_estimate(model, MlpConfig(n=n, m=m, K=K, grid=grid), (1, 0), 8, inc, led)
         led.mu_evals += 1
         assert not verify_ledger(led, n, m, K, d, model.unit_costs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["ou", "kuramoto"]),
+        n=st.integers(0, 3),
+        m=st.integers(1, 3),
+        K=st.integers(1, 8),
+        d=st.integers(1, 3),
+        units=st.builds(CostUnits, st.integers(0, 10**6), st.integers(0, 10**6),
+                         st.integers(0, 10**6)),
+    )
+    def test_weighted_ledger_is_closed_form(self, kind, n, m, K, d, units):
+        build = ou_model if kind == "ou" else kuramoto_model
+        model = build(random_params(kind, d, derive_stream(19, (0,))), unit_costs=units)
+        grid = TimeGrid(T=1.0, K=K)
+        led = CostLedger()
+        inc = _top_increments(19, 0, K, d, grid.dt)
+        mlp_estimate(model, MlpConfig(n=n, m=m, K=K, grid=grid), (1, 0), 19, inc, led)
+        assert led.weighted(units) == analytic_cost(n, m, K, d, units)

@@ -198,13 +198,6 @@ class TestRandomParams:
 
 
 class TestModelSpec:
-    def test_growth_bound_finite_and_reported(self):
-        for build, kind in ((ou_model, "ou"), (kuramoto_model, "kuramoto")):
-            p = random_params(kind, 6, derive_stream(3, (0,)))
-            model = build(p)
-            assert np.isfinite(model.growth_bound())
-            assert model.growth_bound() > 0
-
     def test_default_initial_values(self):
         ou = ou_model(random_params("ou", 3, derive_stream(1, (0,))))
         ku = kuramoto_model(random_params("kuramoto", 3, derive_stream(1, (0,))))

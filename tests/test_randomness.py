@@ -5,7 +5,6 @@ from mvmlp.randomness import (
     _stream_key,
     derive_stream,
     sample_brownian_increments,
-    sample_uniform,
 )
 
 
@@ -83,7 +82,7 @@ class TestUniform:
 
     def test_scalar_draw(self):
         s = derive_stream(123, (0, 1))
-        u = sample_uniform(s)
+        u = s.uniform()
         assert 0.0 <= u < 1.0
 
     def test_kolmogorov_smirnov(self):

@@ -17,7 +17,6 @@ from mvmlp.reference import (
     ou_exact_path,
     ou_marginal_cov,
     ou_mean,
-    ou_q_process,
     particle_system_path,
 )
 
@@ -60,30 +59,15 @@ class TestOuMean:
         want = np.exp(a * t) * xi + (a0 / a) * (np.exp(a * t) - 1)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
-
-class TestOuQProcess:
-    def test_constant_when_b_matrices_zero(self):
-        p = _ou(3, seed=1)
-        p0 = OuParams(a0=p.a0, A1=p.A1, A2=p.A2, b=p.b, B=np.zeros((3, 3, 3)))
-        mean = np.random.default_rng(0).normal(size=(5, 3))
-        Qs = ou_q_process(p0, mean)
-        want = sum(np.outer(p.b[:, k], p.b[:, k]) for k in range(3))
-        for Q in Qs:
-            np.testing.assert_allclose(Q, want, atol=1e-12)
-
-    def test_scalar_expansion(self):
-        p = _ou(1, seed=2)
-        mean = np.array([[0.0], [1.5]])
-        Qs = ou_q_process(p, mean)
-        for Q, m in zip(Qs, mean[:, 0]):
-            want = (p.b[0, 0] + p.B[0, 0, 0] * m) ** 2
-            assert abs(Q[0, 0] - want) < 1e-12
-
-    def test_psd(self):
-        p = _ou(4, seed=3)
-        mean = np.random.default_rng(1).normal(scale=5, size=(6, 4))
-        for Q in ou_q_process(p, mean):
-            assert np.linalg.eigvalsh(Q).min() >= -1e-12
+    def test_noiseless_exact_path_is_the_mean(self):
+        # with zero increments the pathwise reference follows the mean flow,
+        # mean-field coupling A2 included
+        p = _ou(5, seed=18)
+        assert np.linalg.norm(p.A2) > 0
+        grid = TimeGrid(T=1.0, K=16)
+        xi = np.full(5, 20.0)
+        path = ou_exact_path(p, xi, grid, np.zeros((grid.K, 5)))
+        np.testing.assert_allclose(path, ou_mean(p, xi, grid), rtol=1e-12, atol=0)
 
 
 class TestOuMarginalCov:
@@ -187,32 +171,32 @@ class TestKuramotoMoments:
     def test_zero_diffusion(self):
         p = KuramotoParams(mu0=0.5, Sigma=np.zeros((3, 3, 3)))
         grid = TimeGrid(T=1.0, K=4)
-        mom = kuramoto_moments(p, np.full(3, 10.0), grid)
-        np.testing.assert_array_equal(mom.variance, np.zeros((5, 3)))
+        variance = kuramoto_moments(p, np.full(3, 10.0), grid)
+        np.testing.assert_array_equal(variance, np.zeros((5, 3)))
 
     def test_scalar_closed_form(self):
         s, xi = 0.3, 10.0
         p = KuramotoParams(mu0=0.5, Sigma=np.array([[[s]]]))
         grid = TimeGrid(T=1.0, K=10)
-        mom = kuramoto_moments(p, np.array([xi]), grid, substeps=16)
+        variance = kuramoto_moments(p, np.array([xi]), grid, substeps=16)
         a, b = s * s, s * s * xi * xi
         t = grid.times()
         want = (b / a) * (np.exp(a * t) - 1)
-        np.testing.assert_allclose(mom.variance[:, 0], want, atol=1e-8)
+        np.testing.assert_allclose(variance[:, 0], want, atol=1e-8)
 
     def test_substep_refinement(self):
         p = random_params("kuramoto", 3, derive_stream(8, (0,)))
         grid = TimeGrid(T=1.0, K=8)
         xi = np.full(3, 10.0)
-        coarse = kuramoto_moments(p, xi, grid, substeps=4).variance
-        fine = kuramoto_moments(p, xi, grid, substeps=64).variance
+        coarse = kuramoto_moments(p, xi, grid, substeps=4)
+        fine = kuramoto_moments(p, xi, grid, substeps=64)
         assert np.max(np.abs(coarse - fine)) < 1e-7
 
     def test_variance_nonnegative(self):
         p = random_params("kuramoto", 4, derive_stream(9, (0,)))
         grid = TimeGrid(T=1.0, K=8)
-        mom = kuramoto_moments(p, np.full(4, 10.0), grid)
-        assert np.all(mom.variance >= -1e-12)
+        variance = kuramoto_moments(p, np.full(4, 10.0), grid)
+        assert np.all(variance >= -1e-12)
 
 
 class TestKuramotoReferencePath:
@@ -220,10 +204,10 @@ class TestKuramotoReferencePath:
         p = random_params("kuramoto", 3, derive_stream(10, (0,)))
         grid = TimeGrid(T=1.0, K=8)
         xi = np.full(3, 10.0)
-        mom = kuramoto_moments(p, xi, grid)
+        variance = kuramoto_moments(p, xi, grid)
         path = DiscretePath(grid=grid, values=kuramoto_reference_path(
             KuramotoParams(mu0=p.mu0, Sigma=np.zeros((3, 3, 3))),
-            xi, grid, np.zeros((8, 3)), mom,
+            xi, grid, np.zeros((8, 3)), variance,
         ))
         np.testing.assert_allclose(path.values, np.broadcast_to(xi, (9, 3)), atol=1e-12)
 
@@ -232,9 +216,9 @@ class TestKuramotoReferencePath:
         p = random_params("kuramoto", d, derive_stream(seed, (0,)), scale=0.1)
         xi = np.full(d, 10.0)
         grid = TimeGrid(T=1.0, K=16)
-        mom = kuramoto_moments(p, xi, grid)
+        variance = kuramoto_moments(p, xi, grid)
         incr = _batch_increments(seed, N, grid.K, d, grid.dt)
-        vals = kuramoto_reference_path(p, xi, grid, incr, mom)[:, -1, :]
+        vals = kuramoto_reference_path(p, xi, grid, incr, variance)[:, -1, :]
         se = vals.std(axis=0, ddof=1) / np.sqrt(N)
         assert np.all(np.abs(vals.mean(axis=0) - xi) <= 5 * se)
 
@@ -319,10 +303,10 @@ class TestBatchDeterminism:
             def path(inc):
                 return ou_exact_path(p, xi, grid, inc)
         else:
-            mom = kuramoto_moments(p, xi, grid)
+            variance = kuramoto_moments(p, xi, grid)
 
             def path(inc):
-                return kuramoto_reference_path(p, xi, grid, inc, mom)
+                return kuramoto_reference_path(p, xi, grid, inc, variance)
         full = path(incr)
         for R in (1, 2, 17):
             assert np.array_equal(path(incr[:R]), full[:R]), R
