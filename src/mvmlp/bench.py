@@ -24,7 +24,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate, verify_ledger
-from .models import CostUnits, ModelSpec, kuramoto_model, ou_model, random_params
+from .models import (CostUnits, ModelSpec, default_cost_units, kuramoto_model, ou_model,
+                     random_params)
 from .numerics import DiscretePath, TimeGrid
 from .randomness import derive_stream, sample_brownian_increments
 from .reference import kuramoto_moments, kuramoto_reference_path, ou_exact_path
@@ -188,7 +189,7 @@ def _single_run(
     start = time.perf_counter()
     estimate = mlp_estimate(model, mlp_cfg, (_RUN_PREFIX, run), cfg.seed, increments, ledger)
     elapsed = time.perf_counter() - start
-    if not verify_ledger(ledger, mlp_cfg.n, mlp_cfg.m, mlp_cfg.K, model.d,
+    if not verify_ledger(ledger, mlp_cfg.n, mlp_cfg.m, mlp_cfg.grid.K, model.d,
                          model.unit_costs):
         raise LedgerMismatchError(cfg.model, model.d, mlp_cfg.n, mlp_cfg.m, run)
     return estimate, elapsed
@@ -205,15 +206,20 @@ def _reference(cfg: ExperimentConfig, model: ModelSpec, grid: TimeGrid,
     )
 
 
+def _cell_steps(n: int, m: int) -> int:
+    """Grid steps K of an (n, m) cell: m**n, and one step at n = 0."""
+    return m**n if n >= 1 else 1
+
+
 def run_cell(
     cfg: ExperimentConfig, n: int, m: int, model: Optional[ModelSpec] = None
 ) -> ResultRow:
     """All runs of one (n, m) cell; K = m**n."""
     if model is None:
         model = build_model(cfg)
-    K = m**n if n >= 1 else 1
+    K = _cell_steps(n, m)
     grid = TimeGrid(T=cfg.T, K=K)
-    mlp_cfg = MlpConfig(n=n, m=m, K=K, grid=grid)
+    mlp_cfg = MlpConfig(n=n, m=m, grid=grid)
     runs = range(cfg.runs)
     increments = np.stack([
         sample_brownian_increments(
@@ -245,12 +251,9 @@ def run_cell(
 
 def estimate_experiment_cost(cfg: ExperimentConfig) -> int:
     """Total closed-form cost of all runs of all cells."""
-    units = cfg.unit_costs or build_model(cfg).unit_costs
-    total = 0
-    for n, m in cfg.levels:
-        K = m**n if n >= 1 else 1
-        total += cfg.runs * analytic_cost(n, m, K, cfg.d, units)
-    return total
+    units = cfg.unit_costs or default_cost_units(cfg.d)
+    return sum(cfg.runs * analytic_cost(n, m, _cell_steps(n, m), cfg.d, units)
+               for n, m in cfg.levels)
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:

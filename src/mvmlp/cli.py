@@ -21,6 +21,8 @@ from .bench import (
 from .mlp import NumericOverflowError
 from .models import CostUnits
 
+_REAL_FLAGS = ("--T", "--rho", "--mu0")
+
 
 def _parse_levels(text: str) -> List[Tuple[int, int]]:
     """'1,2,3' -> [(1,1), (2,2), (3,3)]; '2x3' entries give explicit (n,m)."""
@@ -54,9 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", help="comma list of n=m values, e.g. '1,2,3,4'")
     p.add_argument("--runs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--T", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--mu0", type=float)
+    for flag in _REAL_FLAGS:
+        p.add_argument(flag, type=float)
     p.add_argument("--threads", type=int)
     p.add_argument("--out", help="output directory")
     p.add_argument("--format", help="comma list among csv,json,md")
@@ -81,6 +82,11 @@ def _read_config(path: str) -> dict:
 
 
 def config_from_args(argv: Optional[List[str]] = None) -> ExperimentConfig:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value like -1e3 or -inf as a flag: '--rho -1e3' -> '--rho=-1e3'
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in _REAL_FLAGS and not argv[i].startswith("--"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     values = _read_config(args.config) if args.config else {}
     if "levels" in values:

@@ -52,18 +52,15 @@ class NumericOverflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class MlpConfig:
-    """Estimator configuration: depth n, fan-out base m, grid steps K."""
+    """Estimator configuration: depth n, fan-out base m, time grid."""
 
     n: int
     m: int
-    K: int
     grid: TimeGrid
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.m < 1 or self.K < 1:
-            raise ValueError(f"need n >= 0, m >= 1, K >= 1, got {(self.n, self.m, self.K)}")
-        if self.grid.K != self.K:
-            raise ValueError(f"grid has K={self.grid.K}, config has K={self.K}")
+        if self.n < 0 or self.m < 1:
+            raise ValueError(f"need n >= 0, m >= 1, got {(self.n, self.m)}")
 
 
 @dataclass
@@ -103,7 +100,7 @@ def mlp_estimate(
     same (model, cfg, theta, root_seed, increments) give a bitwise
     identical path.
     """
-    K, d, grid = cfg.K, model.d, cfg.grid
+    K, d, grid = cfg.grid.K, model.d, cfg.grid
     increments = np.asarray(caller_increments, dtype=float)
     if increments.shape != (K, d):
         raise ValueError(f"increments must have shape ({K}, {d}), got {increments.shape}")

@@ -1,9 +1,9 @@
 """Ground-truth solvers coupled to the estimator's Brownian increments.
 
-The mean-field OU reference is pathwise: exact propagator per step,
-Gauss-Legendre quadrature for the drift integral, left-point diffusion in
-time. It therefore consumes exactly the increments array later fed to the
-paired estimator call, which is what the paired-error metric requires.
+The mean-field OU reference is pathwise: exact propagator per step, the
+drift integral read off the exact mean, left-point diffusion in time. It
+therefore consumes exactly the increments array later fed to the paired
+estimator call, which is what the paired-error metric requires.
 Each path function takes one run's increments (K, d) or a cell's stacked
 increments (R, K, d), and a run's values do not depend on R.
 """
@@ -21,18 +21,8 @@ from .models import (
     kuramoto_diffusion,
     ou_diffusion,
 )
-from .numerics import TimeGrid, mat_exp, solve_linear_ode, solve_lyapunov_ode
+from .numerics import TimeGrid, mat_exp, solve_lyapunov_ode
 from .randomness import RandomStream
-
-# Gauss-Legendre 4-point nodes/weights on [-1, 1]
-_GL_X = np.array([
-    -0.8611363115940526, -0.3399810435848563,
-    0.3399810435848563, 0.8611363115940526,
-])
-_GL_W = np.array([
-    0.3478548451374538, 0.6521451548625461,
-    0.6521451548625461, 0.3478548451374538,
-])
 
 
 def _transition(A: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -45,16 +35,20 @@ def _transition(A: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return E[:d, :d], E[:d, d:]
 
 
+def _affine_flow(A: np.ndarray, c: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Path (K+1, d) of y' = A y + c from y0, stepped exactly along the grid."""
+    E, V = _transition(A, grid.dt)
+    out = np.empty((grid.K + 1, A.shape[0]))
+    out[0] = y = np.asarray(y0, dtype=float)
+    for j in range(grid.K):
+        y = E @ y + V @ c
+        out[j + 1] = y
+    return out
+
+
 def ou_mean(p: OuParams, xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Mean path (K+1, d), stepped exactly by the A1+A2 flow and its a0 forcing."""
-    E12, V12 = _transition(p.A1 + p.A2, grid.dt)
-    mean = np.asarray(xi, dtype=float)
-    out = np.empty((grid.K + 1, p.d))
-    out[0] = mean
-    for j in range(grid.K):
-        mean = E12 @ mean + V12 @ p.a0
-        out[j + 1] = mean
-    return out
+    return _affine_flow(p.A1 + p.A2, p.a0, xi, grid)
 
 
 def ou_marginal_cov(
@@ -100,39 +94,27 @@ def ou_exact_path(
     incr = _check_increments(increments, K, d)
 
     E = mat_exp(p.A1, dt)
-    # quadrature nodes tau_i in (0, dt), propagators from node to step end
-    taus = 0.5 * dt * (_GL_X + 1.0)
-    weights = 0.5 * dt * _GL_W
-    props = [mat_exp(p.A1, dt - tau) for tau in taus]
-    A12 = p.A1 + p.A2
-    node_flows = [_transition(A12, tau) for tau in taus]
     means = ou_mean(p, xi, grid)
+    # the mean takes the same e^{A1 dt} step, so its exact drift integral is m_{j+1} - E m_j
+    forcing = means[1:] - means[:-1] @ E.T
 
     out = np.zeros(incr.shape[:-2] + (K + 1, d))
     out[..., 0, :] = means[0]
     X = out[..., 0, :].copy()
 
     for j in range(K):
-        mean = means[j]
-        # deterministic forcing over (t_j, t_{j+1}] by 4-point quadrature
-        forcing = np.zeros(d)
-        for w, P, (En, Vn) in zip(weights, props, node_flows):
-            m_node = En @ mean + Vn @ p.a0
-            forcing += w * (P @ (p.a0 + p.A2 @ m_node))
-        sigma = ou_diffusion(p, mean)     # left-point diffusion time rule
-        X = (np.einsum("ij,...j->...i", E, X) + forcing
+        sigma = ou_diffusion(p, means[j])     # left-point diffusion time rule
+        X = (np.einsum("ij,...j->...i", E, X) + forcing[j]
              + np.einsum("ik,...k->...i", sigma, incr[..., j, :]))
         out[..., j + 1, :] = X
     return out
 
 
-def kuramoto_moments(
-    p: KuramotoParams, xi: np.ndarray, grid: TimeGrid, substeps: int = 4
-) -> np.ndarray:
-    """Componentwise variance path (K+1, d) from the linear moment ODE."""
+def kuramoto_moments(p: KuramotoParams, xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Componentwise variance path (K+1, d) of the linear moment ODE, stepped exactly."""
     xi = np.asarray(xi, dtype=float)
     A = (p.Sigma**2).sum(axis=0)          # A[i, j] = sum_k (sigma_k^{i,j})^2
-    return solve_linear_ode(A, A @ (xi**2), grid, substeps)
+    return _affine_flow(A, A @ (xi**2), np.zeros_like(xi), grid)
 
 
 def kuramoto_reference_path(

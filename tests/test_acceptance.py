@@ -42,7 +42,7 @@ def test_01_single_level_closed_form():
             grid = TimeGrid(T=1.0, K=K)
             stream = derive_stream(21, (1, 0))
             incr = sample_brownian_increments(stream, K, d, grid.dt)
-            cfg = MlpConfig(n=1, m=m, K=K, grid=grid)
+            cfg = MlpConfig(n=1, m=m, grid=grid)
             got = mlp_estimate(cfg=cfg, model=model, theta=(1, 0), root_seed=21,
                                caller_increments=incr, ledger=CostLedger()).values
             zero = np.zeros(d)
@@ -93,7 +93,7 @@ def test_03_cost_counter_equality_and_bound():
             incr = sample_brownian_increments(derive_stream(3, (1, 0)), K, d, grid.dt)
             for n in range(5):
                 for m in (1, 2, 3):
-                    cfg = MlpConfig(n=n, m=m, K=K, grid=grid)
+                    cfg = MlpConfig(n=n, m=m, grid=grid)
                     ledger = CostLedger()
                     mlp_estimate(cfg=cfg, model=model, theta=(1, 0), root_seed=3,
                                  caller_increments=incr, ledger=ledger)
@@ -115,7 +115,7 @@ def test_04_mean_against_closed_form_and_particles():
     params = random_params("ou", d, derive_stream(seed, (0,)), 0.25)
     model = ou_model(params)
     grid = TimeGrid(T=1.0, K=K)
-    cfg = MlpConfig(n=3, m=3, K=K, grid=grid)
+    cfg = MlpConfig(n=3, m=3, grid=grid)
 
     vals = np.empty((R, d))
     for r in range(R):

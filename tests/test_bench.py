@@ -18,7 +18,7 @@ from mvmlp.bench import (
 )
 from mvmlp.cli import config_from_args, main
 from mvmlp.mlp import NumericOverflowError, analytic_cost, mlp_estimate
-from mvmlp.models import OuParams, ou_model
+from mvmlp.models import OuParams, default_cost_units, ou_model
 from mvmlp.numerics import DiscretePath, TimeGrid
 
 
@@ -139,6 +139,21 @@ class TestExperiment:
             run_experiment(ExperimentConfig(d=101, levels=((1, 1),)))
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(levels=((5, 1),)))
+
+    def test_desk_cap_refusal_draws_no_model(self, monkeypatch, capsys):
+        # a d = 1000 draw would allocate an 8 GB (d, d, d) family just to
+        # word the refusal; the cost figure needs only the default units
+        def no_draw(cfg):
+            raise ValueError("model drawn")
+
+        monkeypatch.setattr("mvmlp.bench.build_model", no_draw)
+        cost = 10 * analytic_cost(1, 1, 1, 1000, default_cost_units(1000))
+        with pytest.raises(ValueError, match=f"desk-scale caps .* total cost {cost} units"):
+            run_experiment(ExperimentConfig(d=1000, levels=((1, 1),)))
+        rc = main(["--d", "1000", "--levels", "1", "--allow-large"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"estimated total cost: {cost} units\nerror: model drawn\n"
 
     def test_cost_estimate_sums_cells(self):
         cfg = ExperimentConfig(model="ou", d=2, levels=((1, 1), (2, 2)), runs=3)
@@ -269,6 +284,8 @@ class TestCli:
     (["--T", "nan"], "T must be finite, got nan"),
     (["--mu0", "nan"], "mu0 must be finite, got nan"),
     (["--config", "{configs}/T_huge_int.json"], "T must be finite, got 1000"),
+    (["--rho", "-1e3"], "rho must be > 0, got -1000.0"),
+    (["--T", "-inf"], "T must be finite, got -inf"),
 ])
 def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
     # no --d/--levels/--runs here: they would override the config files' values

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mvmlp.mlp import (
     CostLedger,
@@ -39,7 +40,7 @@ class TestBaseCases:
     def test_level_zero_is_zero_path(self):
         for model in _models(3):
             grid = TimeGrid(T=1.0, K=4)
-            cfg = MlpConfig(n=0, m=2, K=4, grid=grid)
+            cfg = MlpConfig(n=0, m=2, grid=grid)
             inc = _top_increments(0, 0, 4, 3, grid.dt)
             path = mlp_estimate(model, cfg, (1, 0), 0, inc, CostLedger())
             np.testing.assert_array_equal(path.values, np.zeros((5, 3)))
@@ -49,7 +50,7 @@ class TestBaseCases:
         grid = TimeGrid(T=1.0, K=K)
         for model in _models(d, seed):
             for m in (1, 3):
-                cfg = MlpConfig(n=1, m=m, K=K, grid=grid)
+                cfg = MlpConfig(n=1, m=m, grid=grid)
                 inc = _top_increments(seed, 0, K, d, grid.dt)
                 path = mlp_estimate(model, cfg, (1, 0), seed, inc, CostLedger())
                 zero = np.zeros(d)
@@ -64,7 +65,7 @@ class TestBaseCases:
     def test_row_zero_is_initial_value(self):
         for model in _models(3, seed=1):
             grid = TimeGrid(T=1.0, K=4)
-            cfg = MlpConfig(n=3, m=2, K=4, grid=grid)
+            cfg = MlpConfig(n=3, m=2, grid=grid)
             inc = _top_increments(1, 0, 4, 3, grid.dt)
             path = mlp_estimate(model, cfg, (1, 0), 1, inc, CostLedger())
             np.testing.assert_array_equal(path.values[0], model.initial_value)
@@ -86,7 +87,7 @@ class TestTranscriptionOracle:
         model = ou_model(p, initial_value=np.array([1.0]))
         K, d, T = 2, 1, 1.0
         grid = TimeGrid(T=T, K=K)
-        cfg = MlpConfig(n=2, m=1, K=K, grid=grid)
+        cfg = MlpConfig(n=2, m=1, grid=grid)
         theta = (1, 0)
         inc = _top_increments(seed, 0, K, d, grid.dt)
 
@@ -128,7 +129,7 @@ class TestInvariants:
     def test_bitwise_determinism(self):
         model = _models(3, seed=2)[0]
         grid = TimeGrid(T=1.0, K=8)
-        cfg = MlpConfig(n=3, m=2, K=8, grid=grid)
+        cfg = MlpConfig(n=3, m=2, grid=grid)
         inc = _top_increments(2, 0, 8, 3, grid.dt)
         a = mlp_estimate(model, cfg, (1, 0), 2, inc, CostLedger())
         b = mlp_estimate(model, cfg, (1, 0), 2, inc, CostLedger())
@@ -153,16 +154,34 @@ class TestInvariants:
         inc = _top_increments(3, 0, 4, d, grid.dt)
         reference = None
         for n in (1, 2, 3, 4):
-            cfg = MlpConfig(n=n, m=2, K=4, grid=grid)
+            cfg = MlpConfig(n=n, m=2, grid=grid)
             path = mlp_estimate(model, cfg, (1, 0), 3, inc, CostLedger())
             if reference is None:
                 reference = path.values
             np.testing.assert_allclose(path.values, reference, atol=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 3), K=st.integers(1, 8),
+           d=st.integers(1, 3), data=st.data())
+    def test_constant_coefficients_collapse(self, n, m, K, d, data):
+        # with A1 = A2 = B = 0 every correction cancels at every depth
+        reals = st.floats(-10, 10)
+        a0 = data.draw(arrays(float, d, elements=reals))
+        b = data.draw(arrays(float, (d, d), elements=reals))
+        zero = np.zeros((d, d))
+        model = ou_model(OuParams(a0=a0, A1=zero, A2=zero, b=b, B=np.zeros((d, d, d))))
+        grid = TimeGrid(T=1.0, K=K)
+        inc = _top_increments(23, 0, K, d, grid.dt)
+        path = mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid), (1, 0), 23, inc,
+                            CostLedger())
+        W = np.vstack([np.zeros(d), np.cumsum(inc, axis=0)])
+        want = model.initial_value + grid.times()[:, None] * a0 + W @ b.T
+        np.testing.assert_allclose(path.values, want, rtol=1e-12, atol=1e-12)
+
     def test_caller_increments_unchanged(self):
         model = _models(2, seed=4)[0]
         grid = TimeGrid(T=1.0, K=4)
-        cfg = MlpConfig(n=3, m=2, K=4, grid=grid)
+        cfg = MlpConfig(n=3, m=2, grid=grid)
         inc = _top_increments(4, 0, 4, 2, grid.dt)
         before = inc.copy()
         mlp_estimate(model, cfg, (1, 0), 4, inc, CostLedger())
@@ -181,7 +200,7 @@ class TestInvariants:
             unit_costs=default_cost_units(d),
         )
         grid = TimeGrid(T=1.0, K=4)
-        cfg = MlpConfig(n=2, m=1, K=4, grid=grid)
+        cfg = MlpConfig(n=2, m=1, grid=grid)
         inc = np.full((4, d), 2.0)
         with pytest.raises(NumericOverflowError) as err:
             mlp_estimate(model, cfg, (1, 0), 0, inc, CostLedger())
@@ -235,7 +254,7 @@ class TestVerifyLedger:
         n, m, K, d = 3, 2, 4, 2
         model = _models(d, seed=8)[0]
         grid = TimeGrid(T=1.0, K=K)
-        cfg = MlpConfig(n=n, m=m, K=K, grid=grid)
+        cfg = MlpConfig(n=n, m=m, grid=grid)
         inc = _top_increments(8, 0, K, d, grid.dt)
         led = CostLedger()
         mlp_estimate(model, cfg, (1, 0), 8, inc, led)
@@ -247,7 +266,7 @@ class TestVerifyLedger:
         grid = TimeGrid(T=1.0, K=K)
         inc = _top_increments(8, 0, K, d, grid.dt)
         led = CostLedger()
-        mlp_estimate(model, MlpConfig(n=n, m=m, K=K, grid=grid), (1, 0), 8, inc, led)
+        mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid), (1, 0), 8, inc, led)
         led.mu_evals += 1
         assert not verify_ledger(led, n, m, K, d, model.unit_costs)
 
@@ -267,5 +286,5 @@ class TestVerifyLedger:
         grid = TimeGrid(T=1.0, K=K)
         led = CostLedger()
         inc = _top_increments(19, 0, K, d, grid.dt)
-        mlp_estimate(model, MlpConfig(n=n, m=m, K=K, grid=grid), (1, 0), 19, inc, led)
+        mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid), (1, 0), 19, inc, led)
         assert led.weighted(units) == analytic_cost(n, m, K, d, units)

@@ -175,22 +175,15 @@ class TestKuramotoMoments:
         np.testing.assert_array_equal(variance, np.zeros((5, 3)))
 
     def test_scalar_closed_form(self):
-        s, xi = 0.3, 10.0
-        p = KuramotoParams(mu0=0.5, Sigma=np.array([[[s]]]))
-        grid = TimeGrid(T=1.0, K=10)
-        variance = kuramoto_moments(p, np.array([xi]), grid, substeps=16)
-        a, b = s * s, s * s * xi * xi
-        t = grid.times()
-        want = (b / a) * (np.exp(a * t) - 1)
-        np.testing.assert_allclose(variance[:, 0], want, atol=1e-8)
-
-    def test_substep_refinement(self):
-        p = random_params("kuramoto", 3, derive_stream(8, (0,)))
-        grid = TimeGrid(T=1.0, K=8)
-        xi = np.full(3, 10.0)
-        coarse = kuramoto_moments(p, xi, grid, substeps=4)
-        fine = kuramoto_moments(p, xi, grid, substeps=64)
-        assert np.max(np.abs(coarse - fine)) < 1e-7
+        # the second case is coarse: s^2 dt = 2.25 per step
+        for s, xi, T, K in ((0.3, 10.0, 1.0, 10), (1.5, 2.0, 2.0, 2)):
+            p = KuramotoParams(mu0=0.5, Sigma=np.array([[[s]]]))
+            grid = TimeGrid(T=T, K=K)
+            variance = kuramoto_moments(p, np.array([xi]), grid)
+            a, b = s * s, s * s * xi * xi
+            t = grid.times()
+            want = (b / a) * (np.exp(a * t) - 1)
+            np.testing.assert_allclose(variance[:, 0], want, rtol=1e-12)
 
     def test_variance_nonnegative(self):
         p = random_params("kuramoto", 4, derive_stream(9, (0,)))
