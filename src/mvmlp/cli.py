@@ -49,6 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mvmlp-bench",
         description="Benchmark the multilevel Picard estimator for mean-field SDEs.",
+        # '--mu' would otherwise abbreviate '--mu0' and then misread its value
+        allow_abbrev=False,
     )
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--model", choices=["ou", "kuramoto"])

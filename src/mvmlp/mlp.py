@@ -15,6 +15,13 @@ while the two fresh-noise calls use theta + (n, k, l, 0) itself. All
 appended blocks have length 4, so distinct call histories always produce
 distinct indices.
 
+Ito correction: the (n, k, l) iteration evaluates sigma(x1, x2) and
+sigma(x3, x4) in one diffusion call on the 2K stacked rows, applies the
+caller's increments to both halves, and only then subtracts the two (K, d)
+step arrays; the (2K, d, d) block is released before the next iteration
+recurses. BLAS bits depend on the rows per call, and the call always has
+2K rows, fixed by the cell.
+
 Drift correction: the (n, k, l) iteration draws one uniform time u and
 adds t_j / m^(n-l) * (mu(x1, x2) - mu(x3, x4)) to row j, with the four
 sub-estimates read at the grid floor of t_j * u (one array call of
@@ -109,18 +116,36 @@ def mlp_estimate(
     dt = grid.dt
     zero = np.zeros(d)
 
-    def estimate(n: int, theta: MultiIndex, incr: np.ndarray) -> np.ndarray:
+    def brownian_path(incr: np.ndarray) -> np.ndarray:
+        return np.vstack([zero, np.cumsum(incr, axis=0)])
+
+    def ito_steps(x1, x2, x3, x4, incr2: np.ndarray) -> np.ndarray:
+        """sigma(x1, x2) dW - sigma(x3, x4) dW at the K left points.
+
+        The contraction runs on the contiguous [k, i] layout the
+        coefficients write; the (2K, d, d) block dies on return.
+        """
+        s = model.diffusion(np.concatenate((x1[:-1], x3[:-1])),
+                            np.concatenate((x2[:-1], x4[:-1])))
+        ledger.sigma_evals += 2 * K
+        applied = np.matmul(incr2[:, None, :], s.swapaxes(-1, -2))[:, 0, :]
+        return applied[:K] - applied[K:]
+
+    def estimate(n: int, theta: MultiIndex, incr: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Level-n path on increments `incr`, whose Brownian path is `W`."""
         if n == 0:
             return np.zeros((K + 1, d))
 
-        W = np.vstack([zero, np.cumsum(incr, axis=0)])
         mu0 = model.drift(zero, zero)
         ledger.mu_evals += 1
         sigma0 = model.diffusion(zero, zero)
         ledger.sigma_evals += 1
         X = model.initial_value + times[:, None] * mu0 + W @ sigma0.T
         _check_finite(X, n, 0, 0)
+        if n == 1:
+            return X
 
+        incr2 = np.concatenate((incr, incr))
         for level in range(1, n):
             fanout = cfg.m ** (n - level)
             for k in range(1, fanout + 1):
@@ -128,18 +153,16 @@ def mlp_estimate(
                 child_stream = derive_stream(root_seed, theta + block + (_FRESH,))
                 fresh = np.sqrt(dt) * child_stream.normals((K, d))
                 ledger.rv_draws += K * d
+                W_fresh = brownian_path(fresh)
 
-                x1 = estimate(level, theta + block + (_CALLER_HI,), incr)
-                x2 = estimate(level, theta + block + (_FRESH,), fresh)
-                x3 = estimate(level - 1, theta + block + (_CALLER_LO,), incr)
-                x4 = estimate(level - 1, theta + block + (_FRESH,), fresh)
+                x1 = estimate(level, theta + block + (_CALLER_HI,), incr, W)
+                x2 = estimate(level, theta + block + (_FRESH,), fresh, W_fresh)
+                x3 = estimate(level - 1, theta + block + (_CALLER_LO,), incr, W)
+                x4 = estimate(level - 1, theta + block + (_FRESH,), fresh, W_fresh)
 
                 # stochastic-integral correction: left-point Ito sum against
                 # the caller's increments
-                s_hi = model.diffusion(x1[:-1], x2[:-1])
-                s_lo = model.diffusion(x3[:-1], x4[:-1])
-                ledger.sigma_evals += 2 * K
-                steps = np.matmul(s_hi - s_lo, incr[:, :, None])[:, :, 0] / fanout
+                steps = ito_steps(x1, x2, x3, x4, incr2) / fanout
                 X[1:] += np.cumsum(steps, axis=0)
 
                 # drift correction: one uniform time draw per (n, k, l)
@@ -153,7 +176,7 @@ def mlp_estimate(
                 _check_finite(X, n, level, k)
         return X
 
-    values = estimate(cfg.n, tuple(theta), increments)
+    values = estimate(cfg.n, tuple(theta), increments, brownian_path(increments))
     return DiscretePath(grid=grid, values=values)
 
 

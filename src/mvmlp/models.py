@@ -111,9 +111,14 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     The (d, d, d) family reshapes for free to the (d*d, d) map x -> vec of
     the transposed matrix, so all leading rows of x go through one product;
-    callers return the swapped view, which is the [i, k] layout. BLAS bits
-    depend on the number of rows per call, so a caller that needs a row's
-    value independent of a batch size stacks a leading axis instead.
+    callers return the swapped view, which is the [i, k] layout. Work on
+    the result (an added offset, a contraction with increments) is faster
+    on the contiguous [k, i] layout, so it goes through the swapped view
+    again rather than copying. At d = 100 the product is bound by packing
+    the (d*d, d) operand below ~50 rows, so the estimator passes its hi and
+    lo rows in one call. BLAS bits depend on the number of rows per call,
+    so a caller that needs a row's value independent of a batch size
+    stacks a leading axis instead.
     """
     d = P.shape[0]
     return np.matmul(x, P.reshape(d * d, d).T).reshape(x.shape[:-1] + (d, d))
@@ -123,7 +128,8 @@ def ou_diffusion(p: OuParams, x2: np.ndarray) -> np.ndarray:
     """Matrix with column k = b_k + B_k x2; independent of x1."""
     x2 = _check_dim(x2, p.d, "x2")
     sigma_t = _stacked_apply(p.B, x2)
-    sigma_t += p.b.T    # in the contiguous [k, i] layout; slower on the swapped view
+    # in the contiguous [k, i] layout, with a contiguous addend: same sums, faster
+    sigma_t += np.ascontiguousarray(p.b.T)
     return sigma_t.swapaxes(-1, -2)
 
 

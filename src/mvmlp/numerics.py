@@ -75,12 +75,8 @@ def grid_floor_index(t: float | np.ndarray, grid: TimeGrid) -> int | np.ndarray:
     if outside.any():
         raise ValueError(f"t = {ts[outside].flat[0]} outside [0, {grid.T}]")
     K, T = grid.K, grid.T
-    k = np.floor(ts * K / T).astype(int)
-    # float guard: enforce value(k) < t <= value(k+1) exactly, per element
-    while (down := (k > 0) & (k * T / K >= ts)).any():
-        k -= down
-    while (up := (k + 1 <= K - 1) & ((k + 1) * T / K < ts)).any():
-        k += up
+    # value(k) < t <= value(k+1) exactly: the last grid value strictly below t
+    k = np.searchsorted(np.arange(K + 1) * T / K, ts, side="left") - 1
     k = np.where(ts == 0.0, 0, np.minimum(k, K - 1))
     return int(k) if k.ndim == 0 else k
 

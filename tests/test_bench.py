@@ -298,6 +298,18 @@ def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--mu", "-1e3"], "unrecognized arguments: --mu -1e3"),
+    (["--r", "3"], "unrecognized arguments: --r 3"),
+])
+def test_abbreviated_flag_is_not_expanded(argv, message, capsys):
+    # '--mu' must not stand for '--mu0', nor '--r' for '--rho' or '--runs'
+    with pytest.raises(SystemExit) as exc:
+        main(["--model", "ou", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_out_dir_must_be_a_path():
     # the CLI tests pass --out, which overrides a config file's out_dir
     with pytest.raises(ValueError, match="out_dir must be a path, got 3"):

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +209,51 @@ class TestInvariants:
             mlp_estimate(model, cfg, (1, 0), 0, inc, CostLedger())
         n, level, k, row = err.value.location
         assert n == 2 and level == 1 and k == 1
+
+
+class TestCallShape:
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 3)])
+    def test_one_paired_diffusion_call_per_iteration(self, kind, n, m):
+        d, K = 3, 5
+        base = _models(d, seed=6)[0 if kind == "ou" else 1]
+        drift_calls, diffusion_rows = [], []
+
+        def drift(x1, x2):
+            drift_calls.append(1)
+            return base.drift(x1, x2)
+
+        def diffusion(x1, x2):
+            diffusion_rows.append(int(np.prod(np.shape(x1)[:-1])))
+            return base.diffusion(x1, x2)
+
+        model = dataclasses.replace(base, drift=drift, diffusion=diffusion)
+        grid = TimeGrid(T=1.0, K=K)
+        led = CostLedger()
+        inc = _top_increments(6, 0, K, d, grid.dt)
+        mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid), (1, 0), 6, inc, led)
+        iterations = led.rv_draws // (K * d + 1)
+        assert iterations > 0
+        assert len(drift_calls) == led.mu_evals
+        assert sum(diffusion_rows) == led.sigma_evals
+        assert diffusion_rows.count(2 * K) == iterations
+        assert all(rows == 1 for rows in diffusion_rows if rows != 2 * K)
+
+    def test_diffusion_block_freed_inside_iteration(self):
+        # the recursion stack holds no sigma block: one Kuramoto d = 100,
+        # n = m = 3 call peaks below 1.5 paired (2K, d, d) blocks
+        d, n, K = 100, 3, 27
+        model = kuramoto_model(random_params("kuramoto", d, derive_stream(0, (0,))))
+        grid = TimeGrid(T=1.0, K=K)
+        inc = _top_increments(0, 0, K, d, grid.dt)
+        tracemalloc.start()
+        try:
+            mlp_estimate(model, MlpConfig(n=n, m=n, grid=grid), (1, 0), 0, inc, CostLedger())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 2 * K * d * d * 8
+        assert peak < 1.5 * block, peak / block
 
 
 class TestAnalyticCost:
