@@ -265,6 +265,14 @@ def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
             f"estimated total cost {estimate_experiment_cost(cfg)} units. "
             "Pass allow_large=True / --allow-large to run anyway."
         )
+    if cfg.out_dir is not None:
+        # a path that cannot be a directory fails here, before any cell runs
+        try:
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OSError(
+                f"cannot create output directory {cfg.out_dir}: {exc.strerror}"
+            ) from None
     model = build_model(cfg) if cfg.levels else None
     rows = [run_cell(cfg, n, m, model) for n, m in cfg.levels]
     if cfg.out_dir is not None:
@@ -309,7 +317,7 @@ def render_markdown(rows: Sequence[ResultRow]) -> str:
 
 
 def write_outputs(rows: Sequence[ResultRow], out_dir: Path, formats: Sequence[str]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """The result files under `out_dir`, which `run_experiment` has created."""
     try:
         if "csv" in formats:
             (out_dir / "results.csv").write_text(render_csv(rows), newline="\n")

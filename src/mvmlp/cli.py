@@ -130,7 +130,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"estimated total cost: {estimate_experiment_cost(cfg)} units",
                   file=sys.stderr)
         rows = run_experiment(cfg)
-    except (ValueError, NumericOverflowError, LedgerMismatchError) as exc:
+    except (ValueError, OSError, NumericOverflowError, LedgerMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for row in rows:

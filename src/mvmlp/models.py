@@ -4,6 +4,13 @@ A model is a pair of two-argument coefficients: a drift mu(x1, x2) mapping
 two d-vectors to a d-vector and a diffusion sigma(x1, x2) mapping them to
 a d x d matrix whose column k multiplies the k-th Brownian component. Both
 benchmark coefficients broadcast over leading batch dimensions.
+
+Layout: each (d, d, d) diffusion family P[k, i, j] (OuParams.B,
+KuramotoParams.Sigma) is a view of one C-contiguous (d, d*d) buffer
+indexed [j, (k, i)], which is the GEMM operand of every diffusion call;
+the family is never held twice. Zero state: the part of sigma that reads
+a state is linear, so the estimator's zero states U_0 (its base call and
+the trailing lo rows at l = 1) skip the product and get sigma(0) directly.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ class OuParams:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
+        object.__setattr__(self, "B", _gemm_layout(self.B))
 
     @property
     def d(self) -> int:
@@ -86,6 +94,7 @@ class KuramotoParams:
             raise ValueError(f"Sigma must have shape (d, d, d), got {self.Sigma.shape}")
         if not (np.isfinite(self.mu0) and np.isfinite(self.Sigma).all()):
             raise ValueError("parameters contain non-finite entries")
+        object.__setattr__(self, "Sigma", _gemm_layout(self.Sigma))
 
     @property
     def d(self) -> int:
@@ -106,22 +115,47 @@ def ou_drift(p: OuParams, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return p.a0 + x1 @ p.A1.T + x2 @ p.A2.T
 
 
+def _gemm_layout(P: np.ndarray) -> np.ndarray:
+    """P as a (d, d, d) view of a C-contiguous (d, d*d) buffer [j, (k, i)].
+
+    No copy when P is already such a view (as `random_params` builds it).
+    """
+    return np.ascontiguousarray(P.transpose(2, 0, 1), dtype=float).transpose(1, 2, 0)
+
+
 def _stacked_apply(P: np.ndarray, x: np.ndarray) -> np.ndarray:
     """[..., k, i] = sum_j P[k, i, j] x[..., j], as one BLAS GEMM.
 
-    The (d, d, d) family reshapes for free to the (d*d, d) map x -> vec of
-    the transposed matrix, so all leading rows of x go through one product;
-    callers return the swapped view, which is the [i, k] layout. Work on
-    the result (an added offset, a contraction with increments) is faster
-    on the contiguous [k, i] layout, so it goes through the swapped view
-    again rather than copying. At d = 100 the product is bound by packing
-    the (d*d, d) operand below ~50 rows, so the estimator passes its hi and
-    lo rows in one call. BLAS bits depend on the number of rows per call,
-    so a caller that needs a row's value independent of a batch size
-    stacks a leading axis instead.
+    P must be in the `_gemm_layout`, so the operand (d, d*d) [j, (k, i)] is
+    a view of the contiguous buffer BLAS packs fastest, and all leading
+    rows of x go through one product; callers return the swapped view,
+    which is the [i, k] layout. Work on the result (an added offset, a
+    contraction with increments) is faster on the contiguous [k, i]
+    layout, so it goes through the swapped view again rather than copying.
+
+    Zero states give exact zeros without a product where the estimator
+    makes them: a zero 1-D x is its base call sigma(0, 0), and a 2-D x is
+    multiplied only up to its last nonzero row. Its zero rows are trailing
+    because the estimator stacks its hi rows first and its lo rows
+    (level l - 1) last, and at l = 1 the lo half is U_0 = 0. An x whose
+    last row is nonzero pays one O(d) test. Inputs of three or more
+    dimensions (the references' per-run axis) take the plain product. BLAS bits
+    depend on the number of rows per call, so a caller that needs a row's
+    value independent of a batch size stacks a leading axis instead.
     """
     d = P.shape[0]
-    return np.matmul(x, P.reshape(d * d, d).T).reshape(x.shape[:-1] + (d, d))
+    op = P.transpose(2, 0, 1).reshape(d, d * d)
+    if x.ndim == 1 and not x.any():
+        return np.zeros((d, d))
+    if x.ndim != 2 or x[-1].any():
+        return np.matmul(x, op).reshape(x.shape[:-1] + (d, d))
+    # one flat mask: a per-row any() costs as much as the product at d = 10
+    live = np.flatnonzero(x.reshape(-1) != 0)
+    n = live[-1] // d + 1 if live.size else 0
+    out = np.empty((x.shape[0], d * d))
+    np.matmul(x[:n], op, out=out[:n])
+    out[n:] = 0.0
+    return out.reshape(x.shape[0], d, d)
 
 
 def ou_diffusion(p: OuParams, x2: np.ndarray) -> np.ndarray:
@@ -176,18 +210,22 @@ def random_params(
             raise ValueError("degenerate zero draw")
         return arr * (target / nrm)
 
+    def family():
+        # the [k, i, j] draw, scaled and written once into the GEMM layout
+        draw = u((d, d, d))
+        buf = np.empty((d, d * d))
+        np.multiply(draw.transpose(2, 0, 1), scale / np.linalg.norm(draw),
+                    out=buf.reshape(d, d, d))
+        return buf.reshape(d, d, d).transpose(1, 2, 0)
+
     if model_kind == "ou":
         a0 = to_norm(u(d), scale)
         A1 = to_norm(u((d, d)), scale)
         A2 = to_norm(u((d, d)), scale)
         b = np.stack([to_norm(u(d), scale) for _ in range(d)], axis=1)
-        B = u((d, d, d))
-        B = B * (scale / np.linalg.norm(B))
-        return OuParams(a0=a0, A1=A1, A2=A2, b=b, B=B)
+        return OuParams(a0=a0, A1=A1, A2=A2, b=b, B=family())
     if model_kind == "kuramoto":
-        Sigma = u((d, d, d))
-        Sigma = Sigma * (scale / np.linalg.norm(Sigma))
-        return KuramotoParams(mu0=mu0, Sigma=Sigma)
+        return KuramotoParams(mu0=mu0, Sigma=family())
     raise ValueError(f"unknown model kind {model_kind!r}")
 
 

@@ -31,13 +31,12 @@ _U64 = 2**64
 
 
 def _stream_key(root_seed: int, index: MultiIndex, domain: int) -> int:
-    h = hashlib.sha256()
-    h.update(struct.pack("<QQQ", root_seed % _U64, domain % _U64, len(index)))
     for part in index:
         if part < 0:
             raise ValueError(f"multi-index entries must be nonnegative, got {part}")
-        h.update(struct.pack("<Q", int(part)))
-    return int.from_bytes(h.digest()[:16], "little")
+    data = struct.pack(f"<QQQ{len(index)}Q", root_seed % _U64, domain % _U64, len(index),
+                       *index)
+    return int.from_bytes(hashlib.sha256(data).digest()[:16], "little")
 
 
 def _make_generator(key: int) -> np.random.Generator:

@@ -310,6 +310,22 @@ def test_abbreviated_flag_is_not_expanded(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_unusable_out_dir_exits_2_before_any_cell(monkeypatch, tmp_path, capsys):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("mvmlp.bench.run_cell", no_cell)
+    a_file = tmp_path / "results.csv"
+    a_file.write_text("")
+    for out, reason in ((a_file, "File exists"), (a_file / "sub", "Not a directory")):
+        rc = main(["--model", "ou", "--d", "2", "--levels", "1", "--runs", "1",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: cannot create output directory {out}: {reason}\n"
+
+
 def test_out_dir_must_be_a_path():
     # the CLI tests pass --out, which overrides a config file's out_dir
     with pytest.raises(ValueError, match="out_dir must be a path, got 3"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mvmlp import models
 from mvmlp.mlp import (
     CostLedger,
     MlpConfig,
@@ -254,6 +255,35 @@ class TestCallShape:
             tracemalloc.stop()
         block = 2 * K * d * d * 8
         assert peak < 1.5 * block, peak / block
+
+    def test_zero_state_rows_are_not_multiplied(self, monkeypatch):
+        # a count, not a timing: the rows multiplied against the family are
+        # the nonzero state rows, while the ledger still counts every row
+        d, n, K = 5, 3, 27
+        base = kuramoto_model(random_params("kuramoto", d, derive_stream(0, (0,))))
+        family = base.params.Sigma
+        passed, nonzero, multiplied = [], [], []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            if np.shares_memory(b, family):
+                multiplied.append(int(np.prod(np.shape(a)[:-1])))
+            return matmul(a, b, *args, **kwargs)
+
+        def diffusion(x1, x2):
+            rows = np.reshape(x1, (-1, d))      # Kuramoto's sigma reads x1
+            passed.append(len(rows))
+            nonzero.append(int(rows.any(axis=1).sum()))
+            return base.diffusion(x1, x2)
+
+        monkeypatch.setattr(models.np, "matmul", spy)
+        model = dataclasses.replace(base, diffusion=diffusion)
+        grid = TimeGrid(T=1.0, K=K)
+        led = CostLedger()
+        inc = _top_increments(0, 0, K, d, grid.dt)
+        mlp_estimate(model, MlpConfig(n=n, m=n, grid=grid), (1, 0), 0, inc, led)
+        assert sum(passed) == led.sigma_evals == analytic_cost(n, n, K, d, CostUnits(0, 1, 0))
+        assert sum(multiplied) == sum(nonzero) < led.sigma_evals
 
 
 class TestAnalyticCost:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mvmlp import models
 from mvmlp.models import (
     KuramotoParams,
     OuParams,
@@ -113,6 +116,96 @@ class TestDiffusionKernel:
             # relative to the summed magnitudes, the scale of a dot
             # product's rounding error, since single entries may cancel
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def _family(p):
+    return p.B if isinstance(p, OuParams) else p.Sigma
+
+
+def _gemm_operand(P):
+    d = P.shape[0]
+    return P.transpose(2, 0, 1).reshape(d, d * d)
+
+
+class TestGemmLayout:
+    """Each family is a (d, d, d) view of one C-contiguous (d, d*d) operand."""
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    def test_random_params_written_once(self, kind):
+        d = 6
+        p = random_params(kind, d, derive_stream(3, (0,)))
+        P = _family(p)
+        assert P.transpose(2, 0, 1).flags.c_contiguous
+        assert np.shares_memory(_gemm_operand(P), P)
+        # rebuilding the params from the family keeps its buffer
+        assert np.shares_memory(_family(dataclasses.replace(p)), P)
+        if kind == "kuramoto":
+            # the values of the [k, i, j] uniform draw, scaled as before
+            draw = 2.0 * derive_stream(3, (0,)).uniforms((d, d, d)) - 1.0
+            np.testing.assert_array_equal(P, draw * (0.25 / np.linalg.norm(draw)))
+
+    def test_c_ordered_input_is_laid_out(self):
+        d = 4
+        P = np.random.default_rng(0).normal(size=(d, d, d))
+        zeros = np.zeros((d, d))
+        ou = OuParams(a0=np.zeros(d), A1=zeros, A2=zeros, b=zeros, B=P)
+        ku = KuramotoParams(mu0=0.5, Sigma=P)
+        for got in (ou.B, ku.Sigma):
+            assert got.transpose(2, 0, 1).flags.c_contiguous
+            np.testing.assert_array_equal(got, P)
+
+    def test_product_runs_against_the_family_buffer(self, monkeypatch):
+        d = 5
+        p = random_params("kuramoto", d, derive_stream(3, (0,)))
+        operands = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            operands.append(b)
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(models.np, "matmul", spy)
+        kuramoto_diffusion(p, np.ones((4, d)))
+        assert len(operands) == 1
+        assert operands[0].shape == (d, d * d) and operands[0].flags.c_contiguous
+        assert np.shares_memory(operands[0], p.Sigma)
+
+
+class TestZeroStateRows:
+    """Zero state rows get sigma(0) exactly, live rows the plain product."""
+
+    @staticmethod
+    def _case(kind, d):
+        p = random_params(kind, d, derive_stream(d, (0,)))
+        if kind == "ou":
+            return p, ou_model(p).diffusion, p.b
+        return p, kuramoto_model(p).diffusion, np.zeros((d, d))
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("d", [3, 10, 100])
+    def test_trailing_zero_rows(self, kind, d):
+        K = 4
+        p, diffusion, sigma0 = self._case(kind, d)
+        rng = np.random.default_rng(d)
+        for zeros in (0, 1, K, 2 * K):
+            x = rng.normal(scale=5.0, size=(2 * K, d))
+            x[1] = 0.0                      # an interior zero row is multiplied
+            x[2 * K - zeros:] = 0.0
+            plain = np.matmul(x, _gemm_operand(_family(p))).reshape(2 * K, d, d)
+            plain = plain.swapaxes(-1, -2) + (sigma0 if kind == "ou" else 0.0)
+            got = diffusion(x, x)
+            live = 2 * K - zeros
+            assert got.shape == (2 * K, d, d)
+            np.testing.assert_array_equal(got[:live], plain[:live])
+            assert (got[live:] == sigma0).all()
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    def test_base_call(self, kind):
+        d = 10
+        _, diffusion, sigma0 = self._case(kind, d)
+        got = diffusion(np.zeros(d), np.zeros(d))
+        assert got.shape == (d, d)
+        assert (got == sigma0).all()
 
 
 class TestKuramoto:

@@ -1,4 +1,8 @@
+import hashlib
+import struct
+
 import numpy as np
+import pytest
 from scipy import stats
 
 from mvmlp.randomness import (
@@ -48,6 +52,26 @@ class TestDeriveStream:
                     keys.add(_stream_key(0, (a, b, c), 0))
                     count += 1
         assert len(keys) == count == 1_000_000
+
+    def test_key_matches_per_part_encoding(self):
+        # the one-pack encoding is the length-prefixed per-part one
+        def per_part(root_seed, index, domain):
+            h = hashlib.sha256()
+            h.update(struct.pack("<QQQ", root_seed % 2**64, domain % 2**64, len(index)))
+            for part in index:
+                h.update(struct.pack("<Q", part))
+            return int.from_bytes(h.digest()[:16], "little")
+
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            index = tuple(int(v) for v in rng.integers(0, 2**64, size=rng.integers(0, 20),
+                                                          dtype=np.uint64))
+            seed, domain = (int(v) for v in rng.integers(-2**62, 2**62, size=2))
+            assert _stream_key(seed, index, domain) == per_part(seed, index, domain)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            _stream_key(0, (2, -1), 0)
 
     def test_length_prefix_prevents_aliasing(self):
         assert _stream_key(0, (1, 2), 0) != _stream_key(0, (1, 2, 0), 0)
