@@ -109,6 +109,9 @@ class ExperimentConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if not 0 <= self.seed < 2**64:
+            # derive_stream reads the seed mod 2**64: any other value aliases one inside
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("T", "rho"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")

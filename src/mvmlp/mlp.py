@@ -19,8 +19,9 @@ Ito correction: the (n, k, l) iteration evaluates sigma(x1, x2) and
 sigma(x3, x4) in one diffusion call on the 2K stacked rows, applies the
 caller's increments to both halves, and only then subtracts the two (K, d)
 step arrays; the (2K, d, d) block is released before the next iteration
-recurses. BLAS bits depend on the rows per call, and the call always has
-2K rows, fixed by the cell.
+recurses. The call always has 2K rows, fixed by the cell; which of them
+BLAS multiplies (and so its bits) depends only on the states, since the
+models multiply a run of equal rows once.
 
 Drift correction: the (n, k, l) iteration draws one uniform time u and
 adds t_j / m^(n-l) * (mu(x1, x2) - mu(x3, x4)) to row j, with the four

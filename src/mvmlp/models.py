@@ -8,9 +8,12 @@ benchmark coefficients broadcast over leading batch dimensions.
 Layout: each (d, d, d) diffusion family P[k, i, j] (OuParams.B,
 KuramotoParams.Sigma) is a view of one C-contiguous (d, d*d) buffer
 indexed [j, (k, i)], which is the GEMM operand of every diffusion call;
-the family is never held twice. Zero state: the part of sigma that reads
-a state is linear, so the estimator's zero states U_0 (its base call and
-the trailing lo rows at l = 1) skip the product and get sigma(0) directly.
+the family is never held twice. Repeated states: the part of sigma that
+reads a state is linear, so the estimator's zero states U_0 (its base call
+and the trailing lo rows at l = 1) skip the product and get sigma(0)
+directly, and each run of equal consecutive state rows in a call (the
+constant U_1 = xi of Kuramoto, whose coefficients vanish at 0) is
+multiplied once and copied.
 """
 
 from __future__ import annotations
@@ -124,38 +127,62 @@ def _gemm_layout(P: np.ndarray) -> np.ndarray:
 
 
 def _stacked_apply(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """[..., k, i] = sum_j P[k, i, j] x[..., j], as one BLAS GEMM.
+    """[..., k, i] = sum_j P[k, i, j] x[..., j], as BLAS GEMMs.
 
     P must be in the `_gemm_layout`, so the operand (d, d*d) [j, (k, i)] is
-    a view of the contiguous buffer BLAS packs fastest, and all leading
-    rows of x go through one product; callers return the swapped view,
-    which is the [i, k] layout. Work on the result (an added offset, a
-    contraction with increments) is faster on the contiguous [k, i]
-    layout, so it goes through the swapped view again rather than copying.
+    a view of the contiguous buffer BLAS packs fastest; callers return the
+    swapped view, which is the [i, k] layout. Work on the result (an added
+    offset, a contraction with increments) is faster on the contiguous
+    [k, i] layout, so it goes through the swapped view again rather than
+    copying.
 
-    Zero states give exact zeros without a product where the estimator
-    makes them: a zero 1-D x is its base call sigma(0, 0), and a 2-D x is
-    multiplied only up to its last nonzero row. Its zero rows are trailing
-    because the estimator stacks its hi rows first and its lo rows
-    (level l - 1) last, and at l = 1 the lo half is U_0 = 0. An x whose
-    last row is nonzero pays one O(d) test. Inputs of three or more
-    dimensions (the references' per-run axis) take the plain product. BLAS bits
-    depend on the number of rows per call, so a caller that needs a row's
+    Repeated states are multiplied once. A zero 1-D x (the estimator's
+    base call sigma(0, 0)) gets exact zeros. A 2-D x is multiplied only up
+    to its last nonzero row, and the zero rows after it get exact zeros:
+    the estimator stacks its hi rows first and its lo rows (level l - 1)
+    last, and at l = 1 the lo half is U_0 = 0. Before them, each maximal
+    run of equal consecutive rows is multiplied once and its other rows
+    copy that product. A level-1 path is the constant U_1 = xi when the
+    coefficients vanish at 0 (Kuramoto), so the hi half at l = 1 and the lo
+    half at l = 2 are one run each. Equal rows are screened on column 0 and
+    confirmed in full only on the hits, so a state without repeats pays one
+    compare of its first column and one product. The rows between runs go
+    through one product per stretch, written straight into the output; no
+    gathered copy is made. Other inputs (a nonzero 1-D x, the references'
+    per-run axis) take the plain product. BLAS bits depend on the number of
+    rows per call, and so on which rows repeat; a caller that needs a row's
     value independent of a batch size stacks a leading axis instead.
     """
     d = P.shape[0]
     op = P.transpose(2, 0, 1).reshape(d, d * d)
-    if x.ndim == 1 and not x.any():
+    # count_nonzero: a small array's any() costs four times as much
+    if x.ndim == 1 and not np.count_nonzero(x):
         return np.zeros((d, d))
-    if x.ndim != 2 or x[-1].any():
+    if x.ndim != 2:
         return np.matmul(x, op).reshape(x.shape[:-1] + (d, d))
-    # one flat mask: a per-row any() costs as much as the product at d = 10
-    live = np.flatnonzero(x.reshape(-1) != 0)
-    n = live[-1] // d + 1 if live.size else 0
-    out = np.empty((x.shape[0], d * d))
-    np.matmul(x[:n], op, out=out[:n])
+    rows = n = x.shape[0]
+    if n and not np.count_nonzero(x[-1]):
+        # one flat mask: a per-row any() costs as much as the product at d = 10
+        live = np.flatnonzero(x.reshape(-1) != 0)
+        n = live[-1] // d + 1 if live.size else 0
+    out = np.empty((rows, d * d))
     out[n:] = 0.0
-    return out.reshape(x.shape[0], d, d)
+    col = x[:n, 0]
+    hit = col[1:] == col[:-1]
+    done = 0
+    if np.count_nonzero(hit):
+        same = np.flatnonzero(hit) + 1
+        same = same[(x[same] == x[same - 1]).all(axis=1)]
+        # each maximal run [a, b) of rows equal to their predecessor copies row a - 1
+        firsts = same[np.diff(same, prepend=-1) != 1].tolist()
+        lasts = (same[np.diff(same, append=n + 1) != 1] + 1).tolist()
+        for a, b in zip(firsts, lasts):
+            np.matmul(x[done:a], op, out=out[done:a])
+            out[a:b] = out[a - 1]
+            done = b
+    if done < n:
+        np.matmul(x[done:n], op, out=out[done:n])
+    return out.reshape(rows, d, d)
 
 
 def ou_diffusion(p: OuParams, x2: np.ndarray) -> np.ndarray:

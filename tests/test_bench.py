@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmlp.bench import (
     CSV_HEADER,
@@ -116,6 +118,21 @@ class TestRunCell:
         full = run_cell(ExperimentConfig(runs=20, **base), 2, 2, model=model).per_run_errors
         for R in (1, 2, 17):
             row = run_cell(ExperimentConfig(runs=R, **base), 2, 2, model=model)
+            assert row.per_run_errors == full[:R], R
+
+    @settings(max_examples=10, deadline=None)
+    @given(kind=st.sampled_from(["ou", "kuramoto"]), d=st.integers(1, 3),
+           n=st.integers(1, 2), runs=st.integers(1, 4), seed=st.integers(0, 2**64 - 1))
+    def test_per_run_errors_independent_of_threads_and_run_count(self, kind, d, n, runs,
+                                                                   seed):
+        base = dict(model=kind, d=d, seed=seed)
+        model = build_model(ExperimentConfig(**base))
+        full = run_cell(ExperimentConfig(runs=runs, **base), n, n, model).per_run_errors
+        for threads in (2, 3):
+            row = run_cell(ExperimentConfig(runs=runs, threads=threads, **base), n, n, model)
+            assert row.per_run_errors == full, threads
+        for R in range(1, runs):
+            row = run_cell(ExperimentConfig(runs=R, **base), n, n, model)
             assert row.per_run_errors == full[:R], R
 
     def test_threads_do_not_change_kuramoto_d100(self):
@@ -286,6 +303,10 @@ class TestCli:
     (["--config", "{configs}/T_huge_int.json"], "T must be finite, got 1000"),
     (["--rho", "-1e3"], "rho must be > 0, got -1000.0"),
     (["--T", "-inf"], "T must be finite, got -inf"),
+    (["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+    (["--seed", "18446744073709551616"], "seed must be in [0, 2**64), got 18446744073709551616"),
+    (["--config", "{configs}/seed_2_64.json"],
+     "seed must be in [0, 2**64), got 18446744073709551616"),
 ])
 def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
     # no --d/--levels/--runs here: they would override the config files' values
@@ -352,6 +373,7 @@ def configs(tmp_path_factory):
         "formats_str": {"formats": "csv"},
         "allow_large_str": {"allow_large": "no"},
         "T_huge_int": {"T": 10**400},
+        "seed_2_64": {"seed": 2**64},
     }
     for name, values in bad_values.items():
         (path / f"{name}.json").write_text(json.dumps(values))

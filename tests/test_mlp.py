@@ -66,6 +66,20 @@ class TestBaseCases:
                 )
                 np.testing.assert_allclose(path.values, want, rtol=1e-12, atol=1e-12)
 
+    def test_kuramoto_level_one_is_constant(self):
+        # mu(0, 0) = mu0 sin 0 = 0 and sigma(0, 0) = 0, so U_1 = xi in every
+        # row, bit for bit: the premise of multiplying repeated sigma rows
+        # once; OU's offsets a0 and b make its U_1 move
+        seed, d, K = 5, 4, 6
+        grid = TimeGrid(T=1.0, K=K)
+        inc = _top_increments(seed, 0, K, d, grid.dt)
+        ou, kuramoto = _models(d, seed)
+        for model, constant in ((ou, False), (kuramoto, True)):
+            path = mlp_estimate(model, MlpConfig(n=1, m=2, grid=grid), (1, 0), seed, inc,
+                                CostLedger())
+            xi = np.broadcast_to(model.initial_value, (K + 1, d))
+            assert (path.values.tobytes() == xi.tobytes()) == constant, model.name
+
     def test_row_zero_is_initial_value(self):
         for model in _models(3, seed=1):
             grid = TimeGrid(T=1.0, K=4)
@@ -258,11 +272,13 @@ class TestCallShape:
 
     def test_zero_state_rows_are_not_multiplied(self, monkeypatch):
         # a count, not a timing: the rows multiplied against the family are
-        # the nonzero state rows, while the ledger still counts every row
+        # the nonzero state rows that differ from the row before them, while
+        # the ledger still counts every row; the constant level-1 paths
+        # (U_1 = xi) make most nonzero rows repeats
         d, n, K = 5, 3, 27
         base = kuramoto_model(random_params("kuramoto", d, derive_stream(0, (0,))))
         family = base.params.Sigma
-        passed, nonzero, multiplied = [], [], []
+        passed, nonzero, distinct, multiplied = [], [], [], []
         matmul = np.matmul
 
         def spy(a, b, *args, **kwargs):
@@ -273,7 +289,11 @@ class TestCallShape:
         def diffusion(x1, x2):
             rows = np.reshape(x1, (-1, d))      # Kuramoto's sigma reads x1
             passed.append(len(rows))
-            nonzero.append(int(rows.any(axis=1).sum()))
+            live = rows.any(axis=1)
+            repeat = np.zeros(len(rows), dtype=bool)
+            repeat[1:] = (rows[1:] == rows[:-1]).all(axis=1)
+            nonzero.append(int(live.sum()))
+            distinct.append(int((live & ~repeat).sum()))
             return base.diffusion(x1, x2)
 
         monkeypatch.setattr(models.np, "matmul", spy)
@@ -283,7 +303,7 @@ class TestCallShape:
         inc = _top_increments(0, 0, K, d, grid.dt)
         mlp_estimate(model, MlpConfig(n=n, m=n, grid=grid), (1, 0), 0, inc, led)
         assert sum(passed) == led.sigma_evals == analytic_cost(n, n, K, d, CostUnits(0, 1, 0))
-        assert sum(multiplied) == sum(nonzero) < led.sigma_evals
+        assert sum(multiplied) == sum(distinct) < sum(nonzero) < led.sigma_evals
 
 
 class TestAnalyticCost:

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mvmlp import models
 from mvmlp.models import (
@@ -206,6 +209,92 @@ class TestZeroStateRows:
         got = diffusion(np.zeros(d), np.zeros(d))
         assert got.shape == (d, d)
         assert (got == sigma0).all()
+
+
+def _run_heads(x):
+    """Index of the first row of each row's maximal run of equal rows."""
+    heads = np.arange(len(x))
+    for i in range(1, len(x)):
+        if (x[i] == x[i - 1]).all():
+            heads[i] = heads[i - 1]
+    return heads
+
+
+def _check_repeated_rows(kind, p, x):
+    """Copies bitwise equal to their run's first row, all rows the definition."""
+    if kind == "ou":
+        got = ou_model(p).diffusion(x, x)
+        want = p.b + np.einsum("kij,...j->...ik", p.B, x)
+        scale = np.abs(p.b) + np.einsum("kij,...j->...ik", np.abs(p.B), np.abs(x))
+    else:
+        got = kuramoto_model(p).diffusion(x, x)
+        want = np.einsum("kij,...j->...ik", p.Sigma, x)
+        scale = np.einsum("kij,...j->...ik", np.abs(p.Sigma), np.abs(x))
+    assert got.shape == x.shape + (x.shape[-1],)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    heads = _run_heads(x)
+    for i, head in enumerate(heads):
+        assert got[i].tobytes() == got[head].tobytes(), (i, head)
+
+
+class TestRepeatedStateRows:
+    """Each maximal run of equal consecutive state rows is multiplied once."""
+
+    @staticmethod
+    def _cases(d):
+        rng = np.random.default_rng(d)
+        rows = 10
+        x = rng.normal(scale=5.0, size=(rows, d))
+        start = x.copy()
+        start[1:3] = start[0]
+        middle = x.copy()
+        middle[4:7] = middle[3]
+        end = x.copy()
+        end[7:] = end[6]
+        whole = np.repeat(x[:1], rows, axis=0)
+        zeros = x.copy()
+        zeros[3:6] = 0.0
+        signed = x.copy()
+        signed[4] = 0.0
+        signed[5] = -0.0
+        col0 = x.copy()
+        col0[2:5, 0] = col0[1, 0]           # equal in column 0 only: no run
+        return {"start": start, "middle": middle, "end": end, "whole": whole,
+                "interior zeros": zeros, "-0.0 after 0.0": signed, "column 0 only": col0}
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("d", [3, 10, 100])
+    def test_runs(self, kind, d, monkeypatch):
+        p = random_params(kind, d, derive_stream(d, (0,)))
+        family = _family(p)
+        multiplied = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            if np.shares_memory(b, family):
+                multiplied.append(len(a))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(models.np, "matmul", spy)
+        cases = self._cases(d)
+        assert (_run_heads(cases["column 0 only"]) == np.arange(10)).all()
+        for name, x in cases.items():
+            multiplied.clear()
+            _check_repeated_rows(kind, p, x)
+            # one product row per run; none of the cases ends in zero rows
+            assert sum(multiplied) == len(np.unique(_run_heads(x))), name
+
+    @settings(max_examples=50, deadline=None)
+    @given(kind=st.sampled_from(["ou", "kuramoto"]), d=st.integers(1, 4), data=st.data())
+    def test_random_duplications(self, kind, d, data):
+        # few distinct values, so column-0 ties, zero rows and -0.0 are common
+        values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0])
+        base = data.draw(arrays(float, st.tuples(st.integers(1, 6), st.just(d)),
+                                elements=values))
+        repeats = data.draw(st.lists(st.integers(1, 4), min_size=len(base),
+                                     max_size=len(base)))
+        x = np.repeat(base, repeats, axis=0)
+        _check_repeated_rows(kind, random_params(kind, d, derive_stream(d, (0,))), x)
 
 
 class TestKuramoto:
