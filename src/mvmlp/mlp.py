@@ -21,7 +21,8 @@ caller's increments to both halves, and only then subtracts the two (K, d)
 step arrays; the (2K, d, d) block is released before the next iteration
 recurses. The call always has 2K rows, fixed by the cell; which of them
 BLAS multiplies (and so its bits) depends only on the states, since the
-models multiply a run of equal rows once.
+models multiply a run of equal rows once and copy a run of initial-value
+rows from a product made when the model is built.
 
 Drift correction: the (n, k, l) iteration draws one uniform time u and
 adds t_j / m^(n-l) * (mu(x1, x2) - mu(x3, x4)) to row j, with the four

@@ -13,7 +13,8 @@ reads a state is linear, so the estimator's zero states U_0 (its base call
 and the trailing lo rows at l = 1) skip the product and get sigma(0)
 directly, and each run of equal consecutive state rows in a call (the
 constant U_1 = xi of Kuramoto, whose coefficients vanish at 0) is
-multiplied once and copied.
+multiplied once and copied. Each model multiplies its initial value xi once
+when it is built, and a run headed by xi copies that row without a product.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _gemm_layout(P: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(P.transpose(2, 0, 1), dtype=float).transpose(1, 2, 0)
 
 
-def _stacked_apply(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _stacked_apply(P: np.ndarray, x: np.ndarray, known: Optional[tuple] = None) -> np.ndarray:
     """[..., k, i] = sum_j P[k, i, j] x[..., j], as BLAS GEMMs.
 
     P must be in the `_gemm_layout`, so the operand (d, d*d) [j, (k, i)] is
@@ -148,10 +149,11 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray) -> np.ndarray:
     confirmed in full only on the hits, so a state without repeats pays one
     compare of its first column and one product. The rows between runs go
     through one product per stretch, written straight into the output; no
-    gathered copy is made. Other inputs (a nonzero 1-D x, the references'
-    per-run axis) take the plain product. BLAS bits depend on the number of
-    rows per call, and so on which rows repeat; a caller that needs a row's
-    value independent of a batch size stacks a leading axis instead.
+    gathered copy is made. `known` is a state and its product row, as
+    `_known_row` makes them: a run headed by that state copies the row, and
+    the stretch before the run ends one row earlier. Other inputs (a nonzero
+    1-D x, more than one leading axis) take the plain product. BLAS bits
+    depend on the number of rows per call, and so on which rows repeat.
     """
     d = P.shape[0]
     op = P.transpose(2, 0, 1).reshape(d, d * d)
@@ -177,18 +179,35 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray) -> np.ndarray:
         firsts = same[np.diff(same, prepend=-1) != 1].tolist()
         lasts = (same[np.diff(same, append=n + 1) != 1] + 1).tolist()
         for a, b in zip(firsts, lasts):
-            np.matmul(x[done:a], op, out=out[done:a])
-            out[a:b] = out[a - 1]
+            if known is not None and (x[a - 1] == known[0]).all():
+                a -= 1
+                if done < a:
+                    np.matmul(x[done:a], op, out=out[done:a])
+                out[a:b] = known[1]
+            else:
+                np.matmul(x[done:a], op, out=out[done:a])
+                out[a:b] = out[a - 1]
             done = b
     if done < n:
         np.matmul(x[done:n], op, out=out[done:n])
     return out.reshape(rows, d, d)
 
 
-def ou_diffusion(p: OuParams, x2: np.ndarray) -> np.ndarray:
+def _known_row(P: np.ndarray, xi: np.ndarray) -> tuple:
+    """(xi, its product row) for `_stacked_apply`'s `known` argument.
+
+    The row is the one-row product a run headed by xi would make.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (P.shape[0],):
+        raise ValueError(f"initial value has shape {xi.shape}, expected ({P.shape[0]},)")
+    return xi, _stacked_apply(P, xi[None, :]).reshape(-1)
+
+
+def ou_diffusion(p: OuParams, x2: np.ndarray, known: Optional[tuple] = None) -> np.ndarray:
     """Matrix with column k = b_k + B_k x2; independent of x1."""
     x2 = _check_dim(x2, p.d, "x2")
-    sigma_t = _stacked_apply(p.B, x2)
+    sigma_t = _stacked_apply(p.B, x2, known)
     # in the contiguous [k, i] layout, with a contiguous addend: same sums, faster
     sigma_t += np.ascontiguousarray(p.b.T)
     return sigma_t.swapaxes(-1, -2)
@@ -201,10 +220,12 @@ def kuramoto_drift(p: KuramotoParams, x1: np.ndarray, x2: np.ndarray) -> np.ndar
     return p.mu0 * np.sin(x1 - x2)
 
 
-def kuramoto_diffusion(p: KuramotoParams, x1: np.ndarray) -> np.ndarray:
+def kuramoto_diffusion(
+    p: KuramotoParams, x1: np.ndarray, known: Optional[tuple] = None
+) -> np.ndarray:
     """Matrix with column k = Sigma_k x1; independent of x2."""
     x1 = _check_dim(x1, p.d, "x1")
-    return _stacked_apply(p.Sigma, x1).swapaxes(-1, -2)
+    return _stacked_apply(p.Sigma, x1, known).swapaxes(-1, -2)
 
 
 def random_params(
@@ -238,9 +259,12 @@ def random_params(
         return arr * (target / nrm)
 
     def family():
-        # the [k, i, j] draw, scaled and written once into the GEMM layout
-        draw = u((d, d, d))
+        # the [k, i, j] draw, scaled and written once into the GEMM layout;
+        # the kept buffer is allocated before the transient draw, so the draw
+        # is freed above it and a small allocation that outlives it (a
+        # model's sigma(xi) row) cannot split the hole the next draw reuses
         buf = np.empty((d, d * d))
+        draw = u((d, d, d))
         np.multiply(draw.transpose(2, 0, 1), scale / np.linalg.norm(draw),
                     out=buf.reshape(d, d, d))
         return buf.reshape(d, d, d).transpose(1, 2, 0)
@@ -283,6 +307,7 @@ def ou_model(
 ) -> ModelSpec:
     d = p.d
     xi = np.full(d, 20.0) if initial_value is None else np.asarray(initial_value, float)
+    known = _known_row(p.B, xi)
 
     def drift_partner_mean(x: np.ndarray, partners: np.ndarray) -> np.ndarray:
         return ou_drift(p, x, np.broadcast_to(partners.mean(axis=0), x.shape))
@@ -296,7 +321,7 @@ def ou_model(
         d=d,
         initial_value=xi,
         drift=lambda x1, x2: ou_drift(p, x1, x2),
-        diffusion=lambda x1, x2: ou_diffusion(p, x2),
+        diffusion=lambda x1, x2: ou_diffusion(p, x2, known),
         unit_costs=unit_costs or default_cost_units(d),
         drift_partner_mean=drift_partner_mean,
         diffusion_partner_mean=diffusion_partner_mean,
@@ -311,6 +336,7 @@ def kuramoto_model(
 ) -> ModelSpec:
     d = p.d
     xi = np.full(d, 10.0) if initial_value is None else np.asarray(initial_value, float)
+    known = _known_row(p.Sigma, xi)
 
     def drift_partner_mean(x: np.ndarray, partners: np.ndarray) -> np.ndarray:
         # mean of sin(x - y) over partners y, via the angle-difference identity
@@ -326,7 +352,7 @@ def kuramoto_model(
         d=d,
         initial_value=xi,
         drift=lambda x1, x2: kuramoto_drift(p, x1, x2),
-        diffusion=lambda x1, x2: kuramoto_diffusion(p, x1),
+        diffusion=lambda x1, x2: kuramoto_diffusion(p, x1, known),
         unit_costs=unit_costs or default_cost_units(d),
         drift_partner_mean=drift_partner_mean,
         diffusion_partner_mean=diffusion_partner_mean,

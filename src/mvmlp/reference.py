@@ -6,6 +6,12 @@ therefore consumes exactly the increments array later fed to the paired
 estimator call, which is what the paired-error metric requires.
 Each path function takes one run's increments (K, d) or a cell's stacked
 increments (R, K, d), and a run's values do not depend on R.
+
+The Kuramoto reference applies its diffusion only to increments, so it
+never forms sigma(X): sigma(X) dW = sum_j X_j G_j with G_j = dW Sigma[:, :, j]
+is linear in the state, and each run's increments are contracted against
+the (d, d, d) family once, in chunks of steps, before stepping. A step is
+then one d x d matrix-vector product.
 """
 
 from __future__ import annotations
@@ -14,34 +20,36 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import (
-    KuramotoParams,
-    ModelSpec,
-    OuParams,
-    kuramoto_diffusion,
-    ou_diffusion,
-)
+from .models import KuramotoParams, ModelSpec, OuParams, ou_diffusion
 from .numerics import TimeGrid, mat_exp, solve_lyapunov_ode
 from .randomness import RandomStream
 
+# the Kuramoto reference contracts a run's increments one chunk of steps at
+# a time, at most _RUN_DOUBLES doubles per run, and stacks as many runs as
+# keep the block within _BLOCK_DOUBLES (8 runs of the largest chunk); both
+# sizes follow from (K, d) alone, so they bound the memory without moving a
+# run's bits
+_RUN_DOUBLES = 2**20
+_BLOCK_DOUBLES = 8 * _RUN_DOUBLES
 
-def _transition(A: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """e^{A tau} and int_0^tau e^{A u} du via the augmented-matrix trick."""
+
+def _flow(A: np.ndarray, c: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """e^{A tau} and (int_0^tau e^{A u} du) c, from one exponential of [[A, c], [0, 0]]."""
     d = A.shape[0]
-    aug = np.zeros((2 * d, 2 * d))
+    aug = np.zeros((d + 1, d + 1))
     aug[:d, :d] = A
-    aug[:d, d:] = np.eye(d)
+    aug[:d, d] = c
     E = mat_exp(aug, tau)
-    return E[:d, :d], E[:d, d:]
+    return E[:d, :d], E[:d, d]
 
 
 def _affine_flow(A: np.ndarray, c: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Path (K+1, d) of y' = A y + c from y0, stepped exactly along the grid."""
-    E, V = _transition(A, grid.dt)
+    E, v = _flow(A, c, grid.dt)
     out = np.empty((grid.K + 1, A.shape[0]))
     out[0] = y = np.asarray(y0, dtype=float)
     for j in range(grid.K):
-        y = E @ y + V @ c
+        y = E @ y + v
         out[j + 1] = y
     return out
 
@@ -64,8 +72,8 @@ def ou_marginal_cov(
 
     @lru_cache(maxsize=None)
     def Q(s: float) -> np.ndarray:
-        E, V = _transition(A12, s)
-        S = ou_diffusion(p, E @ xi + V @ p.a0)
+        E, v = _flow(A12, p.a0, s)
+        S = ou_diffusion(p, E @ xi + v)
         return S @ S.T
 
     return solve_lyapunov_ode(p.A1, Q, grid, substeps)
@@ -113,7 +121,8 @@ def ou_exact_path(
 def kuramoto_moments(p: KuramotoParams, xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Componentwise variance path (K+1, d) of the linear moment ODE, stepped exactly."""
     xi = np.asarray(xi, dtype=float)
-    A = (p.Sigma**2).sum(axis=0)          # A[i, j] = sum_k (sigma_k^{i,j})^2
+    # A[i, j] = sum_k (sigma_k^{i,j})^2, with no (d, d, d) squared copy
+    A = np.einsum("kij,kij->ij", p.Sigma, p.Sigma)
     return _affine_flow(A, A @ (xi**2), np.zeros_like(xi), grid)
 
 
@@ -126,24 +135,34 @@ def kuramoto_reference_path(
 ) -> np.ndarray:
     """Euler-Maruyama reference with moment-damped mean-field drift.
 
-    Increments (K, d) or (R, K, d) -> values (..., K+1, d).
+    Increments (K, d) or (R, K, d) -> values (..., K+1, d). The diffusion
+    term of step t is sum_j X_j G_j[t] with G_j = dW Sigma[:, :, j]; G is
+    made one chunk of steps at a time, as one BLAS (steps x d)(d x d)
+    product per (run, j), and each run's step is its own matrix-vector
+    product, so a run's row does not depend on how many runs share the call.
     """
     d, K, dt = p.d, grid.K, grid.dt
     xi = np.asarray(xi, dtype=float)
     incr = _check_increments(increments, K, d)
+    runs = incr.reshape(-1, K, d)
+    family = p.Sigma.transpose(2, 0, 1)     # [j, k, i]: a contiguous (d, d) block per j
+    steps = max(1, min(K, _RUN_DOUBLES // (d * d)))
+    per_block = max(1, _BLOCK_DOUBLES // (steps * d * d))
 
-    out = np.zeros(incr.shape[:-2] + (K + 1, d))
-    out[..., 0, :] = xi
-    X = out[..., 0, :].copy()
-    for j in range(K):
-        damp = 1.0 - 0.5 * variance[j]
-        drift = p.mu0 * damp * np.sin(X - xi)
-        # a leading axis per run keeps one BLAS call per run, so a run's
-        # row does not depend on how many runs share the call
-        sigma = kuramoto_diffusion(p, X[..., None, :])[..., 0, :, :]
-        X = X + drift * dt + np.einsum("...ik,...k->...i", sigma, incr[..., j, :])
-        out[..., j + 1, :] = X
-    return out
+    out = np.empty((len(runs), K + 1, d))
+    out[:, 0] = xi
+    for r in range(0, len(runs), per_block):
+        group = slice(r, r + per_block)
+        X = out[group, 0].copy()
+        for start in range(0, K, steps):
+            G = np.matmul(runs[group, None, start:start + steps], family)
+            for s in range(G.shape[2]):
+                j = start + s
+                drift = p.mu0 * (1.0 - 0.5 * variance[j]) * np.sin(X - xi)
+                X = X + drift * dt + np.matmul(X[:, None, :], G[:, :, s])[:, 0]
+                out[group, j + 1] = X
+            del G       # before the next block is made
+    return out.reshape(incr.shape[:-2] + (K + 1, d))
 
 
 def _pairwise_partner_mean(fn, X: np.ndarray, partners: np.ndarray, chunk: int = 256):

@@ -272,12 +272,13 @@ class TestCallShape:
 
     def test_zero_state_rows_are_not_multiplied(self, monkeypatch):
         # a count, not a timing: the rows multiplied against the family are
-        # the nonzero state rows that differ from the row before them, while
-        # the ledger still counts every row; the constant level-1 paths
+        # the nonzero state rows that differ from the row before them and do
+        # not head a run of xi rows (the model knows sigma(xi)), while the
+        # ledger still counts every row; the constant level-1 paths
         # (U_1 = xi) make most nonzero rows repeats
         d, n, K = 5, 3, 27
         base = kuramoto_model(random_params("kuramoto", d, derive_stream(0, (0,))))
-        family = base.params.Sigma
+        family, xi = base.params.Sigma, base.initial_value
         passed, nonzero, distinct, multiplied = [], [], [], []
         matmul = np.matmul
 
@@ -292,8 +293,10 @@ class TestCallShape:
             live = rows.any(axis=1)
             repeat = np.zeros(len(rows), dtype=bool)
             repeat[1:] = (rows[1:] == rows[:-1]).all(axis=1)
+            xi_head = np.zeros(len(rows), dtype=bool)
+            xi_head[:-1] = (rows[:-1] == xi).all(axis=1) & repeat[1:] & ~repeat[:-1]
             nonzero.append(int(live.sum()))
-            distinct.append(int((live & ~repeat).sum()))
+            distinct.append(int((live & ~repeat & ~xi_head).sum()))
             return base.diffusion(x1, x2)
 
         monkeypatch.setattr(models.np, "matmul", spy)
@@ -303,7 +306,8 @@ class TestCallShape:
         inc = _top_increments(0, 0, K, d, grid.dt)
         mlp_estimate(model, MlpConfig(n=n, m=n, grid=grid), (1, 0), 0, inc, led)
         assert sum(passed) == led.sigma_evals == analytic_cost(n, n, K, d, CostUnits(0, 1, 0))
-        assert sum(multiplied) == sum(distinct) < sum(nonzero) < led.sigma_evals
+        assert sum(multiplied) == sum(distinct) == 3 * K
+        assert sum(distinct) < sum(nonzero) < led.sigma_evals
 
 
 class TestAnalyticCost:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mvmlp import models
+from mvmlp.mlp import CostLedger, MlpConfig, mlp_estimate
 from mvmlp.models import (
     KuramotoParams,
     OuParams,
@@ -19,7 +20,8 @@ from mvmlp.models import (
     ou_model,
     random_params,
 )
-from mvmlp.randomness import derive_stream
+from mvmlp.numerics import TimeGrid
+from mvmlp.randomness import derive_stream, sample_brownian_increments
 
 
 def _ou_params(d, seed=0, scale=0.25):
@@ -220,14 +222,32 @@ def _run_heads(x):
     return heads
 
 
-def _check_repeated_rows(kind, p, x):
+def _model(kind, p):
+    return ou_model(p) if kind == "ou" else kuramoto_model(p)
+
+
+def _spy_products(monkeypatch, family):
+    """The row counts of the products made against `family` from now on."""
+    multiplied = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        if np.shares_memory(b, family):
+            multiplied.append(len(a))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(models.np, "matmul", spy)
+    return multiplied
+
+
+def _check_repeated_rows(model, x):
     """Copies bitwise equal to their run's first row, all rows the definition."""
-    if kind == "ou":
-        got = ou_model(p).diffusion(x, x)
+    p = model.params
+    got = model.diffusion(x, x)
+    if model.name == "ou":
         want = p.b + np.einsum("kij,...j->...ik", p.B, x)
         scale = np.abs(p.b) + np.einsum("kij,...j->...ik", np.abs(p.B), np.abs(x))
     else:
-        got = kuramoto_model(p).diffusion(x, x)
         want = np.einsum("kij,...j->...ik", p.Sigma, x)
         scale = np.einsum("kij,...j->...ik", np.abs(p.Sigma), np.abs(x))
     assert got.shape == x.shape + (x.shape[-1],)
@@ -266,21 +286,14 @@ class TestRepeatedStateRows:
     @pytest.mark.parametrize("d", [3, 10, 100])
     def test_runs(self, kind, d, monkeypatch):
         p = random_params(kind, d, derive_stream(d, (0,)))
-        family = _family(p)
-        multiplied = []
-        matmul = np.matmul
-
-        def spy(a, b, *args, **kwargs):
-            if np.shares_memory(b, family):
-                multiplied.append(len(a))
-            return matmul(a, b, *args, **kwargs)
-
-        monkeypatch.setattr(models.np, "matmul", spy)
+        # built before the spy: the model multiplies its initial value once
+        model = _model(kind, p)
+        multiplied = _spy_products(monkeypatch, _family(p))
         cases = self._cases(d)
         assert (_run_heads(cases["column 0 only"]) == np.arange(10)).all()
         for name, x in cases.items():
             multiplied.clear()
-            _check_repeated_rows(kind, p, x)
+            _check_repeated_rows(model, x)
             # one product row per run; none of the cases ends in zero rows
             assert sum(multiplied) == len(np.unique(_run_heads(x))), name
 
@@ -294,7 +307,71 @@ class TestRepeatedStateRows:
         repeats = data.draw(st.lists(st.integers(1, 4), min_size=len(base),
                                      max_size=len(base)))
         x = np.repeat(base, repeats, axis=0)
-        _check_repeated_rows(kind, random_params(kind, d, derive_stream(d, (0,))), x)
+        _check_repeated_rows(_model(kind, random_params(kind, d, derive_stream(d, (0,)))), x)
+
+
+class TestKnownRows:
+    """A run headed by the initial value xi copies the model's sigma(xi) row."""
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("d", [3, 100])
+    def test_xi_run_copies_the_known_row(self, kind, d, monkeypatch):
+        p = random_params(kind, d, derive_stream(d, (0,)))
+        model = _model(kind, p)
+        xi = model.initial_value
+        # the row a one-row stretch of xi is multiplied to, made before the spy
+        row = np.matmul(xi[None, :], _gemm_operand(_family(p))).reshape(d, d).T
+        if kind == "ou":
+            row = row + p.b
+        multiplied = _spy_products(monkeypatch, _family(p))
+        x = np.random.default_rng(d).normal(scale=5.0, size=(9, d))
+        x[3:7] = xi                       # rows 0-2 stretch, 3-6 the xi run, 7-8
+        got = model.diffusion(x, x)
+        assert multiplied == [3, 2]
+        for i in range(3, 7):
+            assert got[i].tobytes() == row.tobytes(), i
+        _check_repeated_rows(model, x)
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    def test_lone_xi_row_is_multiplied_in_its_stretch(self, kind, monkeypatch):
+        d, rows = 10, 6
+        p = random_params(kind, d, derive_stream(d, (0,)))
+        model = _model(kind, p)
+        multiplied = _spy_products(monkeypatch, _family(p))
+        x = np.random.default_rng(d).normal(scale=5.0, size=(rows, d))
+        x[0] = model.initial_value        # row 0 of every OU path
+        got = model.diffusion(x, x)
+        assert multiplied == [rows]
+        plain = np.matmul(x, _gemm_operand(_family(p))).reshape(rows, d, d).swapaxes(-1, -2)
+        if kind == "ou":
+            plain = plain + p.b
+        np.testing.assert_array_equal(got, plain)
+
+    def test_ou_paired_calls_never_take_the_rule(self, monkeypatch):
+        # OU's paths start at xi but never stay there, so each paired call
+        # multiplies exactly its nonzero rows that differ from their predecessor
+        d, n, K = 3, 3, 5
+        base = ou_model(_ou_params(d, seed=6))
+        xi = base.initial_value
+        multiplied = _spy_products(monkeypatch, base.params.B)
+        distinct, xi_heads = [], []
+
+        def diffusion(x1, x2):
+            if np.ndim(x2) == 2:                # a paired call; OU's sigma reads x2
+                repeat = np.zeros(len(x2), dtype=bool)
+                repeat[1:] = (x2[1:] == x2[:-1]).all(axis=1)
+                live = np.flatnonzero(x2.any(axis=1))
+                trail = live[-1] + 1 if live.size else 0
+                distinct.append(int((~repeat[:trail]).sum()))
+                xi_heads.append(int(((x2[:-1] == xi).all(axis=1) & repeat[1:]).sum()))
+            return base.diffusion(x1, x2)
+
+        model = dataclasses.replace(base, diffusion=diffusion)
+        grid = TimeGrid(T=1.0, K=K)
+        inc = sample_brownian_increments(derive_stream(6, (1, 0)), K, d, grid.dt)
+        mlp_estimate(model, MlpConfig(n=n, m=n, grid=grid), (1, 0), 6, inc, CostLedger())
+        assert sum(xi_heads) == 0
+        assert sum(multiplied) == sum(distinct) > 0
 
 
 class TestKuramoto:

@@ -1,16 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mvmlp import reference
 from mvmlp.models import (
     KuramotoParams,
     OuParams,
+    kuramoto_diffusion,
     kuramoto_model,
     ou_model,
     random_params,
 )
-from mvmlp.numerics import DiscretePath, TimeGrid
+from mvmlp.numerics import DiscretePath, TimeGrid, mat_exp
 from mvmlp.randomness import derive_stream, sample_brownian_increments
 from mvmlp.reference import (
+    _affine_flow,
+    _flow,
     _pairwise_partner_mean,
     kuramoto_moments,
     kuramoto_reference_path,
@@ -30,6 +36,30 @@ def _batch_increments(seed, N, K, d, dt):
     return np.stack(
         [np.sqrt(dt) * stream.child(i).normals((K, d)) for i in range(N)]
     )
+
+
+def _doubled_flow(A, c, tau):
+    """e^{A tau} and (int_0^tau e^{A u} du) c from the 2d-sized exponential."""
+    d = A.shape[0]
+    aug = np.zeros((2 * d, 2 * d))
+    aug[:d, :d] = A
+    aug[:d, d:] = np.eye(d)
+    E = mat_exp(aug, tau)
+    return E[:d, :d], E[:d, d:] @ c
+
+
+class TestFlow:
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_matches_the_doubled_form(self, d):
+        ku = random_params("kuramoto", d, derive_stream(d, (0,)))
+        A = np.einsum("kij,kij->ij", ku.Sigma, ku.Sigma)
+        ou = _ou(d, seed=d)
+        # the moment ODE, whose forcing is large (xi = 10), and the OU mean
+        for A, c in ((A, A @ np.full(d, 100.0)), (ou.A1 + ou.A2, ou.a0)):
+            for tau in (1 / 256, 1 / 27, 1.0):
+                got, want = _flow(A, c, tau), _doubled_flow(A, c, tau)
+                for g, w in zip(got, want):
+                    assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), (d, tau)
 
 
 class TestOuMean:
@@ -191,6 +221,29 @@ class TestKuramotoMoments:
         variance = kuramoto_moments(p, np.full(4, 10.0), grid)
         assert np.all(variance >= -1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 100])
+    def test_generator_is_the_summed_squares(self, d):
+        # bit for bit the sum of the squared family over k
+        p = random_params("kuramoto", d, derive_stream(d, (0,)))
+        grid = TimeGrid(T=1.0, K=4)
+        xi = np.full(d, 10.0)
+        A = (p.Sigma**2).sum(axis=0)
+        want = _affine_flow(A, A @ (xi**2), np.zeros(d), grid)
+        assert np.array_equal(kuramoto_moments(p, xi, grid), want)
+
+    def test_no_cubic_temporary(self):
+        d = 100
+        p = random_params("kuramoto", d, derive_stream(0, (0,)))
+        grid = TimeGrid(T=1.0, K=27)
+        tracemalloc.start()
+        try:
+            kuramoto_moments(p, np.full(d, 10.0), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the squared family alone would be 8 MB
+        assert peak < 2**20, peak
+
 
 class TestKuramotoReferencePath:
     def test_constant_at_fixed_point(self):
@@ -214,6 +267,47 @@ class TestKuramotoReferencePath:
         vals = kuramoto_reference_path(p, xi, grid, incr, variance)[:, -1, :]
         se = vals.std(axis=0, ddof=1) / np.sqrt(N)
         assert np.all(np.abs(vals.mean(axis=0) - xi) <= 5 * se)
+
+
+    @pytest.mark.parametrize("d", [1, 3, 50])
+    def test_matches_diffusion_matrix_stepping(self, d):
+        # contracting the increments first only reorders the diffusion sums
+        p = random_params("kuramoto", d, derive_stream(d, (0,)))
+        xi = np.full(d, 10.0)
+        grid = TimeGrid(T=1.0, K=16)
+        variance = kuramoto_moments(p, xi, grid)
+        incr = _batch_increments(d, 3, grid.K, d, grid.dt)
+        want = np.empty((3, grid.K + 1, d))
+        want[:, 0] = X = np.broadcast_to(xi, (3, d))
+        for j in range(grid.K):
+            drift = p.mu0 * (1.0 - 0.5 * variance[j]) * np.sin(X - xi)
+            sigma = kuramoto_diffusion(p, X)
+            X = X + drift * grid.dt + np.einsum("rik,rk->ri", sigma, incr[:, j])
+            want[:, j + 1] = X
+        got = kuramoto_reference_path(p, xi, grid, incr, variance)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_contracted_increments_are_chunked(self):
+        # a run's chunk of contracted increments holds at most 2**20 doubles,
+        # and the runs stacked in one block at most 8 times that
+        d, K, R = 50, 256, 20
+        p = random_params("kuramoto", d, derive_stream(d, (0,)))
+        xi = np.full(d, 10.0)
+        grid = TimeGrid(T=1.0, K=K)
+        variance = kuramoto_moments(p, xi, grid)
+        incr = _batch_increments(d, R, K, d, grid.dt)
+        assert reference._RUN_DOUBLES == 2**20
+        assert reference._BLOCK_DOUBLES == 8 * 2**20
+        # 13 runs of 256 steps per block here: the call makes two blocks
+        assert 1 < reference._BLOCK_DOUBLES // (K * d * d) < R
+        tracemalloc.start()
+        try:
+            out = kuramoto_reference_path(p, xi, grid, incr, variance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # all R runs' increments contracted at once would take 102 MB
+        assert peak < 8 * 2**20 * 8 + out.nbytes + 2**20, peak
 
 
 class TestParticleSystem:
@@ -288,10 +382,20 @@ class TestBatchDeterminism:
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("d", [3, 50, 100])
     def test_rows_independent_of_run_count(self, kind, d):
+        self._check(kind, d, K=8, runs=64)
+
+    def test_chunked_rows_independent_of_run_count(self):
+        # at d = 100 a chunk holds 104 of the 128 steps, and a block 8 runs
+        d, K = 100, 128
+        assert reference._RUN_DOUBLES // (d * d) < K
+        self._check("kuramoto", d, K, runs=20)
+
+    @staticmethod
+    def _check(kind, d, K, runs):
         p = random_params(kind, d, derive_stream(17, (0,)))
         xi = np.full(d, 20.0 if kind == "ou" else 10.0)
-        grid = TimeGrid(T=1.0, K=8)
-        incr = _batch_increments(17, 64, grid.K, d, grid.dt)
+        grid = TimeGrid(T=1.0, K=K)
+        incr = _batch_increments(17, runs, grid.K, d, grid.dt)
         if kind == "ou":
             def path(inc):
                 return ou_exact_path(p, xi, grid, inc)
