@@ -35,8 +35,6 @@ from .numerics import (
     TimeGrid,
     grid_floor_index,
     mat_exp,
-    solve_linear_ode,
-    solve_lyapunov_ode,
 )
 from .randomness import (
     MultiIndex,
@@ -48,9 +46,7 @@ from .reference import (
     kuramoto_moments,
     kuramoto_reference_path,
     ou_exact_path,
-    ou_marginal_cov,
     ou_mean,
-    particle_system_path,
 )
 
 __version__ = "0.1.0"

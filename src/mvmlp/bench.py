@@ -36,9 +36,11 @@ _RUN_PREFIX = 1
 CSV_HEADER = "model,d,n,m,K,l2_error,time_s,cost"
 FORMATS = ("csv", "json", "md")
 
-# guard rails before launching very large cells without --allow-large
+# guard rails before launching very large cells without --allow-large;
+# K = m**n is the grid, the largest desk cell (n = m = 4) has K = 256
 DESK_MAX_D = 100
 DESK_MAX_N = 4
+DESK_MAX_K = 256
 
 
 class LedgerMismatchError(RuntimeError):
@@ -261,10 +263,13 @@ def estimate_experiment_cost(cfg: ExperimentConfig) -> int:
 
 def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
     """Run all cells and write any configured outputs."""
-    too_large = cfg.d > DESK_MAX_D or any(n > DESK_MAX_N for n, _ in cfg.levels)
+    too_large = cfg.d > DESK_MAX_D or any(
+        n > DESK_MAX_N or _cell_steps(n, m) > DESK_MAX_K for n, m in cfg.levels
+    )
     if too_large and not cfg.allow_large:
         raise ValueError(
-            f"cells exceed desk-scale caps (d <= {DESK_MAX_D}, n <= {DESK_MAX_N}); "
+            f"cells exceed desk-scale caps (d <= {DESK_MAX_D}, n <= {DESK_MAX_N}, "
+            f"K = m**n <= {DESK_MAX_K}); "
             f"estimated total cost {estimate_experiment_cost(cfg)} units. "
             "Pass allow_large=True / --allow-large to run anyway."
         )
@@ -295,10 +300,6 @@ def render_csv(rows: Sequence[ResultRow]) -> str:
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
     return json.dumps([r.as_dict() for r in rows], indent=2)
-
-
-def rows_from_json(text: str) -> List[ResultRow]:
-    return [ResultRow(**obj) for obj in json.loads(text)]
 
 
 def render_markdown(rows: Sequence[ResultRow]) -> str:

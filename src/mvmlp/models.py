@@ -282,12 +282,7 @@ def random_params(
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A concrete McKean-Vlasov model: initial value, coefficients, costs.
-
-    `drift_partner_mean` / `diffusion_partner_mean`, when set, compute the
-    empirical-average coefficient (1/N) sum_m f(x_i, X_m) for a batch of
-    states in O(N) instead of O(N^2); the particle oracle uses them.
-    """
+    """A concrete McKean-Vlasov model: initial value, coefficients, costs."""
 
     name: str
     d: int
@@ -295,8 +290,6 @@ class ModelSpec:
     drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray, np.ndarray], np.ndarray]
     unit_costs: CostUnits
-    drift_partner_mean: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    diffusion_partner_mean: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     params: object = field(default=None, repr=False)
 
 
@@ -308,14 +301,6 @@ def ou_model(
     d = p.d
     xi = np.full(d, 20.0) if initial_value is None else np.asarray(initial_value, float)
     known = _known_row(p.B, xi)
-
-    def drift_partner_mean(x: np.ndarray, partners: np.ndarray) -> np.ndarray:
-        return ou_drift(p, x, np.broadcast_to(partners.mean(axis=0), x.shape))
-
-    def diffusion_partner_mean(x: np.ndarray, partners: np.ndarray) -> np.ndarray:
-        sig = ou_diffusion(p, partners.mean(axis=0))
-        return np.broadcast_to(sig, x.shape[:-1] + (d, d))
-
     return ModelSpec(
         name="ou",
         d=d,
@@ -323,8 +308,6 @@ def ou_model(
         drift=lambda x1, x2: ou_drift(p, x1, x2),
         diffusion=lambda x1, x2: ou_diffusion(p, x2, known),
         unit_costs=unit_costs or default_cost_units(d),
-        drift_partner_mean=drift_partner_mean,
-        diffusion_partner_mean=diffusion_partner_mean,
         params=p,
     )
 
@@ -337,16 +320,6 @@ def kuramoto_model(
     d = p.d
     xi = np.full(d, 10.0) if initial_value is None else np.asarray(initial_value, float)
     known = _known_row(p.Sigma, xi)
-
-    def drift_partner_mean(x: np.ndarray, partners: np.ndarray) -> np.ndarray:
-        # mean of sin(x - y) over partners y, via the angle-difference identity
-        mean_cos = np.cos(partners).mean(axis=0)
-        mean_sin = np.sin(partners).mean(axis=0)
-        return p.mu0 * (np.sin(x) * mean_cos - np.cos(x) * mean_sin)
-
-    def diffusion_partner_mean(x: np.ndarray, partners: np.ndarray) -> np.ndarray:
-        return kuramoto_diffusion(p, x)
-
     return ModelSpec(
         name="kuramoto",
         d=d,
@@ -354,7 +327,5 @@ def kuramoto_model(
         drift=lambda x1, x2: kuramoto_drift(p, x1, x2),
         diffusion=lambda x1, x2: kuramoto_diffusion(p, x1, known),
         unit_costs=unit_costs or default_cost_units(d),
-        drift_partner_mean=drift_partner_mean,
-        diffusion_partner_mean=diffusion_partner_mean,
         params=p,
     )

@@ -9,7 +9,6 @@ no floating-point re-quantization downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -31,10 +30,6 @@ class TimeGrid:
     @property
     def dt(self) -> float:
         return self.T / self.K
-
-    def value(self, k: int) -> float:
-        """Time of grid point k, i.e. k*T/K."""
-        return k * self.T / self.K
 
     def times(self) -> np.ndarray:
         """All grid times as a (K+1,) array."""
@@ -75,7 +70,7 @@ def grid_floor_index(t: float | np.ndarray, grid: TimeGrid) -> int | np.ndarray:
     if outside.any():
         raise ValueError(f"t = {ts[outside].flat[0]} outside [0, {grid.T}]")
     K, T = grid.K, grid.T
-    # value(k) < t <= value(k+1) exactly: the last grid value strictly below t
+    # k T/K < t <= (k+1) T/K exactly: the last grid time strictly below t
     k = np.searchsorted(np.arange(K + 1) * T / K, ts, side="left") - 1
     k = np.where(ts == 0.0, 0, np.minimum(k, K - 1))
     return int(k) if k.ndim == 0 else k
@@ -96,87 +91,3 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     return expm(A * float(t))
-
-
-def solve_linear_ode(
-    A: np.ndarray,
-    b: np.ndarray,
-    grid: TimeGrid,
-    substeps: int = 4,
-) -> np.ndarray:
-    """Integrate y' = A y + b, y(0) = 0, with classical RK4.
-
-    Returns y at all grid points as a (K+1, d) array. Each grid step is
-    split into `substeps` RK4 sub-intervals, so the error is
-    O((dt/substeps)^4).
-    """
-    A = _check_square(A)
-    b = np.asarray(b, dtype=float)
-    d = A.shape[0]
-    if b.shape != (d,):
-        raise ValueError(f"b must have shape ({d},), got {b.shape}")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-
-    h = grid.dt / substeps
-    out = np.zeros((grid.K + 1, d))
-    y = np.zeros(d)
-
-    def f(y: np.ndarray) -> np.ndarray:
-        return A @ y + b
-
-    for j in range(grid.K):
-        for _ in range(substeps):
-            k1 = f(y)
-            k2 = f(y + 0.5 * h * k1)
-            k3 = f(y + 0.5 * h * k2)
-            k4 = f(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[j + 1] = y
-    return out
-
-
-def solve_lyapunov_ode(
-    A: np.ndarray,
-    Q: Callable[[float], np.ndarray],
-    grid: TimeGrid,
-    substeps: int = 4,
-) -> Sequence[np.ndarray]:
-    """Integrate C' = A C + C A^T + Q(t), C(0) = 0, with classical RK4.
-
-    Q maps a time to a symmetric d x d matrix. The result at every grid
-    point is re-symmetrized after each step, so the returned matrices are
-    symmetric to machine precision.
-    """
-    A = _check_square(A)
-    d = A.shape[0]
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-
-    def q_at(s: float) -> np.ndarray:
-        M = np.asarray(Q(s), dtype=float)
-        if M.shape != (d, d):
-            raise ValueError(f"Q({s}) has shape {M.shape}, expected ({d}, {d})")
-        if not np.allclose(M, M.T, atol=1e-10, rtol=1e-10):
-            raise ValueError(f"Q({s}) is not symmetric")
-        return M
-
-    h = grid.dt / substeps
-    C = np.zeros((d, d))
-    out = [C.copy()]
-
-    def f(C: np.ndarray, s: float) -> np.ndarray:
-        return A @ C + C @ A.T + q_at(s)
-
-    for j in range(grid.K):
-        t0 = grid.value(j)
-        for i in range(substeps):
-            s = t0 + i * h
-            k1 = f(C, s)
-            k2 = f(C + 0.5 * h * k1, s + 0.5 * h)
-            k3 = f(C + 0.5 * h * k2, s + 0.5 * h)
-            k4 = f(C + h * k3, s + h)
-            C = C + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            C = 0.5 * (C + C.T)
-        out.append(C.copy())
-    return out

@@ -58,9 +58,6 @@ class RandomStream:
     _gauss: np.random.Generator = field(repr=False)
     _uniform: np.random.Generator = field(repr=False)
 
-    def child(self, *suffix: int) -> "RandomStream":
-        return derive_stream(self.root_seed, self.index + tuple(suffix))
-
     def _unit_open_uniforms(self, shape) -> np.ndarray:
         # uniforms strictly inside (0, 1): safe input for the inverse CDF
         bits = self._gauss.integers(0, 2**53, size=shape)

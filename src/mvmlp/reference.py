@@ -16,13 +16,10 @@ then one d x d matrix-vector product.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .models import KuramotoParams, ModelSpec, OuParams, ou_diffusion
-from .numerics import TimeGrid, mat_exp, solve_lyapunov_ode
-from .randomness import RandomStream
+from .models import KuramotoParams, OuParams, ou_diffusion
+from .numerics import TimeGrid, mat_exp
 
 # the Kuramoto reference contracts a run's increments one chunk of steps at
 # a time, at most _RUN_DOUBLES doubles per run, and stacks as many runs as
@@ -59,26 +56,6 @@ def ou_mean(p: OuParams, xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return _affine_flow(p.A1 + p.A2, p.a0, xi, grid)
 
 
-def ou_marginal_cov(
-    p: OuParams, xi: np.ndarray, grid: TimeGrid, substeps: int = 4
-) -> list:
-    """Marginal covariance path via the Lyapunov ODE driven by Q(t) = S S^T.
-
-    S is the diffusion at the exact mean m(t); Q is cached per time, since
-    consecutive RK4 stages share their end points.
-    """
-    A12 = p.A1 + p.A2
-    xi = np.asarray(xi, dtype=float)
-
-    @lru_cache(maxsize=None)
-    def Q(s: float) -> np.ndarray:
-        E, v = _flow(A12, p.a0, s)
-        S = ou_diffusion(p, E @ xi + v)
-        return S @ S.T
-
-    return solve_lyapunov_ode(p.A1, Q, grid, substeps)
-
-
 def _check_increments(increments: np.ndarray, K: int, d: int) -> np.ndarray:
     incr = np.asarray(increments, dtype=float)
     if incr.ndim not in (2, 3) or incr.shape[-2:] != (K, d):
@@ -106,14 +83,17 @@ def ou_exact_path(
     # the mean takes the same e^{A1 dt} step, so its exact drift integral is m_{j+1} - E m_j
     forcing = means[1:] - means[:-1] @ E.T
 
+    # left-point diffusion time rule, for all steps in one call; its (K, 1, d)
+    # shape keeps each step a one-row product, bit-identical to a call per step
+    sigmas = ou_diffusion(p, means[:-1, None, :])[:, 0]
+
     out = np.zeros(incr.shape[:-2] + (K + 1, d))
     out[..., 0, :] = means[0]
     X = out[..., 0, :].copy()
 
     for j in range(K):
-        sigma = ou_diffusion(p, means[j])     # left-point diffusion time rule
         X = (np.einsum("ij,...j->...i", E, X) + forcing[j]
-             + np.einsum("ik,...k->...i", sigma, incr[..., j, :]))
+             + np.einsum("ik,...k->...i", sigmas[j], incr[..., j, :]))
         out[..., j + 1, :] = X
     return out
 
@@ -163,56 +143,3 @@ def kuramoto_reference_path(
                 out[group, j + 1] = X
             del G       # before the next block is made
     return out.reshape(incr.shape[:-2] + (K + 1, d))
-
-
-def _pairwise_partner_mean(fn, X: np.ndarray, partners: np.ndarray, chunk: int = 256):
-    """(1/N) sum_m fn(x_i, X_m) for every row i, chunked over i."""
-    N, d = partners.shape
-    outs = []
-    for start in range(0, X.shape[0], chunk):
-        xs = X[start:start + chunk]                        # (c, d)
-        # materialize both (c, N, d) arguments so the chunk axis survives
-        # even when fn depends on only one of them
-        xs_b = np.broadcast_to(xs[:, None, :], (xs.shape[0], N, d))
-        ps_b = np.broadcast_to(partners[None, :, :], (xs.shape[0], N, d))
-        vals = fn(xs_b, ps_b)                              # (c, N, ...)
-        outs.append(vals.sum(axis=1) / N)
-    return np.concatenate(outs, axis=0)
-
-
-def particle_system_path(
-    model: ModelSpec,
-    N: int,
-    grid: TimeGrid,
-    stream: RandomStream,
-) -> np.ndarray:
-    """Euler-Maruyama for the N-particle system; (N, K+1, d) values.
-
-    Each particle carries its own Brownian motion, drawn from a child
-    stream indexed by the particle number, so the result is independent of
-    scheduling.
-    """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    d, K, dt = model.d, grid.K, grid.dt
-
-    incr = np.empty((N, K, d))
-    for i in range(N):
-        incr[i] = np.sqrt(dt) * stream.child(i).normals((K, d))
-
-    drift_mean = model.drift_partner_mean or (
-        lambda x, partners: _pairwise_partner_mean(model.drift, x, partners)
-    )
-    diffusion_mean = model.diffusion_partner_mean or (
-        lambda x, partners: _pairwise_partner_mean(model.diffusion, x, partners)
-    )
-
-    out = np.zeros((N, K + 1, d))
-    X = np.broadcast_to(model.initial_value, (N, d)).copy()
-    out[:, 0, :] = X
-    for j in range(K):
-        mu = drift_mean(X, X)
-        sigma = diffusion_mean(X, X)
-        X = X + mu * dt + np.einsum("nik,nk->ni", sigma, incr[:, j, :])
-        out[:, j + 1, :] = X
-    return out

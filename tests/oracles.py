@@ -1,0 +1,158 @@
+"""Independent oracles the tests compare the package against.
+
+None of this code runs in `mvmlp-bench`: a matrix-exponential series, a
+classical RK4 stepper for the linear and Lyapunov ODEs, the OU marginal
+covariance, and the N-particle system whose empirical law approximates the
+McKean-Vlasov law (propagation of chaos).
+"""
+
+from functools import lru_cache
+
+import numpy as np
+
+from mvmlp.models import (
+    OuParams,
+    kuramoto_diffusion,
+    ou_diffusion,
+    ou_drift,
+)
+from mvmlp.randomness import derive_stream
+from mvmlp.reference import _flow
+
+
+def taylor_expm(A: np.ndarray, t: float, terms: int = 50) -> np.ndarray:
+    """Independent matrix-exponential oracle: scaled 50-term Taylor series."""
+    M = np.asarray(A, dtype=float) * t
+    norm = np.linalg.norm(M)
+    squarings = max(0, int(np.ceil(np.log2(norm)))) if norm > 0.5 else 0
+    M = M / 2**squarings
+    d = M.shape[0]
+    out = np.eye(d)
+    term = np.eye(d)
+    for k in range(1, terms + 1):
+        term = term @ M / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def rk4(f, y0: np.ndarray, grid, substeps: int = 4) -> np.ndarray:
+    """y' = f(t, y) from y0 by classical RK4; y at the K+1 grid points.
+
+    Each grid step is split into `substeps` RK4 steps, so the error is
+    O((dt/substeps)^4).
+    """
+    h = grid.dt / substeps
+    y = np.asarray(y0, dtype=float)
+    out = [y]
+    for j in range(grid.K):
+        for i in range(substeps):
+            s = j * grid.T / grid.K + i * h
+            k1 = f(s, y)
+            k2 = f(s + 0.5 * h, y + 0.5 * h * k1)
+            k3 = f(s + 0.5 * h, y + 0.5 * h * k2)
+            k4 = f(s + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+def solve_linear_ode(A, b, grid, substeps: int = 4) -> np.ndarray:
+    """y' = A y + b, y(0) = 0; (K+1, d)."""
+    return rk4(lambda s, y: A @ y + b, np.zeros(len(b)), grid, substeps)
+
+
+def solve_lyapunov_ode(A, Q, grid, substeps: int = 4) -> np.ndarray:
+    """C' = A C + C A^T + Q(t), C(0) = 0; (K+1, d, d).
+
+    C A^T is taken as (A C)^T, so C stays exactly symmetric for symmetric Q.
+    """
+    def f(s, C):
+        AC = A @ C
+        return AC + AC.T + Q(s)
+
+    return rk4(f, np.zeros(np.shape(A)), grid, substeps)
+
+
+def ou_marginal_cov(p: OuParams, xi, grid, substeps: int = 4) -> np.ndarray:
+    """Marginal covariance path via the Lyapunov ODE driven by Q(t) = S S^T.
+
+    S is the diffusion at the exact mean m(t); Q is cached per time, since
+    consecutive RK4 stages share their end points.
+    """
+    A12 = p.A1 + p.A2
+    xi = np.asarray(xi, dtype=float)
+
+    @lru_cache(maxsize=None)
+    def Q(s: float) -> np.ndarray:
+        E, v = _flow(A12, p.a0, s)
+        S = ou_diffusion(p, E @ xi + v)
+        return S @ S.T
+
+    return solve_lyapunov_ode(p.A1, Q, grid, substeps)
+
+
+def partner_means(p):
+    """O(N) forms of (1/N) sum_m f(x_i, X_m) for the drift and the diffusion."""
+    if isinstance(p, OuParams):
+        def drift(x, partners):
+            return ou_drift(p, x, np.broadcast_to(partners.mean(axis=0), x.shape))
+
+        def diffusion(x, partners):
+            sig = ou_diffusion(p, partners.mean(axis=0))
+            return np.broadcast_to(sig, x.shape[:-1] + (p.d, p.d))
+
+        return drift, diffusion
+
+    def drift(x, partners):
+        # mean of sin(x - y) over partners y, via the angle-difference identity
+        mean_cos = np.cos(partners).mean(axis=0)
+        mean_sin = np.sin(partners).mean(axis=0)
+        return p.mu0 * (np.sin(x) * mean_cos - np.cos(x) * mean_sin)
+
+    def diffusion(x, partners):
+        return kuramoto_diffusion(p, x)
+
+    return drift, diffusion
+
+
+def _pairwise_partner_mean(fn, X: np.ndarray, partners: np.ndarray, chunk: int = 256):
+    """(1/N) sum_m fn(x_i, X_m) for every row i, chunked; checks `partner_means`."""
+    N, d = partners.shape
+    outs = []
+    for start in range(0, X.shape[0], chunk):
+        xs = X[start:start + chunk]                        # (c, d)
+        # materialize both (c, N, d) arguments so the chunk axis survives
+        # even when fn depends on only one of them
+        xs_b = np.broadcast_to(xs[:, None, :], (xs.shape[0], N, d))
+        ps_b = np.broadcast_to(partners[None, :, :], (xs.shape[0], N, d))
+        vals = fn(xs_b, ps_b)                              # (c, N, ...)
+        outs.append(vals.sum(axis=1) / N)
+    return np.concatenate(outs, axis=0)
+
+
+def particle_system_path(model, N: int, grid, stream) -> np.ndarray:
+    """Euler-Maruyama for the N-particle system; (N, K+1, d) values.
+
+    Particle i draws its Brownian motion from the stream at `stream.index + (i,)`,
+    so the result is independent of scheduling.
+    """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    d, K, dt = model.d, grid.K, grid.dt
+    incr = np.empty((N, K, d))
+    for i in range(N):
+        particle = derive_stream(stream.root_seed, stream.index + (i,))
+        incr[i] = np.sqrt(dt) * particle.normals((K, d))
+
+    drift_mean, diffusion_mean = partner_means(model.params)
+    out = np.zeros((N, K + 1, d))
+    X = np.broadcast_to(model.initial_value, (N, d)).copy()
+    out[:, 0, :] = X
+    for j in range(K):
+        mu = drift_mean(X, X)
+        sigma = diffusion_mean(X, X)
+        X = X + mu * dt + np.einsum("nik,nk->ni", sigma, incr[:, j, :])
+        out[:, j + 1, :] = X
+    return out

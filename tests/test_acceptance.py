@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import taylor_expm
 from mvmlp.bench import ExperimentConfig, build_model, run_cell, run_experiment
 from mvmlp.mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate
 from mvmlp.models import (
@@ -18,15 +17,10 @@ from mvmlp.models import (
     ou_model,
     random_params,
 )
-from mvmlp.numerics import (
-    TimeGrid,
-    grid_floor_index,
-    mat_exp,
-    solve_linear_ode,
-    solve_lyapunov_ode,
-)
+from mvmlp.numerics import TimeGrid, grid_floor_index, mat_exp
 from mvmlp.randomness import derive_stream, sample_brownian_increments
-from mvmlp.reference import ou_mean, particle_system_path
+from mvmlp.reference import _affine_flow, ou_mean
+from oracles import particle_system_path, solve_linear_ode, taylor_expm
 
 
 def _line(num, ok, detail):
@@ -209,7 +203,7 @@ def test_06_dimension_robustness():
 
 
 def test_07_numerics_kernels():
-    """Matrix exponential, ODE solvers, and grid rounding against oracles."""
+    """Matrix exponential, the exact ODE flow, and grid rounding against oracles."""
     rng = np.random.default_rng(77)
     worst_exp = 0.0
     for _ in range(100):
@@ -220,14 +214,9 @@ def test_07_numerics_kernels():
     g = TimeGrid(T=1.0, K=8)
     A = rng.uniform(-0.5, 0.5, (3, 3))
     b = rng.uniform(-0.5, 0.5, 3)
-    lin_gap = float(np.max(np.abs(
-        solve_linear_ode(A, b, g, substeps=4) - solve_linear_ode(A, b, g, substeps=64)
+    flow_gap = float(np.max(np.abs(
+        _affine_flow(A, b, np.zeros(3), g) - solve_linear_ode(A, b, g, substeps=64)
     )))
-    M = rng.uniform(-0.5, 0.5, (3, 3))
-    Q0 = M @ M.T
-    coarse = solve_lyapunov_ode(A, lambda s: (1 + s) * Q0, g, substeps=4)
-    fine = solve_lyapunov_ode(A, lambda s: (1 + s) * Q0, g, substeps=64)
-    lyap_gap = float(max(np.max(np.abs(c - f)) for c, f in zip(coarse, fine)))
 
     floor_ok = True
     for K in range(1, 65):
@@ -237,13 +226,13 @@ def test_07_numerics_kernels():
             k = grid_floor_index(float(t), grid)
             if not (0 <= k <= K - 1):
                 floor_ok = False
-            if t > 0 and not (grid.value(k) < t <= grid.value(k + 1)):
+            if t > 0 and not (k * grid.T / grid.K < t <= (k + 1) * grid.T / grid.K):
                 floor_ok = False
 
-    ok = worst_exp <= 1e-10 and lin_gap < 1e-7 and lyap_gap < 1e-7 and floor_ok
+    ok = worst_exp <= 1e-10 and flow_gap < 1e-10 and floor_ok
     _line(7, ok,
-          f"mat_exp gap {worst_exp:.1e} (tol 1e-10), ODE refinement gaps "
-          f"{lin_gap:.1e}/{lyap_gap:.1e} (tol 1e-7), grid floor ok: {floor_ok}")
+          f"mat_exp gap {worst_exp:.1e} (tol 1e-10), exact flow vs RK4 gap "
+          f"{flow_gap:.1e} (tol 1e-10), grid floor ok: {floor_ok}")
     assert ok
 
 

@@ -13,7 +13,6 @@ from mvmlp.bench import (
     l2_error,
     render_csv,
     render_markdown,
-    rows_from_json,
     rows_to_json,
     run_cell,
     run_experiment,
@@ -156,6 +155,9 @@ class TestExperiment:
             run_experiment(ExperimentConfig(d=101, levels=((1, 1),)))
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(levels=((5, 1),)))
+        # K = 10**10 steps: refused before any draw, whose increments alone would be 224 GiB
+        with pytest.raises(ValueError, match="K = m\\*\\*n <= 256"):
+            run_experiment(ExperimentConfig(d=3, levels=((2, 100000),), runs=1))
 
     def test_desk_cap_refusal_draws_no_model(self, monkeypatch, capsys):
         # a d = 1000 draw would allocate an 8 GB (d, d, d) family just to
@@ -207,8 +209,7 @@ class TestOutputs:
 
     def test_json_round_trip(self):
         rows = self._rows()
-        back = rows_from_json(rows_to_json(rows))
-        assert back == rows
+        assert json.loads(rows_to_json(rows)) == [r.as_dict() for r in rows]
 
     def test_markdown_table(self):
         text = render_markdown(self._rows())
@@ -260,9 +261,10 @@ class TestCli:
         assert text.startswith(CSV_HEADER)
 
     def test_desk_cap_exit_code(self, capsys):
-        rc = main(["--model", "ou", "--d", "2", "--levels", "5", "--runs", "1"])
-        assert rc == 2
-        assert "desk-scale caps" in capsys.readouterr().err
+        for levels in ("5", "2x100000"):
+            rc = main(["--model", "ou", "--d", "2", "--levels", levels, "--runs", "1"])
+            assert rc == 2
+            assert "desk-scale caps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

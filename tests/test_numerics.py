@@ -3,24 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmlp.numerics import (
-    DiscretePath,
-    TimeGrid,
-    grid_floor_index,
-    mat_exp,
-    solve_linear_ode,
-    solve_lyapunov_ode,
-)
-
-from conftest import taylor_expm
+from mvmlp.numerics import DiscretePath, TimeGrid, grid_floor_index, mat_exp
+from oracles import solve_linear_ode, solve_lyapunov_ode, taylor_expm
 
 
 class TestTimeGrid:
     def test_values(self):
         g = TimeGrid(T=2.0, K=4)
         assert g.dt == 0.5
-        assert g.value(0) == 0.0
-        assert g.value(4) == 2.0
         np.testing.assert_allclose(g.times(), [0, 0.5, 1.0, 1.5, 2.0])
 
     def test_invalid(self):
@@ -72,8 +62,8 @@ class TestGridFloorIndex:
                 k = grid_floor_index(float(t), g)
                 assert 0 <= k <= K - 1
                 if t > 0:
-                    assert g.value(k) < t
-                    assert g.value(k + 1) >= t
+                    assert k * g.T / g.K < t
+                    assert (k + 1) * g.T / g.K >= t
                 scalar.append(k)
             batch = grid_floor_index(ts, g)
             assert batch.dtype.kind == "i" and batch.shape == ts.shape
@@ -87,7 +77,7 @@ class TestGridFloorIndex:
     )
     def test_array_invariants(self, K, T, fractions):
         g = TimeGrid(T=T, K=K)
-        points = np.array([g.value(k) for k in range(K + 1)] + [T])
+        points = np.array([k * T / K for k in range(K + 1)] + [T])
         ts = np.concatenate([points[points <= T], np.array(fractions) * T])
         k = grid_floor_index(ts, g)
         assert ((0 <= k) & (k <= K - 1)).all()
@@ -159,24 +149,20 @@ class TestSolveLinearOde:
         fine = solve_linear_ode(A, b, g, substeps=64)
         assert np.max(np.abs(coarse - fine)) < 1e-7
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_linear_ode(np.zeros((3, 3)), np.ones(2), TimeGrid(T=1.0, K=2))
-
 
 class TestSolveLyapunovOde:
     def test_identity_forcing(self):
         g = TimeGrid(T=1.0, K=5)
         Cs = solve_lyapunov_ode(np.zeros((3, 3)), lambda s: np.eye(3), g)
         for j, C in enumerate(Cs):
-            np.testing.assert_allclose(C, g.value(j) * np.eye(3), atol=1e-13)
+            np.testing.assert_allclose(C, g.times()[j] * np.eye(3), atol=1e-13)
 
     def test_scalar_closed_form(self):
         a, q = 0.6, 2.0
         g = TimeGrid(T=1.0, K=10)
         Cs = solve_lyapunov_ode(np.array([[a]]), lambda s: np.array([[q]]), g, substeps=16)
         for j, C in enumerate(Cs):
-            want = (q / (2 * a)) * (np.exp(2 * a * g.value(j)) - 1)
+            want = (q / (2 * a)) * (np.exp(2 * a * g.times()[j]) - 1)
             assert abs(C[0, 0] - want) < 1e-8
 
     def test_self_refinement_and_symmetry(self):
@@ -195,9 +181,3 @@ class TestSolveLyapunovOde:
             assert np.max(np.abs(Cc - Cf)) < 1e-7
             assert np.max(np.abs(Cc - Cc.T)) <= 1e-12
             assert np.linalg.eigvalsh(Cc).min() >= -1e-9
-
-    def test_non_symmetric_q_rejected(self):
-        g = TimeGrid(T=1.0, K=2)
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            solve_lyapunov_ode(np.zeros((2, 2)), lambda s: bad, g)

@@ -38,10 +38,6 @@ class TestDeriveStream:
         a.uniforms((50,))
         assert np.array_equal(a.normals((10,)), b.normals((10,)))
 
-    def test_child_extends_index(self):
-        s = derive_stream(1, (4,))
-        assert s.child(2, 3).index == (4, 2, 3)
-
     def test_index_to_key_injective(self):
         # one million generated indices, no collision
         keys = set()

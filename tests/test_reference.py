@@ -17,13 +17,16 @@ from mvmlp.randomness import derive_stream, sample_brownian_increments
 from mvmlp.reference import (
     _affine_flow,
     _flow,
-    _pairwise_partner_mean,
     kuramoto_moments,
     kuramoto_reference_path,
     ou_exact_path,
-    ou_marginal_cov,
     ou_mean,
+)
+from oracles import (
+    _pairwise_partner_mean,
+    ou_marginal_cov,
     particle_system_path,
+    partner_means,
 )
 
 
@@ -32,9 +35,8 @@ def _ou(d, seed=0, scale=0.25):
 
 
 def _batch_increments(seed, N, K, d, dt):
-    stream = derive_stream(seed, (9,))
     return np.stack(
-        [np.sqrt(dt) * stream.child(i).normals((K, d)) for i in range(N)]
+        [np.sqrt(dt) * derive_stream(seed, (9, i)).normals((K, d)) for i in range(N)]
     )
 
 
@@ -110,7 +112,7 @@ class TestOuMarginalCov:
         Q0 = b @ b.T
         Cs = ou_marginal_cov(p, np.ones(d), grid)
         for j, C in enumerate(Cs):
-            np.testing.assert_allclose(C, grid.value(j) * Q0, atol=1e-10)
+            np.testing.assert_allclose(C, grid.times()[j] * Q0, atol=1e-10)
 
     def test_scalar_closed_form(self):
         a, bb = -0.4, 0.6
@@ -120,7 +122,7 @@ class TestOuMarginalCov:
         Cs = ou_marginal_cov(p, np.zeros(1), grid, substeps=16)
         q = bb * bb
         for j, C in enumerate(Cs):
-            want = (q / (2 * a)) * (np.exp(2 * a * grid.value(j)) - 1)
+            want = (q / (2 * a)) * (np.exp(2 * a * grid.times()[j]) - 1)
             assert abs(C[0, 0] - want) < 1e-8
 
     def test_monte_carlo_validation(self):
@@ -331,12 +333,13 @@ class TestParticleSystem:
         for kind, build in (("ou", ou_model), ("kuramoto", kuramoto_model)):
             p = random_params(kind, 3, derive_stream(13, (0,)))
             model = build(p)
+            drift_mean, diffusion_mean = partner_means(p)
             rng = np.random.default_rng(14)
             X = rng.normal(scale=2, size=(40, 3)) + model.initial_value
-            fast_mu = model.drift_partner_mean(X, X)
+            fast_mu = drift_mean(X, X)
             slow_mu = _pairwise_partner_mean(model.drift, X, X, chunk=7)
             np.testing.assert_allclose(fast_mu, slow_mu, atol=1e-10)
-            fast_sig = model.diffusion_partner_mean(X, X)
+            fast_sig = diffusion_mean(X, X)
             slow_sig = _pairwise_partner_mean(model.diffusion, X, X, chunk=7)
             np.testing.assert_allclose(fast_sig, slow_sig, atol=1e-10)
 
