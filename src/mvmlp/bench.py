@@ -263,16 +263,18 @@ def estimate_experiment_cost(cfg: ExperimentConfig) -> int:
 
 def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
     """Run all cells and write any configured outputs."""
-    too_large = cfg.d > DESK_MAX_D or any(
-        n > DESK_MAX_N or _cell_steps(n, m) > DESK_MAX_K for n, m in cfg.levels
-    )
-    if too_large and not cfg.allow_large:
-        raise ValueError(
-            f"cells exceed desk-scale caps (d <= {DESK_MAX_D}, n <= {DESK_MAX_N}, "
-            f"K = m**n <= {DESK_MAX_K}); "
-            f"estimated total cost {estimate_experiment_cost(cfg)} units. "
-            "Pass allow_large=True / --allow-large to run anyway."
-        )
+    deep = [(n, m) for n, m in cfg.levels if n > DESK_MAX_N or _cell_steps(n, m) > DESK_MAX_K]
+    if (deep or cfg.d > DESK_MAX_D) and not cfg.allow_large:
+        caps = f"(d <= {DESK_MAX_D}, n <= {DESK_MAX_N}, K = m**n <= {DESK_MAX_K})"
+        if deep:
+            # the exact cost of a deep cell is a long big-integer loop, and
+            # its figure can be too long to print: name the cell instead
+            n, m = deep[0]
+            what = f"cell (n={n}, m={m}) exceeds desk-scale caps {caps}"
+        else:
+            what = (f"cells exceed desk-scale caps {caps}; "
+                    f"estimated total cost {estimate_experiment_cost(cfg)} units")
+        raise ValueError(f"{what}. Pass allow_large=True / --allow-large to run anyway.")
     if cfg.out_dir is not None:
         # a path that cannot be a directory fails here, before any cell runs
         try:

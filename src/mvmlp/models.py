@@ -250,7 +250,11 @@ def random_params(
         raise ValueError(f"scale must be positive, got {scale}")
 
     def u(shape):
-        return 2.0 * stream.uniforms(shape) - 1.0
+        # 2 v - 1 in place: the same bits as the expression, one array
+        draw = stream.uniforms(shape)
+        draw *= 2.0
+        draw -= 1.0
+        return draw
 
     def to_norm(arr, target):
         nrm = float(np.linalg.norm(arr))

@@ -9,6 +9,7 @@ no floating-point re-quantization downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -34,6 +35,12 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """All grid times as a (K+1,) array."""
         return np.arange(self.K + 1) * (self.T / self.K)
+
+    @cached_property
+    def _floor_breaks(self) -> np.ndarray:
+        # the grid times k T / K of 0 < k < K, rounded as the floor's bounds
+        # are; built once per grid (a frozen dataclass still has a __dict__)
+        return np.arange(1, self.K) * self.T / self.K
 
 
 @dataclass(frozen=True)
@@ -66,13 +73,14 @@ def grid_floor_index(t: float | np.ndarray, grid: TimeGrid) -> int | np.ndarray:
     times (returns an int array of the same shape).
     """
     ts = np.asarray(t, dtype=float)
-    outside = ~((0.0 <= ts) & (ts <= grid.T))
-    if outside.any():
+    # a NaN fails both compares, as min and max propagate it
+    if ts.size and not (0.0 <= ts.min() and ts.max() <= grid.T):
+        outside = ~((0.0 <= ts) & (ts <= grid.T))
         raise ValueError(f"t = {ts[outside].flat[0]} outside [0, {grid.T}]")
-    K, T = grid.K, grid.T
     # k T/K < t <= (k+1) T/K exactly: the last grid time strictly below t
-    k = np.searchsorted(np.arange(K + 1) * T / K, ts, side="left") - 1
-    k = np.where(ts == 0.0, 0, np.minimum(k, K - 1))
+    # is the count of inner grid times below it; t = 0 counts none, and a
+    # t above the rounded (K-1) T/K counts all K - 1
+    k = np.searchsorted(grid._floor_breaks, ts, side="left")
     return int(k) if k.ndim == 0 else k
 
 

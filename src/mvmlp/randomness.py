@@ -8,12 +8,20 @@ streams are computationally independent of their parents. Gaussian
 variates are produced by the inverse-CDF transform applied to Philox
 uniforms; this fixed transformation is what makes runs bit-reproducible
 regardless of scheduling or platform.
+
+A stream is its keys and its positions, not a generator: each draw sets
+one Philox engine per thread to the stream's key and position, draws,
+and advances the position. Word p of a key is the word a fresh
+`Philox(key=key)` returns as its p-th, so every draw is bit for bit what
+a generator of its own would give, without building one (and without the
+OS-entropy read that `Philox(key=...)` makes and then discards).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -28,6 +36,11 @@ _DOMAIN_GAUSS = 0x67617573
 _DOMAIN_UNIFORM = 0x756E6966
 
 _U64 = 2**64
+_MASK64 = _U64 - 1
+# Philox makes 64-bit words in blocks of 4, one block per counter value
+_BLOCK = 4
+
+_local = threading.local()
 
 
 def _stream_key(root_seed: int, index: MultiIndex, domain: int) -> int:
@@ -39,8 +52,35 @@ def _stream_key(root_seed: int, index: MultiIndex, domain: int) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:16], "little")
 
 
-def _make_generator(key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=key))
+def _key_words(key: int) -> Tuple[int, int]:
+    # the little-endian 64-bit words Philox(key=key) splits a 128-bit key into
+    return key & _MASK64, key >> 64
+
+
+def _generator_at(key: Tuple[int, int], pos: int) -> np.random.Generator:
+    """This thread's generator, its engine set to word `pos` of key `key`.
+
+    A fresh Philox has counter 0 and an empty buffer, and fills its buffer
+    from counter c + 1 when it runs out, so after p words its counter is
+    p // 4 with an empty buffer when 4 divides p; otherwise the p % 4 words
+    of the next block are drawn again and dropped.
+    """
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        # an explicit seed: a seedless Philox would read OS entropy
+        gen = _local.generator = np.random.Generator(np.random.Philox(0))
+    engine = gen.bit_generator
+    engine.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (pos // _BLOCK, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": _BLOCK,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    if pos % _BLOCK:
+        engine.random_raw(pos % _BLOCK)
+    return gen
 
 
 @dataclass
@@ -48,39 +88,56 @@ class RandomStream:
     """Deterministic stream fully determined by (root_seed, index).
 
     Brownian-increment draws and uniform draws live on separate Philox
-    substreams, so the order in which the two kinds are consumed cannot
-    cause aliasing. A stream is single-owner: parallel code derives child
+    substreams (one key each), so the order in which the two kinds are
+    consumed cannot cause aliasing. Each substream's position counts the
+    64-bit words drawn from it; every draw below takes exactly one word
+    per value. A stream is single-owner: parallel code derives child
     streams instead of sharing one.
     """
 
     root_seed: int
     index: MultiIndex
-    _gauss: np.random.Generator = field(repr=False)
-    _uniform: np.random.Generator = field(repr=False)
-
-    def _unit_open_uniforms(self, shape) -> np.ndarray:
-        # uniforms strictly inside (0, 1): safe input for the inverse CDF
-        bits = self._gauss.integers(0, 2**53, size=shape)
-        return (bits + 0.5) / 2**53
+    _gauss_key: Tuple[int, int] = field(repr=False)
+    _uniform_key: Tuple[int, int] = field(repr=False)
+    _gauss_pos: int = field(default=0, repr=False)
+    _uniform_pos: int = field(default=0, repr=False)
 
     def normals(self, shape) -> np.ndarray:
-        return ndtri(self._unit_open_uniforms(shape))
+        """Standard normals, ndtri(((word >> 11) + 1/2) / 2**53) per word.
+
+        (word >> 11) is what `Generator.integers(0, 2**53)` returns for the
+        same word: Lemire's bounded draw never rejects at a range of 2**53.
+        The +1/2 keeps the uniform strictly inside (0, 1).
+        """
+        gen = _generator_at(self._gauss_key, self._gauss_pos)
+        words = gen.bit_generator.random_raw(shape)
+        self._gauss_pos += words.size
+        np.right_shift(words, 11, out=words)
+        out = words.view(np.float64)
+        np.add(words, 0.5, out=out)
+        out *= 2.0**-53
+        return ndtri(out, out=out)
 
     def uniform(self) -> float:
-        return float(self._uniform.random())
+        gen = _generator_at(self._uniform_key, self._uniform_pos)
+        self._uniform_pos += 1
+        return float(gen.random())
 
     def uniforms(self, shape) -> np.ndarray:
-        return self._uniform.random(shape)
+        gen = _generator_at(self._uniform_key, self._uniform_pos)
+        out = gen.random(shape)
+        self._uniform_pos += out.size
+        return out
 
 
 def derive_stream(root_seed: int, index: MultiIndex) -> RandomStream:
     """Stream for a multi-index; equal arguments give identical sequences."""
-    index = tuple(int(i) for i in index)
+    index = tuple(map(int, index))
     return RandomStream(
         root_seed=root_seed,
         index=index,
-        _gauss=_make_generator(_stream_key(root_seed, index, _DOMAIN_GAUSS)),
-        _uniform=_make_generator(_stream_key(root_seed, index, _DOMAIN_UNIFORM)),
+        _gauss_key=_key_words(_stream_key(root_seed, index, _DOMAIN_GAUSS)),
+        _uniform_key=_key_words(_stream_key(root_seed, index, _DOMAIN_UNIFORM)),
     )
 
 

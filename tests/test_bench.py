@@ -174,6 +174,18 @@ class TestExperiment:
         assert rc == 2
         assert err == f"estimated total cost: {cost} units\nerror: model drawn\n"
 
+    def test_deep_cell_refused_without_its_cost(self, monkeypatch):
+        # the exact cost of n = 2000 is an O(n**2) big-integer loop whose
+        # figure Python would refuse to print: the refusal names the cell
+        def no_cost(*args):
+            raise AssertionError("cost computed")
+
+        monkeypatch.setattr("mvmlp.bench.analytic_cost", no_cost)
+        for d in (3, 1000):
+            with pytest.raises(ValueError, match=r"cell \(n=2000, m=2000\) exceeds desk-scale "
+                                                 r"caps \(d <= 100, n <= 4, K = m\*\*n <= 256\)"):
+                run_experiment(ExperimentConfig(d=d, levels=((1, 1), (2000, 2000)), runs=1))
+
     def test_cost_estimate_sums_cells(self):
         cfg = ExperimentConfig(model="ou", d=2, levels=((1, 1), (2, 2)), runs=3)
         units = build_model(cfg).unit_costs

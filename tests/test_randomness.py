@@ -1,15 +1,54 @@
 import hashlib
 import struct
+import sys
+import threading
 
 import numpy as np
+import numpy.random.bit_generator
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtri
 
+from mvmlp.mlp import CostLedger, MlpConfig, mlp_estimate
+from mvmlp.models import ou_model, random_params
+from mvmlp.numerics import TimeGrid
 from mvmlp.randomness import (
+    _DOMAIN_GAUSS,
+    _DOMAIN_UNIFORM,
     _stream_key,
     derive_stream,
     sample_brownian_increments,
 )
+
+
+class _NumpyStream:
+    """The reference path: one numpy Generator per substream key."""
+
+    def __init__(self, root_seed, index):
+        self._gauss = np.random.Generator(
+            np.random.Philox(key=_stream_key(root_seed, index, _DOMAIN_GAUSS)))
+        self._uniform = np.random.Generator(
+            np.random.Philox(key=_stream_key(root_seed, index, _DOMAIN_UNIFORM)))
+
+    def normals(self, shape):
+        return ndtri((self._gauss.integers(0, 2**53, size=shape) + 0.5) / 2**53)
+
+    def uniform(self):
+        return float(self._uniform.random())
+
+    def uniforms(self, shape):
+        return self._uniform.random(shape)
+
+
+def _draw(stream, kind, shape):
+    return getattr(stream, kind)() if kind == "uniform" else getattr(stream, kind)(shape)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestDeriveStream:
@@ -72,6 +111,119 @@ class TestDeriveStream:
     def test_length_prefix_prevents_aliasing(self):
         assert _stream_key(0, (1, 2), 0) != _stream_key(0, (1, 2, 0), 0)
         assert _stream_key(0, (), 0) != _stream_key(0, (0,), 0)
+
+
+class TestDrawPath:
+    """Draws from re-keyed engines equal one numpy generator per substream."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        indices=st.lists(st.lists(st.integers(0, 2**64 - 1), max_size=6),
+                         min_size=2, max_size=2, unique_by=tuple),
+        draws=st.lists(
+            st.tuples(st.integers(0, 1), st.sampled_from(["normals", "uniform", "uniforms"]),
+                      st.lists(st.integers(0, 7), max_size=3).map(tuple)),
+            max_size=12,
+        ),
+    )
+    def test_interleaved_draws_match_numpy(self, seed, indices, draws):
+        # two streams drawn over several calls in an interleaved order, each
+        # call at any word position inside a Philox block of four
+        ours = [derive_stream(seed, tuple(ix)) for ix in indices]
+        ref = [_NumpyStream(seed, tuple(ix)) for ix in indices]
+        for which, kind, shape in draws:
+            assert _same_bits(_draw(ours[which], kind, shape), _draw(ref[which], kind, shape))
+
+    def test_large_draws_match_numpy(self):
+        # arrays past numpy's ufunc buffer, after an odd-sized first draw
+        ours, ref = derive_stream(5, (1, 2, 3)), _NumpyStream(5, (1, 2, 3))
+        for shape in ((3,), (300, 101), (7, 2, 1000)):
+            assert _same_bits(ours.normals(shape), ref.normals(shape))
+            assert _same_bits(ours.uniforms(shape), ref.uniforms(shape))
+
+    def test_no_entropy_read_in_an_estimator_call(self, monkeypatch):
+        reads = []
+        real = numpy.random.bit_generator.randbits
+
+        def counting(bits):
+            reads.append(bits)
+            return real(bits)
+
+        monkeypatch.setattr(numpy.random.bit_generator, "randbits", counting)
+        np.random.Philox(key=1)
+        assert len(reads) == 1, "the patch must see a seedless Philox read entropy"
+        d, grid = 3, TimeGrid(T=1.0, K=8)
+        model = ou_model(random_params("ou", d, derive_stream(0, (0,))))
+        cfg = MlpConfig(n=3, m=2, grid=grid)
+        incr = sample_brownian_increments(derive_stream(0, (1, 0)), grid.K, d, grid.dt)
+
+        def call():
+            return mlp_estimate(model, cfg, (1, 0), 0, incr, CostLedger())
+
+        call()      # warm-up
+        reads.clear()
+        call()
+        assert reads == []
+
+    def test_threads_drawing_alternately_get_serial_values(self):
+        steps, shape = 6, (5, 3)
+        serial = [[(s.normals(shape), s.uniform()) for _ in range(steps)]
+                  for s in (derive_stream(4, (t,)) for t in range(2))]
+        got = [[], []]
+        turn = threading.Condition()
+        state = {"next": 0}
+
+        def worker(t):
+            stream = derive_stream(4, (t,))
+            for _ in range(steps):
+                with turn:
+                    if not turn.wait_for(lambda: state["next"] == t, timeout=30):
+                        return
+                    got[t].append((stream.normals(shape), stream.uniform()))
+                    state["next"] = 1 - t
+                    turn.notify_all()
+
+        _run_threads(worker, 2)
+        for t in range(2):
+            assert len(got[t]) == steps
+            for (z, u), (z0, u0) in zip(got[t], serial[t]):
+                assert _same_bits(z, z0) and u == u0
+
+    def test_free_running_threads_get_serial_values(self):
+        # more threads than cores, switching often: a draw that another
+        # thread could re-key midway would give other values
+        n_threads, steps, shape = 6, 40, (7, 3)
+
+        def draws(t):
+            stream = derive_stream(8, (t,))
+            return [(stream.normals(shape), stream.uniform()) for _ in range(steps)]
+
+        serial = [draws(t) for t in range(n_threads)]
+        got = {}
+
+        def worker(t):
+            got[t] = draws(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(worker, n_threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(got) == list(range(n_threads))
+        for t in range(n_threads):
+            for (z, u), (z0, u0) in zip(got[t], serial[t]):
+                assert _same_bits(z, z0) and u == u0
+
+
+def _run_threads(target, count):
+    threads = [threading.Thread(target=target, args=(t,)) for t in range(count)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
 
 
 class TestBrownianIncrements:
