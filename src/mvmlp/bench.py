@@ -123,6 +123,11 @@ class ExperimentConfig:
         for n, m in self.levels:
             if n < 0 or m < 1:
                 raise ValueError(f"invalid level pair (n={n}, m={m})")
+            # the grid step T / K needs K = m**n as a float: n log2(m) < 1024,
+            # checked without forming m**n (the desk caps bound K without it)
+            if self.allow_large and m > 1 and n >= 1024 / math.log2(m):
+                raise ValueError(f"cell (n={n}, m={m}) has a grid K = m**n too large "
+                                 f"for a float (n * log2(m) >= 1024)")
         if self.model not in ("ou", "kuramoto"):
             raise ValueError(f"unknown model {self.model!r}")
 

@@ -21,8 +21,9 @@ caller's increments to both halves, and only then subtracts the two (K, d)
 step arrays; the (2K, d, d) block is released before the next iteration
 recurses. The call always has 2K rows, fixed by the cell; which of them
 BLAS multiplies (and so its bits) depends only on the states, since the
-models multiply a run of equal rows once and copy a run of initial-value
-rows from a product made when the model is built.
+models copy the trailing block of zero rows (U_0 at l = 1) and the trailing
+block of initial-value rows before it (Kuramoto's U_1 = xi) and multiply
+every row before them in one product.
 
 Drift correction: the (n, k, l) iteration draws one uniform time u and
 adds t_j / m^(n-l) * (mu(x1, x2) - mu(x3, x4)) to row j, with the four
@@ -39,7 +40,7 @@ import numpy as np
 
 from .models import CostUnits, ModelSpec
 from .numerics import DiscretePath, TimeGrid, grid_floor_index
-from .randomness import MultiIndex, derive_stream
+from .randomness import MultiIndex, derive_stream, sample_brownian_increments
 
 logger = logging.getLogger(__name__)
 
@@ -153,7 +154,7 @@ def mlp_estimate(
             for k in range(1, fanout + 1):
                 block = (n, k, level)
                 child_stream = derive_stream(root_seed, theta + block + (_FRESH,))
-                fresh = np.sqrt(dt) * child_stream.normals((K, d))
+                fresh = sample_brownian_increments(child_stream, K, d, dt)
                 ledger.rv_draws += K * d
                 W_fresh = brownian_path(fresh)
 
@@ -195,25 +196,21 @@ def analytic_cost(n: int, m: int, K: int, d: int, units: CostUnits) -> int:
     and one diffusion evaluation; each (l, k) iteration pays the two
     caller-side and two fresh-noise sub-estimates, K*d scalar draws for
     the fresh Brownian path, one uniform draw, two drift evaluations and
-    2K diffusion evaluations.
+    2K diffusion evaluations. The sum over l < n of m**(n-l) times the
+    iteration cost at l is carried from level to level as
+    S_n = m (S_{n-1} + 2 c_{n-1} + 2 c_{n-2} + e), so one pass does it.
     """
     if n < 0 or m < 1 or K < 1 or d < 1:
         raise ValueError(f"invalid arguments {(n, m, K, d)}")
-    costs = [0] * (n + 1)
-    for nn in range(1, n + 1):
-        total = units.cost_mu + units.cost_sigma
-        for level in range(1, nn):
-            per_k = (
-                2 * costs[level]
-                + 2 * costs[level - 1]
-                + K * d * units.cost_rv
-                + units.cost_rv
-                + 2 * units.cost_mu
-                + 2 * K * units.cost_sigma
-            )
-            total += m ** (nn - level) * per_k
-        costs[nn] = total
-    return costs[n]
+    if n == 0:
+        return 0
+    base = units.cost_mu + units.cost_sigma
+    e = K * d * units.cost_rv + units.cost_rv + 2 * units.cost_mu + 2 * K * units.cost_sigma
+    total, prev, cost = 0, 0, base      # S_1, c_0, c_1
+    for _ in range(2, n + 1):
+        total = m * (total + 2 * cost + 2 * prev + e)
+        prev, cost = cost, base + total
+    return cost
 
 
 def verify_ledger(

@@ -8,13 +8,13 @@ benchmark coefficients broadcast over leading batch dimensions.
 Layout: each (d, d, d) diffusion family P[k, i, j] (OuParams.B,
 KuramotoParams.Sigma) is a view of one C-contiguous (d, d*d) buffer
 indexed [j, (k, i)], which is the GEMM operand of every diffusion call;
-the family is never held twice. Repeated states: the part of sigma that
-reads a state is linear, so the estimator's zero states U_0 (its base call
-and the trailing lo rows at l = 1) skip the product and get sigma(0)
-directly, and each run of equal consecutive state rows in a call (the
-constant U_1 = xi of Kuramoto, whose coefficients vanish at 0) is
-multiplied once and copied. Each model multiplies its initial value xi once
-when it is built, and a run headed by xi copies that row without a product.
+the family is never held twice. One reuse rule: the part of sigma that
+reads a state is linear, so a call's trailing block of zero state rows
+(U_0, the estimator's base call and lo half at l = 1) and the trailing
+block of xi rows before it (the constant U_1 = xi of Kuramoto, whose
+coefficients vanish at 0) copy a row that needs no product: zeros, or the
+product of xi that each model makes once when it is built. Every row
+before those blocks goes through one GEMM.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _gemm_layout(P: np.ndarray) -> np.ndarray:
 
 
 def _stacked_apply(P: np.ndarray, x: np.ndarray, known: Optional[tuple] = None) -> np.ndarray:
-    """[..., k, i] = sum_j P[k, i, j] x[..., j], as BLAS GEMMs.
+    """[..., k, i] = sum_j P[k, i, j] x[..., j], as one BLAS GEMM.
 
     P must be in the `_gemm_layout`, so the operand (d, d*d) [j, (k, i)] is
     a view of the contiguous buffer BLAS packs fastest; callers return the
@@ -137,23 +137,15 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray, known: Optional[tuple] = None) 
     [k, i] layout, so it goes through the swapped view again rather than
     copying.
 
-    Repeated states are multiplied once. A zero 1-D x (the estimator's
-    base call sigma(0, 0)) gets exact zeros. A 2-D x is multiplied only up
-    to its last nonzero row, and the zero rows after it get exact zeros:
-    the estimator stacks its hi rows first and its lo rows (level l - 1)
-    last, and at l = 1 the lo half is U_0 = 0. Before them, each maximal
-    run of equal consecutive rows is multiplied once and its other rows
-    copy that product. A level-1 path is the constant U_1 = xi when the
-    coefficients vanish at 0 (Kuramoto), so the hi half at l = 1 and the lo
-    half at l = 2 are one run each. Equal rows are screened on column 0 and
-    confirmed in full only on the hits, so a state without repeats pays one
-    compare of its first column and one product. The rows between runs go
-    through one product per stretch, written straight into the output; no
-    gathered copy is made. `known` is a state and its product row, as
-    `_known_row` makes them: a run headed by that state copies the row, and
-    the stretch before the run ends one row earlier. Other inputs (a nonzero
-    1-D x, more than one leading axis) take the plain product. BLAS bits
-    depend on the number of rows per call, and so on which rows repeat.
+    One reuse rule: a zero 1-D x (the base call sigma(0, 0)) gets exact
+    zeros; a 2-D x's trailing block of zero rows, and the trailing block of
+    rows equal to `known[0]` before it, copy zeros and `known[1]` (the row
+    `_known_row` made); every row before them goes through one product.
+    The estimator stacks its hi rows first and its lo rows last, so these
+    are U_0 = 0 at l = 1 and, for Kuramoto, U_1 = xi. Other inputs (a
+    nonzero 1-D x, more than one leading axis) take the plain product.
+    BLAS bits depend on the number of rows per call, and so on the length
+    of the blocks.
     """
     d = P.shape[0]
     op = P.transpose(2, 0, 1).reshape(d, d * d)
@@ -162,41 +154,33 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray, known: Optional[tuple] = None) 
         return np.zeros((d, d))
     if x.ndim != 2:
         return np.matmul(x, op).reshape(x.shape[:-1] + (d, d))
-    rows = n = x.shape[0]
-    if n and not np.count_nonzero(x[-1]):
-        # one flat mask: a per-row any() costs as much as the product at d = 10
-        live = np.flatnonzero(x.reshape(-1) != 0)
-        n = live[-1] // d + 1 if live.size else 0
+    rows = end = x.shape[0]
     out = np.empty((rows, d * d))
-    out[n:] = 0.0
-    col = x[:n, 0]
-    hit = col[1:] == col[:-1]
-    done = 0
-    if np.count_nonzero(hit):
-        same = np.flatnonzero(hit) + 1
-        same = same[(x[same] == x[same - 1]).all(axis=1)]
-        # each maximal run [a, b) of rows equal to their predecessor copies row a - 1
-        firsts = same[np.diff(same, prepend=-1) != 1].tolist()
-        lasts = (same[np.diff(same, append=n + 1) != 1] + 1).tolist()
-        for a, b in zip(firsts, lasts):
-            if known is not None and (x[a - 1] == known[0]).all():
-                a -= 1
-                if done < a:
-                    np.matmul(x[done:a], op, out=out[done:a])
-                out[a:b] = known[1]
-            else:
-                np.matmul(x[done:a], op, out=out[done:a])
-                out[a:b] = out[a - 1]
-            done = b
-    if done < n:
-        np.matmul(x[done:n], op, out=out[done:n])
+    blocks = [(0.0, 0.0)] if known is None else [(0.0, 0.0), known]
+    for state, row in blocks:
+        start = _block_start(x, end, state)
+        if start < end:             # an empty slice's fill costs a microsecond
+            out[start:end] = row
+            end = start
+    if end:
+        np.matmul(x[:end], op, out=out[:end])
     return out.reshape(rows, d, d)
+
+
+def _block_start(x: np.ndarray, end: int, state) -> int:
+    """First row of the trailing block of rows of x[:end] equal to `state`."""
+    # the last row screens out most calls at one compare; then one flat
+    # mask, since a per-row any() costs as much as the product at d = 10
+    if not end or np.count_nonzero(x[end - 1] != state):
+        return end
+    differ = np.flatnonzero(x[:end] != state)
+    return differ[-1] // x.shape[1] + 1 if differ.size else 0
 
 
 def _known_row(P: np.ndarray, xi: np.ndarray) -> tuple:
     """(xi, its product row) for `_stacked_apply`'s `known` argument.
 
-    The row is the one-row product a run headed by xi would make.
+    The row is the one-row product of xi, which a lone xi row would make.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (P.shape[0],):

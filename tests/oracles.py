@@ -2,8 +2,9 @@
 
 None of this code runs in `mvmlp-bench`: a matrix-exponential series, a
 classical RK4 stepper for the linear and Lyapunov ODEs, the OU marginal
-covariance, and the N-particle system whose empirical law approximates the
-McKean-Vlasov law (propagation of chaos).
+covariance, the N-particle system whose empirical law approximates the
+McKean-Vlasov law (propagation of chaos), and the row split of the
+diffusion kernel's reuse rule.
 """
 
 from functools import lru_cache
@@ -156,3 +157,18 @@ def particle_system_path(model, N: int, grid, stream) -> np.ndarray:
         X = X + mu * dt + np.einsum("nik,nk->ni", sigma, incr[:, j, :])
         out[:, j + 1, :] = X
     return out
+
+
+def reuse_blocks(x: np.ndarray, xi: np.ndarray) -> tuple:
+    """(live, zeros) for the state rows x of one diffusion call.
+
+    Rows x[zeros:] are the trailing zero rows, x[live:zeros] the trailing
+    xi rows before them, and x[:live] the rows the kernel multiplies.
+    """
+    zeros = len(x)
+    while zeros and not x[zeros - 1].any():
+        zeros -= 1
+    live = zeros
+    while live and (x[live - 1] == xi).all():
+        live -= 1
+    return live, zeros

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -277,6 +278,40 @@ class TestCli:
             rc = main(["--model", "ou", "--d", "2", "--levels", levels, "--runs", "1"])
             assert rc == 2
             assert "desk-scale caps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels, cell", [
+        ("600", "n=600, m=600"),
+        (f"40x{10**110}", f"n=40, m={10**110}"),
+        ("1024x2", "n=1024, m=2"),
+    ])
+    def test_grid_past_the_float_range_exits_2(self, levels, cell, monkeypatch, capsys):
+        # refused with the config, before the cost figure or any draw
+        def no_work(*args):
+            raise AssertionError("cost computed or model drawn")
+
+        monkeypatch.setattr("mvmlp.bench.analytic_cost", no_work)
+        monkeypatch.setattr("mvmlp.bench.build_model", no_work)
+        rc = main(["--model", "ou", "--d", "2", "--levels", levels, "--runs", "1",
+                   "--allow-large"])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: cell ({cell}) has a grid K = m**n too "
+                                           f"large for a float (n * log2(m) >= 1024)\n")
+
+    def test_grid_float_range_boundary(self):
+        ExperimentConfig(levels=((1023, 2), (10**6, 1)), allow_large=True)
+        with pytest.raises(ValueError, match=r"cell \(n=512, m=4\)"):
+            ExperimentConfig(levels=((512, 4),), allow_large=True)
+
+    def test_cost_line_past_the_printable_digits(self, monkeypatch, capsys):
+        # 8000 levels of m = 1 cost about 10**4413.7 units, past the 4,300
+        # digits str() prints: the line gives the power of ten; no cell runs
+        monkeypatch.setattr("mvmlp.cli.run_experiment", lambda cfg: [])
+        argv = ["--model", "ou", "--d", "2", "--levels", "8000x1", "--runs", "1"]
+        cost = estimate_experiment_cost(config_from_args(argv))
+        assert cost.bit_length() > 14_000
+        assert main(argv + ["--allow-large"]) == 0
+        err = capsys.readouterr().err
+        assert err == f"estimated total cost: 10**{math.log10(cost):.2f} units\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -27,6 +27,7 @@ from mvmlp.models import (
 )
 from mvmlp.numerics import TimeGrid, grid_floor_index
 from mvmlp.randomness import derive_stream, sample_brownian_increments
+from oracles import reuse_blocks
 
 
 def _models(d, seed=0):
@@ -254,6 +255,43 @@ class TestCallShape:
         assert diffusion_rows.count(2 * K) == iterations
         assert all(rows == 1 for rows in diffusion_rows if rows != 2 * K)
 
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (2, 3), (3, 1)])
+    def test_paired_calls_multiply_the_rows_before_their_blocks(self, kind, d, n, m,
+                                                                monkeypatch):
+        # each paired call makes at most one product against the family, of
+        # its rows before the trailing zero and xi blocks
+        base = _models(d, seed=6)[0 if kind == "ou" else 1]
+        family = base.params.B if kind == "ou" else base.params.Sigma
+        products, calls = [], []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            if np.shares_memory(b, family):
+                products.append(np.array(a))
+            return matmul(a, b, *args, **kwargs)
+
+        def diffusion(x1, x2):
+            state = x2 if kind == "ou" else x1
+            products.clear()
+            out = base.diffusion(x1, x2)
+            if np.ndim(state) == 2:
+                live, _ = reuse_blocks(state, base.initial_value)
+                calls.append(([len(a) for a in products], live,
+                              all(np.array_equal(a, state[:live]) for a in products)))
+            return out
+
+        monkeypatch.setattr(models.np, "matmul", spy)
+        model = dataclasses.replace(base, diffusion=diffusion)
+        K = m**n
+        grid = TimeGrid(T=1.0, K=K)
+        inc = _top_increments(6, 0, K, d, grid.dt)
+        mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid), (1, 0), 6, inc, CostLedger())
+        assert calls
+        for multiplied, live, same in calls:
+            assert multiplied == ([live] if live else []) and same
+
     def test_diffusion_block_freed_inside_iteration(self):
         # the recursion stack holds no sigma block: one Kuramoto d = 100,
         # n = m = 3 call peaks below 1.5 paired (2K, d, d) blocks
@@ -338,6 +376,22 @@ class TestAnalyticCost:
                     for K in (1, 4, 64):
                         bound = (8 * m) ** n * c * d**c * K * d
                         assert analytic_cost(n, m, K, d, units) <= bound
+
+    def test_one_pass_equals_the_double_sum(self):
+        # c_n = base + sum over 0 < l < n of m**(n-l) (2 c_l + 2 c_(l-1) + e)
+        for units in (CostUnits(1, 1, 1), CostUnits(2, 3, 1), CostUnits(7, 0, 13)):
+            base = units.cost_mu + units.cost_sigma
+            for m in (1, 2, 3, 7):
+                for K in (1, 5):
+                    for d in (1, 3):
+                        e = (K * d * units.cost_rv + units.cost_rv + 2 * units.cost_mu
+                             + 2 * K * units.cost_sigma)
+                        c = [0]
+                        for n in range(1, 25):
+                            c.append(base + sum(m ** (n - l) * (2 * c[l] + 2 * c[l - 1] + e)
+                                                for l in range(1, n)))
+                        for n in range(25):
+                            assert analytic_cost(n, m, K, d, units) == c[n], (n, m, K, d)
 
     def test_large_values_exact(self):
         # integers stay exact far beyond 2^53

@@ -22,6 +22,7 @@ from mvmlp.models import (
 )
 from mvmlp.numerics import TimeGrid
 from mvmlp.randomness import derive_stream, sample_brownian_increments
+from oracles import reuse_blocks
 
 
 def _ou_params(d, seed=0, scale=0.25):
@@ -176,92 +177,96 @@ class TestGemmLayout:
         assert np.shares_memory(operands[0], p.Sigma)
 
 
-class TestZeroStateRows:
-    """Zero state rows get sigma(0) exactly, live rows the plain product."""
-
-    @staticmethod
-    def _case(kind, d):
-        p = random_params(kind, d, derive_stream(d, (0,)))
-        if kind == "ou":
-            return p, ou_model(p).diffusion, p.b
-        return p, kuramoto_model(p).diffusion, np.zeros((d, d))
-
-    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
-    @pytest.mark.parametrize("d", [3, 10, 100])
-    def test_trailing_zero_rows(self, kind, d):
-        K = 4
-        p, diffusion, sigma0 = self._case(kind, d)
-        rng = np.random.default_rng(d)
-        for zeros in (0, 1, K, 2 * K):
-            x = rng.normal(scale=5.0, size=(2 * K, d))
-            x[1] = 0.0                      # an interior zero row is multiplied
-            x[2 * K - zeros:] = 0.0
-            plain = np.matmul(x, _gemm_operand(_family(p))).reshape(2 * K, d, d)
-            plain = plain.swapaxes(-1, -2) + (sigma0 if kind == "ou" else 0.0)
-            got = diffusion(x, x)
-            live = 2 * K - zeros
-            assert got.shape == (2 * K, d, d)
-            np.testing.assert_array_equal(got[:live], plain[:live])
-            assert (got[live:] == sigma0).all()
-
-    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
-    def test_base_call(self, kind):
-        d = 10
-        _, diffusion, sigma0 = self._case(kind, d)
-        got = diffusion(np.zeros(d), np.zeros(d))
-        assert got.shape == (d, d)
-        assert (got == sigma0).all()
-
-
-def _run_heads(x):
-    """Index of the first row of each row's maximal run of equal rows."""
-    heads = np.arange(len(x))
-    for i in range(1, len(x)):
-        if (x[i] == x[i - 1]).all():
-            heads[i] = heads[i - 1]
-    return heads
-
-
-def _model(kind, p):
-    return ou_model(p) if kind == "ou" else kuramoto_model(p)
+def _model(kind, p, initial_value=None):
+    build = ou_model if kind == "ou" else kuramoto_model
+    return build(p, initial_value=initial_value)
 
 
 def _spy_products(monkeypatch, family):
-    """The row counts of the products made against `family` from now on."""
-    multiplied = []
+    """The state rows of each product made against `family` from now on."""
+    products = []
     matmul = np.matmul
 
     def spy(a, b, *args, **kwargs):
         if np.shares_memory(b, family):
-            multiplied.append(len(a))
+            products.append(np.array(a))
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(models.np, "matmul", spy)
-    return multiplied
+    return products
 
 
-def _check_repeated_rows(model, x):
-    """Copies bitwise equal to their run's first row, all rows the definition."""
-    p = model.params
+def _check_rule(model, x, products):
+    """The reuse rule on one call; returns `reuse_blocks(x, xi)`.
+
+    Every row is the einsum definition; the rows before the trailing zero
+    and xi blocks go through one product, whose values they are; the blocks
+    copy sigma(0) and the one-row product of xi bit for bit. `products` is
+    a `_spy_products` list, cleared before the call.
+    """
+    p, d, xi = model.params, model.d, model.initial_value
+    P = _family(p)
+    op = _gemm_operand(P)
+    ou = model.name == "ou"
+
+    def product(rows):
+        # the [i, k] layout of one GEMM of `rows`; `@` bypasses the spy
+        out = (rows @ op).reshape(len(rows), d, d).swapaxes(-1, -2)
+        return out + p.b if ou else out
+
+    products.clear()
     got = model.diffusion(x, x)
-    if model.name == "ou":
-        want = p.b + np.einsum("kij,...j->...ik", p.B, x)
-        scale = np.abs(p.b) + np.einsum("kij,...j->...ik", np.abs(p.B), np.abs(x))
-    else:
-        want = np.einsum("kij,...j->...ik", p.Sigma, x)
-        scale = np.einsum("kij,...j->...ik", np.abs(p.Sigma), np.abs(x))
-    assert got.shape == x.shape + (x.shape[-1],)
+    want = np.einsum("kij,...j->...ik", P, x) + (p.b if ou else 0.0)
+    scale = np.einsum("kij,...j->...ik", np.abs(P), np.abs(x)) + (np.abs(p.b) if ou else 0.0)
+    assert got.shape == x.shape + (d,)
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
-    heads = _run_heads(x)
-    for i, head in enumerate(heads):
-        assert got[i].tobytes() == got[head].tobytes(), (i, head)
+    live, zeros = reuse_blocks(x, xi)
+    assert len(products) == (1 if live else 0)
+    if live:
+        np.testing.assert_array_equal(products[0], x[:live])
+        np.testing.assert_array_equal(got[:live], product(x[:live]))
+    xi_row = product(xi[None, :])[0]
+    for i in range(live, zeros):
+        assert got[i].tobytes() == xi_row.tobytes(), i
+    assert (got[zeros:] == (p.b if ou else 0.0)).all()
+    return live, zeros
+
+
+class TestZeroStateRows:
+    """The trailing zero rows copy sigma(0); the rows before them are one product."""
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("d", [3, 10, 100])
+    def test_trailing_zero_rows(self, kind, d, monkeypatch):
+        K = 4
+        p = random_params(kind, d, derive_stream(d, (0,)))
+        model = _model(kind, p)
+        products = _spy_products(monkeypatch, _family(p))
+        rng = np.random.default_rng(d)
+        for zeros in (0, 1, K, 2 * K):
+            x = rng.normal(scale=5.0, size=(2 * K, d))
+            x[1] = 0.0                      # a lone interior zero row is multiplied
+            x[2 * K - zeros:] = 0.0
+            live = 2 * K - zeros
+            assert _check_rule(model, x, products) == (live, live)
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    def test_base_call(self, kind):
+        d = 10
+        p = random_params(kind, d, derive_stream(d, (0,)))
+        got = _model(kind, p).diffusion(np.zeros(d), np.zeros(d))
+        assert got.shape == (d, d)
+        assert (got == (p.b if kind == "ou" else 0.0)).all()
 
 
 class TestRepeatedStateRows:
-    """Each maximal run of equal consecutive state rows is multiplied once."""
+    """Equal rows before the trailing blocks are multiplied with the rest.
+
+    Any 2-D state makes at most one product against the family.
+    """
 
     @staticmethod
-    def _cases(d):
+    def _cases(d, xi):
         rng = np.random.default_rng(d)
         rows = 10
         x = rng.normal(scale=5.0, size=(rows, d))
@@ -278,9 +283,12 @@ class TestRepeatedStateRows:
         signed[4] = 0.0
         signed[5] = -0.0
         col0 = x.copy()
-        col0[2:5, 0] = col0[1, 0]           # equal in column 0 only: no run
+        col0[2:5, 0] = col0[1, 0]           # equal in column 0 only
+        known = x.copy()
+        known[4:7] = xi
         return {"start": start, "middle": middle, "end": end, "whole": whole,
-                "interior zeros": zeros, "-0.0 after 0.0": signed, "column 0 only": col0}
+                "interior zeros": zeros, "-0.0 after 0.0": signed, "column 0 only": col0,
+                "interior xi run": known}
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("d", [3, 10, 100])
@@ -288,30 +296,33 @@ class TestRepeatedStateRows:
         p = random_params(kind, d, derive_stream(d, (0,)))
         # built before the spy: the model multiplies its initial value once
         model = _model(kind, p)
-        multiplied = _spy_products(monkeypatch, _family(p))
-        cases = self._cases(d)
-        assert (_run_heads(cases["column 0 only"]) == np.arange(10)).all()
-        for name, x in cases.items():
-            multiplied.clear()
-            _check_repeated_rows(model, x)
-            # one product row per run; none of the cases ends in zero rows
-            assert sum(multiplied) == len(np.unique(_run_heads(x))), name
+        products = _spy_products(monkeypatch, _family(p))
+        for name, x in self._cases(d, model.initial_value).items():
+            # none of the cases ends in a zero or xi row: all rows, one product
+            assert _check_rule(model, x, products) == (len(x), len(x)), name
+            assert len(products) == 1, name
 
     @settings(max_examples=50, deadline=None)
     @given(kind=st.sampled_from(["ou", "kuramoto"]), d=st.integers(1, 4), data=st.data())
     def test_random_duplications(self, kind, d, data):
-        # few distinct values, so column-0 ties, zero rows and -0.0 are common
+        # few distinct values, so runs, zero rows, xi rows and -0.0 are common
         values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0])
         base = data.draw(arrays(float, st.tuples(st.integers(1, 6), st.just(d)),
                                 elements=values))
         repeats = data.draw(st.lists(st.integers(1, 4), min_size=len(base),
                                      max_size=len(base)))
-        x = np.repeat(base, repeats, axis=0)
-        _check_repeated_rows(_model(kind, random_params(kind, d, derive_stream(d, (0,)))), x)
+        xi = data.draw(arrays(float, d, elements=values))
+        tail = data.draw(st.lists(st.sampled_from(["xi", "zero"]), max_size=4))
+        x = np.concatenate([np.repeat(base, repeats, axis=0)]
+                           + [(xi if row == "xi" else np.zeros(d))[None, :] for row in tail])
+        p = random_params(kind, d, derive_stream(d, (0,)))
+        model = _model(kind, p, initial_value=xi)
+        with pytest.MonkeyPatch.context() as mp:
+            _check_rule(model, x, _spy_products(mp, _family(p)))
 
 
 class TestKnownRows:
-    """A run headed by the initial value xi copies the model's sigma(xi) row."""
+    """The trailing xi rows copy the row the model made of xi at build."""
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("d", [3, 100])
@@ -319,59 +330,52 @@ class TestKnownRows:
         p = random_params(kind, d, derive_stream(d, (0,)))
         model = _model(kind, p)
         xi = model.initial_value
-        # the row a one-row stretch of xi is multiplied to, made before the spy
-        row = np.matmul(xi[None, :], _gemm_operand(_family(p))).reshape(d, d).T
-        if kind == "ou":
-            row = row + p.b
-        multiplied = _spy_products(monkeypatch, _family(p))
+        products = _spy_products(monkeypatch, _family(p))
         x = np.random.default_rng(d).normal(scale=5.0, size=(9, d))
-        x[3:7] = xi                       # rows 0-2 stretch, 3-6 the xi run, 7-8
-        got = model.diffusion(x, x)
-        assert multiplied == [3, 2]
-        for i in range(3, 7):
-            assert got[i].tobytes() == row.tobytes(), i
-        _check_repeated_rows(model, x)
+        tail = x.copy()
+        tail[5:] = xi
+        then_zeros = x.copy()                # the l = 1 shape of a call
+        then_zeros[3:6] = xi
+        then_zeros[6:] = 0.0
+        level_one = np.zeros((8, d))         # Kuramoto at l = 1: U_1 = xi, U_0 = 0
+        level_one[:4] = xi
+        not_last = x.copy()                  # an xi run is trailing or multiplied
+        not_last[3:7] = xi
+        cases = {"xi tail": (tail, (5, 9)), "xi, then zeros": (then_zeros, (3, 6)),
+                 "level 1": (level_one, (0, 4)), "xi run not last": (not_last, (9, 9))}
+        for name, (x, blocks) in cases.items():
+            assert _check_rule(model, x, products) == blocks, name
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     def test_lone_xi_row_is_multiplied_in_its_stretch(self, kind, monkeypatch):
+        # the stretch is every row before the trailing blocks
         d, rows = 10, 6
         p = random_params(kind, d, derive_stream(d, (0,)))
         model = _model(kind, p)
-        multiplied = _spy_products(monkeypatch, _family(p))
+        products = _spy_products(monkeypatch, _family(p))
         x = np.random.default_rng(d).normal(scale=5.0, size=(rows, d))
         x[0] = model.initial_value        # row 0 of every OU path
-        got = model.diffusion(x, x)
-        assert multiplied == [rows]
-        plain = np.matmul(x, _gemm_operand(_family(p))).reshape(rows, d, d).swapaxes(-1, -2)
-        if kind == "ou":
-            plain = plain + p.b
-        np.testing.assert_array_equal(got, plain)
+        assert _check_rule(model, x, products) == (rows, rows)
 
     def test_ou_paired_calls_never_take_the_rule(self, monkeypatch):
         # OU's paths start at xi but never stay there, so each paired call
-        # multiplies exactly its nonzero rows that differ from their predecessor
+        # multiplies all its rows before its trailing zero rows
         d, n, K = 3, 3, 5
         base = ou_model(_ou_params(d, seed=6))
-        xi = base.initial_value
-        multiplied = _spy_products(monkeypatch, base.params.B)
-        distinct, xi_heads = [], []
+        products = _spy_products(monkeypatch, base.params.B)
+        blocks = []
 
         def diffusion(x1, x2):
             if np.ndim(x2) == 2:                # a paired call; OU's sigma reads x2
-                repeat = np.zeros(len(x2), dtype=bool)
-                repeat[1:] = (x2[1:] == x2[:-1]).all(axis=1)
-                live = np.flatnonzero(x2.any(axis=1))
-                trail = live[-1] + 1 if live.size else 0
-                distinct.append(int((~repeat[:trail]).sum()))
-                xi_heads.append(int(((x2[:-1] == xi).all(axis=1) & repeat[1:]).sum()))
+                blocks.append(reuse_blocks(x2, base.initial_value))
             return base.diffusion(x1, x2)
 
         model = dataclasses.replace(base, diffusion=diffusion)
         grid = TimeGrid(T=1.0, K=K)
         inc = sample_brownian_increments(derive_stream(6, (1, 0)), K, d, grid.dt)
         mlp_estimate(model, MlpConfig(n=n, m=n, grid=grid), (1, 0), 6, inc, CostLedger())
-        assert sum(xi_heads) == 0
-        assert sum(multiplied) == sum(distinct) > 0
+        assert all(live == zeros for live, zeros in blocks)
+        assert [len(a) for a in products] == [live for live, _ in blocks if live]
 
 
 class TestKuramoto:
