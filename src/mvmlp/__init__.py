@@ -4,7 +4,7 @@ from .bench import (
     ExperimentConfig,
     LedgerMismatchError,
     ResultRow,
-    l2_error,
+    l2_errors,
     run_cell,
     run_experiment,
 )
@@ -14,7 +14,6 @@ from .mlp import (
     NumericOverflowError,
     analytic_cost,
     mlp_estimate,
-    verify_ledger,
 )
 from .models import (
     CostUnits,

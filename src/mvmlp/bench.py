@@ -17,16 +17,16 @@ import numbers
 import time
 from os import PathLike
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate, verify_ledger
+from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate
 from .models import (CostUnits, ModelSpec, default_cost_units, kuramoto_model, ou_model,
                      random_params)
-from .numerics import DiscretePath, TimeGrid
+from .numerics import TimeGrid
 from .randomness import derive_stream, sample_brownian_increments
 from .reference import kuramoto_moments, kuramoto_reference_path, ou_exact_path
 
@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         if not isinstance(self.allow_large, bool):
             raise ValueError(f"allow_large must be true or false, got {self.allow_large!r}")
+        if not (self.unit_costs is None or isinstance(self.unit_costs, CostUnits)):
+            raise ValueError(f"unit_costs must be None or a CostUnits, got {self.unit_costs!r}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.runs < 1:
@@ -134,6 +136,8 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
+    """One cell's result; the field order is the order of `results.json`'s keys."""
+
     model: str
     d: int
     n: int
@@ -144,38 +148,25 @@ class ResultRow:
     cost: int
     per_run_errors: List[float] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "d": self.d,
-            "n": self.n,
-            "m": self.m,
-            "K": self.K,
-            "l2_error": self.l2_error,
-            "time_s": self.time_s,
-            "cost": self.cost,
-            "per_run_errors": self.per_run_errors,
-        }
 
+def l2_errors(reference: np.ndarray, estimates: np.ndarray) -> Tuple[float, List[float]]:
+    """Dimension- and grid-adjusted root-mean-square gap of a cell and of each run.
 
-def l2_error(paired: Sequence[Tuple[DiscretePath, DiscretePath]]) -> float:
-    """Dimension- and grid-adjusted root-mean-square pathwise gap.
-
-    Averages the squared gap over runs, the d coordinates and the K grid
-    times t_1..t_K (time 0 excluded), then takes the root.
+    `reference` and `estimates` are the (R, K+1, d) paths of R paired runs.
+    Averages the squared gap over the d coordinates and the K grid times
+    t_1..t_K (time 0 excluded), over all runs for the cell's error and
+    over one run for each run's error, then takes the root.
     """
-    if not paired:
-        raise ValueError("need at least one path pair")
-    R = len(paired)
-    ref0, est0 = paired[0]
-    K, d = ref0.grid.K, ref0.d
+    if reference.ndim != 3 or estimates.shape != reference.shape or reference[:, 1:].size == 0:
+        raise ValueError(f"need paired (R, K+1, d) paths with R, K, d >= 1, got shapes "
+                         f"{reference.shape} and {estimates.shape}")
+    R, K, d = reference[:, 1:].shape
+    sums = [float(np.sum(diff * diff)) for diff in reference[:, 1:] - estimates[:, 1:]]
     total = 0.0
-    for ref, est in paired:
-        if ref.grid != est.grid or ref.grid != ref0.grid or ref.d != d or est.d != d:
-            raise ValueError("all paths must share one grid and dimension")
-        diff = ref.values[1:] - est.values[1:]
-        total += float(np.sum(diff * diff))
-    return float(np.sqrt(total / (R * d * K)))
+    for s in sums:      # left to right: sum() may compensate on newer Pythons
+        total += s
+    return (float(np.sqrt(total / (R * d * K))),
+            [float(np.sqrt(s / (d * K))) for s in sums])
 
 
 def build_model(cfg: ExperimentConfig) -> ModelSpec:
@@ -186,23 +177,6 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
         return ou_model(params, unit_costs=cfg.unit_costs)
     params = random_params("kuramoto", cfg.d, stream, scale=cfg.rho, mu0=cfg.mu0)
     return kuramoto_model(params, unit_costs=cfg.unit_costs)
-
-
-def _single_run(
-    cfg: ExperimentConfig,
-    model: ModelSpec,
-    mlp_cfg: MlpConfig,
-    increments: np.ndarray,
-    run: int,
-) -> Tuple[DiscretePath, float]:
-    ledger = CostLedger()
-    start = time.perf_counter()
-    estimate = mlp_estimate(model, mlp_cfg, (_RUN_PREFIX, run), cfg.seed, increments, ledger)
-    elapsed = time.perf_counter() - start
-    if not verify_ledger(ledger, mlp_cfg.n, mlp_cfg.m, mlp_cfg.grid.K, model.d,
-                         model.unit_costs):
-        raise LedgerMismatchError(cfg.model, model.d, mlp_cfg.n, mlp_cfg.m, run)
-    return estimate, elapsed
 
 
 def _reference(cfg: ExperimentConfig, model: ModelSpec, grid: TimeGrid,
@@ -238,9 +212,19 @@ def run_cell(
         for r in runs
     ])
     reference = _reference(cfg, model, grid, increments)
+    if not np.isfinite(reference).all():
+        raise ValueError(f"non-finite reference path in cell model={cfg.model}, "
+                         f"d={model.d}, n={n}, m={m}")
+    cost = analytic_cost(n, m, K, model.d, model.unit_costs)
 
-    def one(r: int) -> Tuple[DiscretePath, float]:
-        return _single_run(cfg, model, mlp_cfg, increments[r], r)
+    def one(r: int) -> Tuple[np.ndarray, float]:
+        ledger = CostLedger()
+        start = time.perf_counter()
+        estimate = mlp_estimate(model, mlp_cfg, (_RUN_PREFIX, r), cfg.seed, increments[r], ledger)
+        elapsed = time.perf_counter() - start
+        if ledger.weighted(model.unit_costs) != cost:
+            raise LedgerMismatchError(cfg.model, model.d, n, m, r)
+        return estimate.values, elapsed
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -248,14 +232,11 @@ def run_cell(
     else:
         results = [one(r) for r in runs]
 
-    pairs = [(DiscretePath(grid=grid, values=ref), est)
-             for ref, (est, _) in zip(reference, results)]
+    estimates, elapsed = zip(*results)
+    l2_error, per_run_errors = l2_errors(reference, np.stack(estimates))
     return ResultRow(
-        model=cfg.model, d=model.d, n=n, m=m, K=K,
-        l2_error=l2_error(pairs),
-        time_s=float(np.mean([elapsed for _, elapsed in results])),
-        cost=analytic_cost(n, m, K, model.d, model.unit_costs),
-        per_run_errors=[l2_error([pair]) for pair in pairs],
+        model=cfg.model, d=model.d, n=n, m=m, K=K, l2_error=l2_error,
+        time_s=float(np.mean(elapsed)), cost=cost, per_run_errors=per_run_errors,
     )
 
 
@@ -306,7 +287,7 @@ def render_csv(rows: Sequence[ResultRow]) -> str:
 
 
 def rows_to_json(rows: Sequence[ResultRow]) -> str:
-    return json.dumps([r.as_dict() for r in rows], indent=2)
+    return json.dumps([asdict(r) for r in rows], indent=2)
 
 
 def render_markdown(rows: Sequence[ResultRow]) -> str:

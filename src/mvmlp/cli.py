@@ -80,10 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_config(path: str) -> dict:
     """The JSON object in `path`, whose keys must be ExperimentConfig fields."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
+    except ValueError as exc:   # malformed JSON, or bytes that are not UTF-8
+        raise ValueError(f"cannot parse config file {path}: {exc}") from None
     if not isinstance(values, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(values) - {f.name for f in dataclasses.fields(ExperimentConfig)})

@@ -33,7 +33,6 @@ sub-estimates read at the grid floor of t_j * u (one array call of
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +40,6 @@ import numpy as np
 from .models import CostUnits, ModelSpec
 from .numerics import DiscretePath, TimeGrid, grid_floor_index
 from .randomness import MultiIndex, derive_stream, sample_brownian_increments
-
-logger = logging.getLogger(__name__)
 
 # tags for the index blocks appended per (n, k, l) iteration
 _FRESH = 0
@@ -211,20 +208,3 @@ def analytic_cost(n: int, m: int, K: int, d: int, units: CostUnits) -> int:
         total = m * (total + 2 * cost + 2 * prev + e)
         prev, cost = cost, base + total
     return cost
-
-
-def verify_ledger(
-    ledger: CostLedger, n: int, m: int, K: int, d: int, units: CostUnits
-) -> bool:
-    """True iff the units-weighted ledger equals the closed-form cost."""
-    expected = analytic_cost(n, m, K, d, units)
-    actual = ledger.weighted(units)
-    if actual == expected:
-        return True
-    logger.warning(
-        "ledger mismatch for (n=%d, m=%d, K=%d, d=%d): weighted ledger %d != "
-        "closed form %d (mu=%d, sigma=%d, rv=%d)",
-        n, m, K, d, actual, expected,
-        ledger.mu_evals, ledger.sigma_evals, ledger.rv_draws,
-    )
-    return False

@@ -8,6 +8,8 @@ no floating-point re-quantization downstream.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,8 +27,11 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
-        if int(self.K) != self.K or self.K < 1:
-            raise ValueError(f"K must be a positive integer, got {self.K}")
+        if isinstance(self.K, bool) or int(self.K) != self.K or self.K < 1:
+            raise ValueError(f"K must be a positive integer, got {self.K!r}")
+        if self.K > sys.float_info.max or self.T / self.K == 0:
+            raise ValueError(f"K = 10**{math.log10(self.K):.2f} leaves no positive finite "
+                             f"grid step T / K for T = {self.T}")
 
     @property
     def dt(self) -> float:

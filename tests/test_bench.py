@@ -11,7 +11,7 @@ from mvmlp.bench import (
     ExperimentConfig,
     build_model,
     estimate_experiment_cost,
-    l2_error,
+    l2_errors,
     render_csv,
     render_markdown,
     rows_to_json,
@@ -20,50 +20,46 @@ from mvmlp.bench import (
 )
 from mvmlp.cli import config_from_args, main
 from mvmlp.mlp import NumericOverflowError, analytic_cost, mlp_estimate
-from mvmlp.models import OuParams, default_cost_units, ou_model
-from mvmlp.numerics import DiscretePath, TimeGrid
+from mvmlp.models import CostUnits, OuParams, default_cost_units, ou_model
 
 
-def _path(grid, values):
-    return DiscretePath(grid=grid, values=np.asarray(values, dtype=float))
+def _runs(*paths):
+    """(R, K+1, d) array of R paths, each given as (K+1) rows."""
+    return np.array(paths, dtype=float)
 
 
 class TestL2Error:
     def test_hand_case(self):
-        g = TimeGrid(T=1.0, K=1)
-        ref = _path(g, [[0.0], [1.0]])
-        est = _path(g, [[0.0], [0.5]])
-        assert l2_error([(ref, est)]) == pytest.approx(0.5)
+        ref = _runs([[0.0], [1.0]])
+        est = _runs([[0.0], [0.5]])
+        assert l2_errors(ref, est) == (pytest.approx(0.5), [pytest.approx(0.5)])
 
     def test_time_zero_excluded(self):
-        g = TimeGrid(T=1.0, K=1)
-        ref = _path(g, [[7.0], [1.0]])
-        est = _path(g, [[0.0], [1.0]])
-        assert l2_error([(ref, est)]) == 0.0
+        ref = _runs([[7.0], [1.0]])
+        est = _runs([[0.0], [1.0]])
+        assert l2_errors(ref, est) == (0.0, [0.0])
 
     def test_run_average(self):
-        g = TimeGrid(T=1.0, K=2)
-        zero = _path(g, np.zeros((3, 1)))
-        off = _path(g, [[0.0], [1.0], [1.0]])
+        zero = np.zeros((3, 1))
+        off = [[0.0], [1.0], [1.0]]
         # two runs, one exact and one with unit gaps at both times
-        got = l2_error([(zero, zero), (zero, off)])
+        got, per_run = l2_errors(_runs(zero, zero), _runs(zero, off))
         assert got == pytest.approx(np.sqrt(2 / (2 * 1 * 2)))
+        assert per_run == [0.0, pytest.approx(1.0)]
 
     def test_dimension_normalization(self):
-        g = TimeGrid(T=1.0, K=1)
-        ref = _path(g, [[0.0, 0.0], [1.0, 1.0]])
-        est = _path(g, np.zeros((2, 2)))
-        assert l2_error([(ref, est)]) == pytest.approx(1.0)
+        ref = _runs([[0.0, 0.0], [1.0, 1.0]])
+        est = _runs(np.zeros((2, 2)))
+        assert l2_errors(ref, est)[0] == pytest.approx(1.0)
 
     def test_mismatched_grids_rejected(self):
-        a = _path(TimeGrid(T=1.0, K=1), np.zeros((2, 1)))
-        b = _path(TimeGrid(T=2.0, K=1), np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            l2_error([(a, b)])
+        # paths on grids of K = 1 and K = 2 steps
+        with pytest.raises(ValueError, match="paired"):
+            l2_errors(_runs(np.zeros((2, 1))), _runs(np.zeros((3, 1))))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            l2_error([])
+        with pytest.raises(ValueError, match="R, K, d >= 1"):
+            l2_errors(np.zeros((0, 2, 1)), np.zeros((0, 2, 1)))
 
 
 class TestRunCell:
@@ -88,6 +84,39 @@ class TestRunCell:
         row = run_cell(cfg, 2, 2, model=model)
         assert row.cost == analytic_cost(2, 2, 4, 3, model.unit_costs)
         assert row.K == 4
+
+    @pytest.mark.parametrize("runs", [1, 5])
+    def test_closed_form_cost_once_per_cell(self, runs, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return analytic_cost(*args)
+
+        monkeypatch.setattr("mvmlp.bench.analytic_cost", counted)
+        cfg = ExperimentConfig(model="ou", d=2, runs=runs, seed=1)
+        row = run_cell(cfg, 2, 2)
+        assert len(calls) == 1
+        assert row.cost == analytic_cost(*calls[0])
+
+    def test_non_finite_reference_names_the_cell(self, monkeypatch, capsys):
+        def blown_up(params, initial_value, grid, increments):
+            values = np.zeros((len(increments), grid.K + 1, len(initial_value)))
+            values[0, -1, 0] = np.inf
+            return values
+
+        monkeypatch.setattr("mvmlp.bench.ou_exact_path", blown_up)
+        message = "non-finite reference path in cell model=ou, d=2, n=2, m=2"
+        with pytest.raises(ValueError, match=message):
+            run_cell(ExperimentConfig(model="ou", d=2, runs=2), 2, 2)
+        rc = main(["--model", "ou", "--d", "2", "--levels", "2", "--runs", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_grid_past_the_float_range(self):
+        # run_cell takes its cell from its arguments, not from cfg.levels
+        with pytest.raises(ValueError, match=r"K = 10\*\*308.25 leaves no positive finite"):
+            run_cell(ExperimentConfig(model="ou", d=2, runs=1), 1024, 2)
 
     def test_per_run_errors_aggregate(self):
         cfg = ExperimentConfig(model="ou", d=2, runs=4, seed=3)
@@ -201,6 +230,12 @@ class TestExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(model="heat")
 
+    def test_unit_costs_must_be_cost_units(self):
+        units = {"cost_mu": 1, "cost_sigma": 1, "cost_rv": 1}
+        with pytest.raises(ValueError, match="unit_costs must be None or a CostUnits, got {"):
+            ExperimentConfig(unit_costs=units)
+        ExperimentConfig(unit_costs=CostUnits(**units))
+
 
 class TestOutputs:
     def _rows(self):
@@ -222,7 +257,10 @@ class TestOutputs:
 
     def test_json_round_trip(self):
         rows = self._rows()
-        assert json.loads(rows_to_json(rows)) == [r.as_dict() for r in rows]
+        keys = ["model", "d", "n", "m", "K", "l2_error", "time_s", "cost", "per_run_errors"]
+        got = json.loads(rows_to_json(rows))
+        assert [list(row) for row in got] == [keys] * len(rows)
+        assert got == [{key: getattr(r, key) for key in keys} for r in rows]
 
     def test_markdown_table(self):
         text = render_markdown(self._rows())
@@ -355,7 +393,10 @@ class TestCli:
     (["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
     (["--seed", "18446744073709551616"], "seed must be in [0, 2**64), got 18446744073709551616"),
     (["--config", "{configs}/seed_2_64.json"],
-     "seed must be in [0, 2**64), got 18446744073709551616"),
+     "seed must be in [0, 2**64), got 18446744073709551616"),    (["--config", "{configs}/malformed.json"],
+     "cannot parse config file {configs}/malformed.json: Expecting property name"),
+    (["--config", "{configs}/utf16.json"],
+     "cannot parse config file {configs}/utf16.json: 'utf-8' codec can't decode"),
 ])
 def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
     # no --d/--levels/--runs here: they would override the config files' values
@@ -409,6 +450,8 @@ def configs(tmp_path_factory):
     (path / "typo.json").write_text(json.dumps({"dd": 3}))
     (path / "removed.json").write_text(json.dumps({"drift_time_mode": "spec", "substeps": 4}))
     (path / "list.json").write_text(json.dumps([["d", 3]]))
+    (path / "malformed.json").write_text("{bad")
+    (path / "utf16.json").write_bytes(b"\xff\xfe")
     bad_values = {
         "d_str": {"d": "3"},
         "runs_float": {"runs": 2.5},

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mvmlp import models
+from mvmlp.bench import ExperimentConfig, LedgerMismatchError, run_cell
 from mvmlp.mlp import (
     CostLedger,
     MlpConfig,
     NumericOverflowError,
     analytic_cost,
     mlp_estimate,
-    verify_ledger,
 )
 from mvmlp.models import (
     CostUnits,
@@ -404,7 +404,8 @@ class TestAnalyticCost:
 class TestVerifyLedger:
     def test_minimal_case(self):
         led = CostLedger(mu_evals=1, sigma_evals=1, rv_draws=0)
-        assert verify_ledger(led, 1, 1, 1, 1, default_cost_units(1))
+        units = default_cost_units(1)
+        assert led.weighted(units) == analytic_cost(1, 1, 1, 1, units)
 
     def test_instrumented_equals_closed_form(self):
         n, m, K, d = 3, 2, 4, 2
@@ -414,17 +415,20 @@ class TestVerifyLedger:
         inc = _top_increments(8, 0, K, d, grid.dt)
         led = CostLedger()
         mlp_estimate(model, cfg, (1, 0), 8, inc, led)
-        assert verify_ledger(led, n, m, K, d, model.unit_costs)
+        assert led.weighted(model.unit_costs) == analytic_cost(n, m, K, d, model.unit_costs)
 
-    def test_tampered_ledger_rejected(self):
-        n, m, K, d = 2, 2, 2, 2
-        model = _models(d, seed=8)[0]
-        grid = TimeGrid(T=1.0, K=K)
-        inc = _top_increments(8, 0, K, d, grid.dt)
-        led = CostLedger()
-        mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid), (1, 0), 8, inc, led)
-        led.mu_evals += 1
-        assert not verify_ledger(led, n, m, K, d, model.unit_costs)
+    def test_tampered_ledger_rejected(self, monkeypatch):
+        def tampered(model, cfg, theta, root_seed, increments, ledger):
+            path = mlp_estimate(model, cfg, theta, root_seed, increments, ledger)
+            if theta == (1, 1):
+                ledger.mu_evals += 1
+            return path
+
+        monkeypatch.setattr("mvmlp.bench.mlp_estimate", tampered)
+        cfg = ExperimentConfig(model="ou", d=2, runs=2, seed=8)
+        with pytest.raises(LedgerMismatchError, match="model=ou, d=2, n=2, m=2, run=1") as exc:
+            run_cell(cfg, 2, 2)
+        assert exc.value.location == ("ou", 2, 2, 2, 1)
 
     @settings(max_examples=25, deadline=None)
     @given(

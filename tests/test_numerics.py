@@ -12,12 +12,22 @@ class TestTimeGrid:
         g = TimeGrid(T=2.0, K=4)
         assert g.dt == 0.5
         np.testing.assert_allclose(g.times(), [0, 0.5, 1.0, 1.5, 2.0])
+        assert TimeGrid(T=1.0, K=2**1023).dt == 2.0**-1023
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             TimeGrid(T=-1.0, K=4)
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, K=0)
+
+    @pytest.mark.parametrize("K, message", [
+        (True, "K must be a positive integer, got True"),
+        (2**1024, r"K = 10\*\*308.25 leaves no positive finite grid step T / K"),
+        (10**5000, r"K = 10\*\*5000.00 leaves no positive finite grid step T / K"),
+    ], ids=["bool", "2**1024", "10**5000"])
+    def test_step_must_be_a_float(self, K, message):
+        with pytest.raises(ValueError, match=message):
+            TimeGrid(T=1.0, K=K)
 
 
 class TestDiscretePath:
