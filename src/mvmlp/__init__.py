@@ -30,7 +30,6 @@ from .models import (
     random_params,
 )
 from .numerics import (
-    DiscretePath,
     TimeGrid,
     grid_floor_index,
     mat_exp,

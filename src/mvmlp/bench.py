@@ -26,7 +26,7 @@ import numpy as np
 from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate
 from .models import (CostUnits, ModelSpec, default_cost_units, kuramoto_model, ou_model,
                      random_params)
-from .numerics import TimeGrid
+from .numerics import TimeGrid, is_finite, is_int
 from .randomness import derive_stream, sample_brownian_increments
 from .reference import kuramoto_moments, kuramoto_reference_path, ou_exact_path
 
@@ -53,19 +53,8 @@ class LedgerMismatchError(RuntimeError):
         )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an integer too large for a float
-        return False
 
 
 @dataclass
@@ -87,17 +76,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("d", "runs", "seed", "threads"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("T", "rho", "mu0"):
             value = getattr(self, name)
             if not _is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not _is_finite(value):
+            if not is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for pair in self.levels:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(_is_int(v) for v in pair)):
+                    and all(is_int(v) for v in pair)):
                 raise ValueError(f"levels entries must be integer pairs (n, m), got {pair!r}")
         if isinstance(self.formats, str) or not all(isinstance(f, str) for f in self.formats):
             raise ValueError(f"formats must be a list of names, got {self.formats!r}")
@@ -224,7 +213,7 @@ def run_cell(
         elapsed = time.perf_counter() - start
         if ledger.weighted(model.unit_costs) != cost:
             raise LedgerMismatchError(cfg.model, model.d, n, m, r)
-        return estimate.values, elapsed
+        return estimate, elapsed
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

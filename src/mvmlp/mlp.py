@@ -16,14 +16,14 @@ appended blocks have length 4, so distinct call histories always produce
 distinct indices.
 
 Ito correction: the (n, k, l) iteration evaluates sigma(x1, x2) and
-sigma(x3, x4) in one diffusion call on the 2K stacked rows, applies the
-caller's increments to both halves, and only then subtracts the two (K, d)
-step arrays; the (2K, d, d) block is released before the next iteration
-recurses. The call always has 2K rows, fixed by the cell; which of them
-BLAS multiplies (and so its bits) depends only on the states, since the
-models copy the trailing block of zero rows (U_0 at l = 1) and the trailing
-block of initial-value rows before it (Kuramoto's U_1 = xi) and multiply
-every row before them in one product.
+sigma(x3, x4) in one diffusion call on the 2K stacked rows, contracts the
+caller's increments with both halves in one broadcast product, and only
+then subtracts the two (K, d) step arrays; the (2K, d, d) block is
+released before the next iteration recurses. The call always has 2K rows,
+fixed by the cell; which of them BLAS multiplies (and so its bits) depends
+only on the states, since the models copy the trailing block of zero rows
+(U_0 at l = 1) and the trailing block of initial-value rows before it
+(Kuramoto's U_1 = xi) and multiply every row before them in one product.
 
 Drift correction: the (n, k, l) iteration draws one uniform time u and
 adds t_j / m^(n-l) * (mu(x1, x2) - mu(x3, x4)) to row j, with the four
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import CostUnits, ModelSpec
-from .numerics import DiscretePath, TimeGrid, grid_floor_index
+from .numerics import TimeGrid, grid_floor_index
 from .randomness import MultiIndex, derive_stream, sample_brownian_increments
 
 # tags for the index blocks appended per (n, k, l) iteration
@@ -98,14 +98,14 @@ def mlp_estimate(
     root_seed: int,
     caller_increments: np.ndarray,
     ledger: CostLedger,
-) -> DiscretePath:
+) -> np.ndarray:
     """One realization of the level-n estimator on the caller's increments.
 
-    `caller_increments` is the K x d Brownian-increment array of the
-    calling scope; its cost is not charged here (the cost model assumes a
-    prepared top-level Brownian path). Pure function of its arguments: the
-    same (model, cfg, theta, root_seed, increments) give a bitwise
-    identical path.
+    Returns the (K+1, d) path. `caller_increments` is the K x d
+    Brownian-increment array of the calling scope; its cost is not charged
+    here (the cost model assumes a prepared top-level Brownian path). Pure
+    function of its arguments: the same (model, cfg, theta, root_seed,
+    increments) give a bitwise identical path.
     """
     K, d, grid = cfg.grid.K, model.d, cfg.grid
     increments = np.asarray(caller_increments, dtype=float)
@@ -119,17 +119,18 @@ def mlp_estimate(
     def brownian_path(incr: np.ndarray) -> np.ndarray:
         return np.vstack([zero, np.cumsum(incr, axis=0)])
 
-    def ito_steps(x1, x2, x3, x4, incr2: np.ndarray) -> np.ndarray:
+    def ito_steps(x1, x2, x3, x4, incr: np.ndarray) -> np.ndarray:
         """sigma(x1, x2) dW - sigma(x3, x4) dW at the K left points.
 
         The contraction runs on the contiguous [k, i] layout the
-        coefficients write; the (2K, d, d) block dies on return.
+        coefficients write, with the (K, 1, d) increments broadcast over
+        the hi and lo halves; the (2K, d, d) block dies on return.
         """
         s = model.diffusion(np.concatenate((x1[:-1], x3[:-1])),
                             np.concatenate((x2[:-1], x4[:-1])))
         ledger.sigma_evals += 2 * K
-        applied = np.matmul(incr2[:, None, :], s.swapaxes(-1, -2))[:, 0, :]
-        return applied[:K] - applied[K:]
+        hi, lo = np.matmul(incr[:, None, :], s.swapaxes(-1, -2).reshape(2, K, d, d))[:, :, 0]
+        return hi - lo
 
     def estimate(n: int, theta: MultiIndex, incr: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Level-n path on increments `incr`, whose Brownian path is `W`."""
@@ -145,7 +146,6 @@ def mlp_estimate(
         if n == 1:
             return X
 
-        incr2 = np.concatenate((incr, incr))
         for level in range(1, n):
             fanout = cfg.m ** (n - level)
             for k in range(1, fanout + 1):
@@ -162,7 +162,7 @@ def mlp_estimate(
 
                 # stochastic-integral correction: left-point Ito sum against
                 # the caller's increments
-                steps = ito_steps(x1, x2, x3, x4, incr2) / fanout
+                steps = ito_steps(x1, x2, x3, x4, incr) / fanout
                 X[1:] += np.cumsum(steps, axis=0)
 
                 # drift correction: one uniform time draw per (n, k, l)
@@ -176,8 +176,7 @@ def mlp_estimate(
                 _check_finite(X, n, level, k)
         return X
 
-    values = estimate(cfg.n, tuple(theta), increments, brownian_path(increments))
-    return DiscretePath(grid=grid, values=values)
+    return estimate(cfg.n, tuple(theta), increments, brownian_path(increments))
 
 
 def _check_finite(X: np.ndarray, n: int, level: int, sample: int) -> None:

@@ -3,7 +3,8 @@
 A model is a pair of two-argument coefficients: a drift mu(x1, x2) mapping
 two d-vectors to a d-vector and a diffusion sigma(x1, x2) mapping them to
 a d x d matrix whose column k multiplies the k-th Brownian component. Both
-benchmark coefficients broadcast over leading batch dimensions.
+benchmark coefficients take any (..., d) array of states; a diffusion call
+reads it as its (rows, d) reshape.
 
 Layout: each (d, d, d) diffusion family P[k, i, j] (OuParams.B,
 KuramotoParams.Sigma) is a view of one C-contiguous (d, d*d) buffer
@@ -19,12 +20,12 @@ before those blocks goes through one GEMM.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from .numerics import is_int
 from .randomness import RandomStream
 
 
@@ -39,7 +40,7 @@ class CostUnits:
     def __post_init__(self) -> None:
         units = (self.cost_mu, self.cost_sigma, self.cost_rv)
         # the cost recursion is exact integer arithmetic
-        if not all(isinstance(u, numbers.Integral) and not isinstance(u, bool) for u in units):
+        if not all(is_int(u) for u in units):
             raise ValueError(f"cost units must be integers, got {units}")
         if min(units) < 0:
             raise ValueError("cost units must be nonnegative")
@@ -128,7 +129,7 @@ def _gemm_layout(P: np.ndarray) -> np.ndarray:
 
 
 def _stacked_apply(P: np.ndarray, x: np.ndarray, known: Optional[tuple] = None) -> np.ndarray:
-    """[..., k, i] = sum_j P[k, i, j] x[..., j], as one BLAS GEMM.
+    """[..., k, i] = sum_j P[k, i, j] x[..., j], as one BLAS GEMM over the rows of x.
 
     P must be in the `_gemm_layout`, so the operand (d, d*d) [j, (k, i)] is
     a view of the contiguous buffer BLAS packs fastest; callers return the
@@ -137,24 +138,20 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray, known: Optional[tuple] = None) 
     [k, i] layout, so it goes through the swapped view again rather than
     copying.
 
-    One reuse rule: a zero 1-D x (the base call sigma(0, 0)) gets exact
-    zeros; a 2-D x's trailing block of zero rows, and the trailing block of
-    rows equal to `known[0]` before it, copy zeros and `known[1]` (the row
+    Any (..., d) input is read as its (rows, d) reshape. One reuse rule:
+    the trailing block of zero rows, and the trailing block of rows equal
+    to `known[0]` before it, copy zeros and `known[1]` (the row
     `_known_row` made); every row before them goes through one product.
     The estimator stacks its hi rows first and its lo rows last, so these
-    are U_0 = 0 at l = 1 and, for Kuramoto, U_1 = xi. Other inputs (a
-    nonzero 1-D x, more than one leading axis) take the plain product.
-    BLAS bits depend on the number of rows per call, and so on the length
-    of the blocks.
+    are U_0 = 0 at l = 1 (and the base call sigma(0, 0), one zero row) and,
+    for Kuramoto, U_1 = xi. BLAS bits depend on the number of rows per
+    call, and so on the length of the blocks.
     """
     d = P.shape[0]
     op = P.transpose(2, 0, 1).reshape(d, d * d)
-    # count_nonzero: a small array's any() costs four times as much
-    if x.ndim == 1 and not np.count_nonzero(x):
-        return np.zeros((d, d))
-    if x.ndim != 2:
-        return np.matmul(x, op).reshape(x.shape[:-1] + (d, d))
-    rows = end = x.shape[0]
+    lead = x.shape[:-1]
+    x = x.reshape(-1, d)
+    rows = end = len(x)
     out = np.empty((rows, d * d))
     blocks = [(0.0, 0.0)] if known is None else [(0.0, 0.0), known]
     for state, row in blocks:
@@ -164,7 +161,7 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray, known: Optional[tuple] = None) 
             end = start
     if end:
         np.matmul(x[:end], op, out=out[:end])
-    return out.reshape(rows, d, d)
+    return out.reshape(lead + (d, d))
 
 
 def _block_start(x: np.ndarray, end: int, state) -> int:
@@ -185,7 +182,7 @@ def _known_row(P: np.ndarray, xi: np.ndarray) -> tuple:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (P.shape[0],):
         raise ValueError(f"initial value has shape {xi.shape}, expected ({P.shape[0]},)")
-    return xi, _stacked_apply(P, xi[None, :]).reshape(-1)
+    return xi, _stacked_apply(P, xi).reshape(-1)
 
 
 def ou_diffusion(p: OuParams, x2: np.ndarray, known: Optional[tuple] = None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Uniform time grids, discrete paths, and dense linear-algebra helpers.
+"""Uniform time grids, the grid floor, and dense linear-algebra helpers.
 
 The grid quantizer here is the single canonical one: every piece of code
 that needs to map a continuous time to a stored path row goes through
@@ -9,12 +9,24 @@ no floating-point re-quantization downstream.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
+
+
+def is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -25,9 +37,9 @@ class TimeGrid:
     K: int
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.T) and self.T > 0):
+        if not (is_finite(self.T) and self.T > 0):
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
-        if isinstance(self.K, bool) or int(self.K) != self.K or self.K < 1:
+        if not is_int(self.K) or self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
         if self.K > sys.float_info.max or self.T / self.K == 0:
             raise ValueError(f"K = 10**{math.log10(self.K):.2f} leaves no positive finite "
@@ -46,28 +58,6 @@ class TimeGrid:
         # the grid times k T / K of 0 < k < K, rounded as the floor's bounds
         # are; built once per grid (a frozen dataclass still has a __dict__)
         return np.arange(1, self.K) * self.T / self.K
-
-
-@dataclass(frozen=True)
-class DiscretePath:
-    """State values at the K+1 grid times, as a (K+1) x d array."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.grid.K + 1:
-            raise ValueError(
-                f"values must have shape (K+1, d) = ({self.grid.K + 1}, d), got {v.shape}"
-            )
-        if not np.isfinite(v).all():
-            raise ValueError("path contains non-finite entries")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
 
 
 def grid_floor_index(t: float | np.ndarray, grid: TimeGrid) -> int | np.ndarray:

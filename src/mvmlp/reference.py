@@ -83,9 +83,8 @@ def ou_exact_path(
     # the mean takes the same e^{A1 dt} step, so its exact drift integral is m_{j+1} - E m_j
     forcing = means[1:] - means[:-1] @ E.T
 
-    # left-point diffusion time rule, for all steps in one call; its (K, 1, d)
-    # shape keeps each step a one-row product, bit-identical to a call per step
-    sigmas = ou_diffusion(p, means[:-1, None, :])[:, 0]
+    # left-point diffusion time rule: sigma at the K left means, in one K-row product
+    sigmas = ou_diffusion(p, means[:-1])
 
     out = np.zeros(incr.shape[:-2] + (K + 1, d))
     out[..., 0, :] = means[0]

@@ -38,7 +38,7 @@ def test_01_single_level_closed_form():
             incr = sample_brownian_increments(stream, K, d, grid.dt)
             cfg = MlpConfig(n=1, m=m, grid=grid)
             got = mlp_estimate(cfg=cfg, model=model, theta=(1, 0), root_seed=21,
-                               caller_increments=incr, ledger=CostLedger()).values
+                               caller_increments=incr, ledger=CostLedger())
             zero = np.zeros(d)
             W = np.vstack([zero, np.cumsum(incr, axis=0)])
             want = (model.initial_value
@@ -116,7 +116,7 @@ def test_04_mean_against_closed_form_and_particles():
         stream = derive_stream(seed, (1, r))
         incr = sample_brownian_increments(stream, K, d, grid.dt)
         vals[r] = mlp_estimate(cfg=cfg, model=model, theta=(1, r), root_seed=seed,
-                               caller_increments=incr, ledger=CostLedger()).values[-1]
+                               caller_increments=incr, ledger=CostLedger())[-1]
     mlp_mean = vals.mean(axis=0)
     se = vals.std(axis=0, ddof=1) / np.sqrt(R)
 

@@ -48,7 +48,7 @@ class TestBaseCases:
             cfg = MlpConfig(n=0, m=2, grid=grid)
             inc = _top_increments(0, 0, 4, 3, grid.dt)
             path = mlp_estimate(model, cfg, (1, 0), 0, inc, CostLedger())
-            np.testing.assert_array_equal(path.values, np.zeros((5, 3)))
+            np.testing.assert_array_equal(path, np.zeros((5, 3)))
 
     def test_level_one_closed_form(self):
         seed, d, K = 5, 4, 6
@@ -65,7 +65,7 @@ class TestBaseCases:
                     + grid.times()[:, None] * model.drift(zero, zero)
                     + W @ model.diffusion(zero, zero).T
                 )
-                np.testing.assert_allclose(path.values, want, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(path, want, rtol=1e-12, atol=1e-12)
 
     def test_kuramoto_level_one_is_constant(self):
         # mu(0, 0) = mu0 sin 0 = 0 and sigma(0, 0) = 0, so U_1 = xi in every
@@ -79,7 +79,7 @@ class TestBaseCases:
             path = mlp_estimate(model, MlpConfig(n=1, m=2, grid=grid), (1, 0), seed, inc,
                                 CostLedger())
             xi = np.broadcast_to(model.initial_value, (K + 1, d))
-            assert (path.values.tobytes() == xi.tobytes()) == constant, model.name
+            assert (path.tobytes() == xi.tobytes()) == constant, model.name
 
     def test_row_zero_is_initial_value(self):
         for model in _models(3, seed=1):
@@ -87,7 +87,7 @@ class TestBaseCases:
             cfg = MlpConfig(n=3, m=2, grid=grid)
             inc = _top_increments(1, 0, 4, 3, grid.dt)
             path = mlp_estimate(model, cfg, (1, 0), 1, inc, CostLedger())
-            np.testing.assert_array_equal(path.values[0], model.initial_value)
+            np.testing.assert_array_equal(path[0], model.initial_value)
 
 
 class TestTranscriptionOracle:
@@ -141,7 +141,7 @@ class TestTranscriptionOracle:
             drift[j] = ts[j] * (mu(x1[r], x2[r]) - mu(x3[r], x4[r]))
         want = base + ito + drift
 
-        np.testing.assert_allclose(path.values[:, 0], want, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(path[:, 0], want, rtol=1e-13, atol=1e-13)
 
 
 class TestInvariants:
@@ -152,7 +152,7 @@ class TestInvariants:
         inc = _top_increments(2, 0, 8, 3, grid.dt)
         a = mlp_estimate(model, cfg, (1, 0), 2, inc, CostLedger())
         b = mlp_estimate(model, cfg, (1, 0), 2, inc, CostLedger())
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_constant_coefficients_collapse_to_level_one(self):
         # constant mu and sigma: every correction term vanishes identically
@@ -176,8 +176,8 @@ class TestInvariants:
             cfg = MlpConfig(n=n, m=2, grid=grid)
             path = mlp_estimate(model, cfg, (1, 0), 3, inc, CostLedger())
             if reference is None:
-                reference = path.values
-            np.testing.assert_allclose(path.values, reference, atol=1e-12)
+                reference = path
+            np.testing.assert_allclose(path, reference, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 3), m=st.integers(1, 3), K=st.integers(1, 8),
@@ -195,7 +195,7 @@ class TestInvariants:
                             CostLedger())
         W = np.vstack([np.zeros(d), np.cumsum(inc, axis=0)])
         want = model.initial_value + grid.times()[:, None] * a0 + W @ b.T
-        np.testing.assert_allclose(path.values, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(path, want, rtol=1e-12, atol=1e-12)
 
     def test_caller_increments_unchanged(self):
         model = _models(2, seed=4)[0]

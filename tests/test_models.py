@@ -259,6 +259,38 @@ class TestZeroStateRows:
         assert (got == (p.b if kind == "ou" else 0.0)).all()
 
 
+class TestStateRows:
+    """A diffusion call reads any (..., d) state as its (rows, d) reshape."""
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("lead", [(), (27,), (4, 1), (4, 27)])
+    def test_any_lead_is_its_rows(self, kind, lead):
+        d = 10
+        p = random_params(kind, d, derive_stream(d, (0,)))
+        model = _model(kind, p)
+        coefficient = ou_diffusion if kind == "ou" else kuramoto_diffusion
+        x = np.random.default_rng(d).normal(scale=5.0, size=lead + (d,))
+        for call in (lambda v: coefficient(p, v), lambda v: model.diffusion(v, v)):
+            got = call(x)
+            assert got.shape == lead + (d, d)
+            assert got.tobytes() == call(x.reshape(-1, d)).reshape(lead + (d, d)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    def test_trailing_zero_rows_across_a_lead(self, kind, monkeypatch):
+        d = 10
+        p = random_params(kind, d, derive_stream(d, (0,)))
+        model = _model(kind, p)
+        sigma0 = model.diffusion(np.zeros(d), np.zeros(d))
+        x = np.random.default_rng(d).normal(scale=5.0, size=(4, 27, d))
+        x[1, 20:] = 0.0
+        x[2:] = 0.0
+        products = _spy_products(monkeypatch, _family(p))
+        got = model.diffusion(x, x).reshape(-1, d, d)
+        assert [a.shape for a in products] == [(27 + 20, d)]
+        for row in got[27 + 20:]:
+            assert row.tobytes() == sigma0.tobytes()
+
+
 class TestRepeatedStateRows:
     """Equal rows before the trailing blocks are multiplied with the rest.
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmlp.numerics import DiscretePath, TimeGrid, grid_floor_index, mat_exp
+from mvmlp.numerics import TimeGrid, grid_floor_index, mat_exp
 from oracles import solve_linear_ode, solve_lyapunov_ode, taylor_expm
 
 
@@ -20,27 +20,18 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, K=0)
 
-    @pytest.mark.parametrize("K, message", [
-        (True, "K must be a positive integer, got True"),
-        (2**1024, r"K = 10\*\*308.25 leaves no positive finite grid step T / K"),
-        (10**5000, r"K = 10\*\*5000.00 leaves no positive finite grid step T / K"),
-    ], ids=["bool", "2**1024", "10**5000"])
-    def test_step_must_be_a_float(self, K, message):
+    @pytest.mark.parametrize("T, K, message", [
+        (1.0, True, "K must be a positive integer, got True"),
+        (1.0, 2**1024, r"K = 10\*\*308.25 leaves no positive finite grid step T / K"),
+        (1.0, 10**5000, r"K = 10\*\*5000.00 leaves no positive finite grid step T / K"),
+        (1.0, 4.0, "K must be a positive integer, got 4.0"),
+        (1.0, float("inf"), "K must be a positive integer, got inf"),
+        (1.0, float("nan"), "K must be a positive integer, got nan"),
+        (10**400, 1, "horizon T must be positive and finite, got 1000"),
+    ], ids=["bool", "2**1024", "10**5000", "float K", "K=inf", "K=nan", "T=10**400"])
+    def test_step_must_be_a_float(self, T, K, message):
         with pytest.raises(ValueError, match=message):
-            TimeGrid(T=1.0, K=K)
-
-
-class TestDiscretePath:
-    def test_shape_enforced(self):
-        g = TimeGrid(T=1.0, K=3)
-        DiscretePath(grid=g, values=np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            DiscretePath(grid=g, values=np.zeros((3, 2)))
-
-    def test_finite_enforced(self):
-        g = TimeGrid(T=1.0, K=1)
-        with pytest.raises(ValueError):
-            DiscretePath(grid=g, values=np.array([[0.0], [np.inf]]))
+            TimeGrid(T=T, K=K)
 
 
 class TestGridFloorIndex:

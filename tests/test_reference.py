@@ -12,7 +12,7 @@ from mvmlp.models import (
     ou_model,
     random_params,
 )
-from mvmlp.numerics import DiscretePath, TimeGrid, mat_exp
+from mvmlp.numerics import TimeGrid, mat_exp
 from mvmlp.randomness import derive_stream, sample_brownian_increments
 from mvmlp.reference import (
     _affine_flow,
@@ -151,21 +151,19 @@ class TestOuExactPath:
         grid = TimeGrid(T=1.0, K=5)
         inc = np.random.default_rng(0).normal(scale=np.sqrt(grid.dt), size=(5, d))
         xi = np.array([1.0, -1.0])
-        path = DiscretePath(grid=grid, values=ou_exact_path(p, xi, grid, inc))
+        path = ou_exact_path(p, xi, grid, inc)
         W = np.vstack([np.zeros(d), np.cumsum(inc, axis=0)])
-        np.testing.assert_allclose(path.values, xi + W @ b.T, atol=1e-12)
+        np.testing.assert_allclose(path, xi + W @ b.T, atol=1e-12)
 
     def test_deterministic_flow(self):
         a, a0, xi = 0.3, 0.7, 2.0
         p = OuParams(a0=np.array([a0]), A1=np.array([[a]]), A2=np.zeros((1, 1)),
                      b=np.array([[0.2]]), B=np.zeros((1, 1, 1)))
         grid = TimeGrid(T=1.0, K=10)
-        path = DiscretePath(
-            grid=grid, values=ou_exact_path(p, np.array([xi]), grid, np.zeros((10, 1)))
-        )
+        path = ou_exact_path(p, np.array([xi]), grid, np.zeros((10, 1)))
         t = grid.times()
         want = np.exp(a * t) * xi + (a0 / a) * (np.exp(a * t) - 1)
-        np.testing.assert_allclose(path.values[:, 0], want, atol=1e-10)
+        np.testing.assert_allclose(path[:, 0], want, atol=1e-10)
 
     def test_monte_carlo_mean(self):
         d, N, seed = 2, 10_000, 5
@@ -195,8 +193,8 @@ class TestOuExactPath:
         p = _ou(5, seed=7)
         grid = TimeGrid(T=1.0, K=32)
         inc = sample_brownian_increments(derive_stream(7, (1, 0)), 32, 5, grid.dt)
-        path = DiscretePath(grid=grid, values=ou_exact_path(p, np.full(5, 20.0), grid, inc))
-        assert np.max(np.abs(path.values)) < 1e6
+        path = ou_exact_path(p, np.full(5, 20.0), grid, inc)
+        assert np.max(np.abs(path)) < 1e6
 
 
 class TestKuramotoMoments:
@@ -253,11 +251,11 @@ class TestKuramotoReferencePath:
         grid = TimeGrid(T=1.0, K=8)
         xi = np.full(3, 10.0)
         variance = kuramoto_moments(p, xi, grid)
-        path = DiscretePath(grid=grid, values=kuramoto_reference_path(
+        path = kuramoto_reference_path(
             KuramotoParams(mu0=p.mu0, Sigma=np.zeros((3, 3, 3))),
             xi, grid, np.zeros((8, 3)), variance,
-        ))
-        np.testing.assert_allclose(path.values, np.broadcast_to(xi, (9, 3)), atol=1e-12)
+        )
+        np.testing.assert_allclose(path, np.broadcast_to(xi, (9, 3)), atol=1e-12)
 
     def test_monte_carlo_mean_small_noise(self):
         d, N, seed = 2, 10_000, 11
