@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import time
 from os import PathLike
 from concurrent.futures import ThreadPoolExecutor
@@ -26,9 +27,10 @@ import numpy as np
 from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate
 from .models import (CostUnits, ModelSpec, default_cost_units, kuramoto_model, ou_model,
                      random_params)
-from .numerics import TimeGrid, is_finite, is_int
+from .numerics import TimeGrid, format_number, is_finite, is_int
 from .randomness import derive_stream, sample_brownian_increments
-from .reference import kuramoto_moments, kuramoto_reference_path, ou_exact_path
+from .reference import (_BLOCK_DOUBLES, kuramoto_moments, kuramoto_reference_path,
+                        ou_exact_path)
 
 _PARAM_INDEX = (0,)
 _RUN_PREFIX = 1
@@ -41,6 +43,10 @@ FORMATS = ("csv", "json", "md")
 DESK_MAX_D = 100
 DESK_MAX_N = 4
 DESK_MAX_K = 256
+
+# the interpreter with numpy and scipy loaded: a desk-scale run peaks near
+# 64 MiB of resident memory
+_PROCESS_BYTES = 64 * 2**20
 
 
 class LedgerMismatchError(RuntimeError):
@@ -236,6 +242,31 @@ def estimate_experiment_cost(cfg: ExperimentConfig) -> int:
                for n, m in cfg.levels)
 
 
+def estimate_experiment_bytes(cfg: ExperimentConfig) -> int:
+    """Closed-form estimate of the peak memory of `run_experiment`, in bytes.
+
+    The sum of the (d, d, d) family, the one (d, d) slab its draw holds,
+    the largest cell's working set and the interpreter. A cell holds one
+    K-row sigma half (K, d, d) per estimator call in flight (one per
+    thread), its (K+1, d) paths (each run's increments, reference and
+    estimate, and seven per recursion frame of each call in flight) and
+    the reference's largest block: OU's sigma at the K left means, or the
+    Kuramoto reference's capped block of contracted increments.
+    """
+    d, calls = cfg.d, min(cfg.threads, cfg.runs)
+    cell = 0
+    for n, m in cfg.levels:
+        K = _cell_steps(n, m)
+        reference = K * d * d if cfg.model == "ou" else max(_BLOCK_DOUBLES, d * d)
+        paths = (3 * cfg.runs + 7 * n * calls) * (K + 1) * d
+        cell = max(cell, calls * K * d * d + paths + reference)
+    return 8 * (d**3 + d * d + cell) + _PROCESS_BYTES
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
     """Run all cells and write any configured outputs."""
     deep = [(n, m) for n, m in cfg.levels if n > DESK_MAX_N or _cell_steps(n, m) > DESK_MAX_K]
@@ -250,6 +281,11 @@ def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
             what = (f"cells exceed desk-scale caps {caps}; "
                     f"estimated total cost {estimate_experiment_cost(cfg)} units")
         raise ValueError(f"{what}. Pass allow_large=True / --allow-large to run anyway.")
+    need, have = estimate_experiment_bytes(cfg), _physical_memory()
+    if need > have:
+        raise ValueError(f"estimated peak memory {format_number(need >> 20)} MiB exceeds the "
+                         f"{have >> 20} MiB of physical memory; lower d, the levels, runs "
+                         f"or threads")
     if cfg.out_dir is not None:
         # a path that cannot be a directory fails here, before any cell runs
         try:

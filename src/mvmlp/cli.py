@@ -9,18 +9,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from typing import List, Optional, Tuple
 
 from .bench import (
     ExperimentConfig,
     LedgerMismatchError,
+    estimate_experiment_bytes,
     estimate_experiment_cost,
     run_experiment,
 )
 from .mlp import NumericOverflowError
 from .models import CostUnits
+from .numerics import format_number
 
 _REAL_FLAGS = ("--T", "--rho", "--mu0")
 
@@ -44,14 +45,6 @@ def _parse_levels(text: str) -> List[Tuple[int, int]]:
     if not pairs:
         raise ValueError(f"levels {text!r} has no entries")
     return pairs
-
-
-def _format_cost(units: int) -> str:
-    """The cost in full, or as a power of ten when too long for str()."""
-    # str() refuses integers past 4,300 digits; 12,000 bits are 3,613 digits
-    if units.bit_length() <= 12_000:
-        return str(units)
-    return f"10**{math.log10(units):.2f}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,8 +131,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = config_from_args(argv)
         if cfg.allow_large:
-            print(f"estimated total cost: {_format_cost(estimate_experiment_cost(cfg))} units",
+            print(f"estimated total cost: {format_number(estimate_experiment_cost(cfg))} units",
                   file=sys.stderr)
+            print(f"estimated peak memory: "
+                  f"{format_number(estimate_experiment_bytes(cfg) >> 20)} MiB", file=sys.stderr)
         rows = run_experiment(cfg)
     except (ValueError, OSError, NumericOverflowError, LedgerMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

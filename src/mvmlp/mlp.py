@@ -16,14 +16,15 @@ appended blocks have length 4, so distinct call histories always produce
 distinct indices.
 
 Ito correction: the (n, k, l) iteration evaluates sigma(x1, x2) and
-sigma(x3, x4) in one diffusion call on the 2K stacked rows, contracts the
-caller's increments with both halves in one broadcast product, and only
-then subtracts the two (K, d) step arrays; the (2K, d, d) block is
-released before the next iteration recurses. The call always has 2K rows,
-fixed by the cell; which of them BLAS multiplies (and so its bits) depends
-only on the states, since the models copy the trailing block of zero rows
-(U_0 at l = 1) and the trailing block of initial-value rows before it
-(Kuramoto's U_1 = xi) and multiply every row before them in one product.
+sigma(x3, x4) as two K-row diffusion calls, hi then lo, and contracts the
+caller's increments with each block before the next is made; only then
+are the two (K, d) step arrays subtracted, so one (K, d, d) block is live
+at a time and none survives into the next iteration's recursion. Each
+call always has K rows, fixed by the cell; which of them BLAS multiplies
+(and so its bits) depends only on the states, since the models copy the
+trailing block of zero rows (U_0 at l = 1) and the trailing block of
+initial-value rows before it (Kuramoto's U_1 = xi) and multiply every row
+before them in one product.
 
 Drift correction: the (n, k, l) iteration draws one uniform time u and
 adds t_j / m^(n-l) * (mu(x1, x2) - mu(x3, x4)) to row j, with the four
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import CostUnits, ModelSpec
-from .numerics import TimeGrid, grid_floor_index
+from .numerics import TimeGrid, grid_floor_index, is_int
 from .randomness import MultiIndex, derive_stream, sample_brownian_increments
 
 # tags for the index blocks appended per (n, k, l) iteration
@@ -66,6 +67,8 @@ class MlpConfig:
     grid: TimeGrid
 
     def __post_init__(self) -> None:
+        if not (is_int(self.n) and is_int(self.m)):
+            raise ValueError(f"n and m must be integers, got {(self.n, self.m)!r}")
         if self.n < 0 or self.m < 1:
             raise ValueError(f"need n >= 0, m >= 1, got {(self.n, self.m)}")
 
@@ -122,14 +125,17 @@ def mlp_estimate(
     def ito_steps(x1, x2, x3, x4, incr: np.ndarray) -> np.ndarray:
         """sigma(x1, x2) dW - sigma(x3, x4) dW at the K left points.
 
-        The contraction runs on the contiguous [k, i] layout the
-        coefficients write, with the (K, 1, d) increments broadcast over
-        the hi and lo halves; the (2K, d, d) block dies on return.
+        Each half is one K-row diffusion call, contracted with the
+        (K, 1, d) increments on the contiguous [k, i] layout the
+        coefficients write before the other half's (K, d, d) block is made.
         """
-        s = model.diffusion(np.concatenate((x1[:-1], x3[:-1])),
-                            np.concatenate((x2[:-1], x4[:-1])))
+        def half(a, b):
+            s = model.diffusion(a[:-1], b[:-1])
+            return np.matmul(incr[:, None, :], s.swapaxes(-1, -2))[:, 0]
+
+        hi = half(x1, x2)
+        lo = half(x3, x4)
         ledger.sigma_evals += 2 * K
-        hi, lo = np.matmul(incr[:, None, :], s.swapaxes(-1, -2).reshape(2, K, d, d))[:, :, 0]
         return hi - lo
 
     def estimate(n: int, theta: MultiIndex, incr: np.ndarray, W: np.ndarray) -> np.ndarray:

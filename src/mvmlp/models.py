@@ -9,7 +9,8 @@ reads it as its (rows, d) reshape.
 Layout: each (d, d, d) diffusion family P[k, i, j] (OuParams.B,
 KuramotoParams.Sigma) is a view of one C-contiguous (d, d*d) buffer
 indexed [j, (k, i)], which is the GEMM operand of every diffusion call;
-the family is never held twice. One reuse rule: the part of sigma that
+`random_params` draws it one k-slab at a time straight into that buffer,
+so the family is never held twice. One reuse rule: the part of sigma that
 reads a state is linear, so a call's trailing block of zero state rows
 (U_0, the estimator's base call and lo half at l = 1) and the trailing
 block of xi rows before it (the constant U_1 = xi of Kuramoto, whose
@@ -51,6 +52,12 @@ def default_cost_units(d: int) -> CostUnits:
     return CostUnits(cost_mu=d * d, cost_sigma=d * d, cost_rv=1)
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    # min and max propagate a NaN and reach any inf without the (d, d, d)
+    # boolean mask that isfinite(arr).all() would allocate for a family
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 @dataclass(frozen=True)
 class OuParams:
     """Parameters of the mean-field Ornstein-Uhlenbeck model.
@@ -78,7 +85,7 @@ class OuParams:
         for name, (arr, want) in shapes.items():
             if arr.shape != want:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
-            if not np.isfinite(arr).all():
+            if not _all_finite(arr):
                 raise ValueError(f"{name} contains non-finite entries")
         object.__setattr__(self, "B", _gemm_layout(self.B))
 
@@ -97,7 +104,7 @@ class KuramotoParams:
     def __post_init__(self) -> None:
         if self.Sigma.ndim != 3 or len(set(self.Sigma.shape)) != 1:
             raise ValueError(f"Sigma must have shape (d, d, d), got {self.Sigma.shape}")
-        if not (np.isfinite(self.mu0) and np.isfinite(self.Sigma).all()):
+        if not (np.isfinite(self.mu0) and _all_finite(self.Sigma)):
             raise ValueError("parameters contain non-finite entries")
         object.__setattr__(self, "Sigma", _gemm_layout(self.Sigma))
 
@@ -142,10 +149,11 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray, known: Optional[tuple] = None) 
     the trailing block of zero rows, and the trailing block of rows equal
     to `known[0]` before it, copy zeros and `known[1]` (the row
     `_known_row` made); every row before them goes through one product.
-    The estimator stacks its hi rows first and its lo rows last, so these
-    are U_0 = 0 at l = 1 (and the base call sigma(0, 0), one zero row) and,
-    for Kuramoto, U_1 = xi. BLAS bits depend on the number of rows per
-    call, and so on the length of the blocks.
+    The estimator makes one K-row call for its hi states and one for its
+    lo states, so in practice each block is a whole call: U_0 = 0 at l = 1
+    (and the base call sigma(0, 0), one zero row) and, for Kuramoto,
+    U_1 = xi. BLAS bits depend on the number of rows per call, and so on
+    the length of the blocks.
     """
     d = P.shape[0]
     op = P.transpose(2, 0, 1).reshape(d, d * d)
@@ -244,15 +252,16 @@ def random_params(
         return arr * (target / nrm)
 
     def family():
-        # the [k, i, j] draw, scaled and written once into the GEMM layout;
-        # the kept buffer is allocated before the transient draw, so the draw
-        # is freed above it and a small allocation that outlives it (a
-        # model's sigma(xi) row) cannot split the hole the next draw reuses
+        # the [k, i, j] draw, one k-slab at a time (the same words in the
+        # same order as one draw), each written straight into the GEMM
+        # layout [j, k, i] and then scaled in place: the peak is the family
+        # plus one slab
         buf = np.empty((d, d * d))
-        draw = u((d, d, d))
-        np.multiply(draw.transpose(2, 0, 1), scale / np.linalg.norm(draw),
-                    out=buf.reshape(d, d, d))
-        return buf.reshape(d, d, d).transpose(1, 2, 0)
+        view = buf.reshape(d, d, d)
+        for k in range(d):
+            view[:, k, :] = u((d, d)).T
+        buf *= scale / np.linalg.norm(buf)
+        return view.transpose(1, 2, 0)
 
     if model_kind == "ou":
         a0 = to_norm(u(d), scale)

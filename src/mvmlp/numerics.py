@@ -22,6 +22,14 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def format_number(value) -> str:
+    """str(value), or a power of ten for an integer too long for str()."""
+    # str() refuses integers past 4,300 digits; 12,000 bits are 3,613 digits
+    if not is_int(value) or int(value).bit_length() <= 12_000:
+        return str(value)
+    return f"{'-' if value < 0 else ''}10**{math.log10(abs(int(value))):.2f}"
+
+
 def is_finite(value) -> bool:
     try:
         return math.isfinite(value)
@@ -38,7 +46,8 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         if not (is_finite(self.T) and self.T > 0):
-            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
+            raise ValueError(f"horizon T must be positive and finite, got "
+                             f"{format_number(self.T)}")
         if not is_int(self.K) or self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
         if self.K > sys.float_info.max or self.T / self.K == 0:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from mvmlp.bench import (
     CSV_HEADER,
     ExperimentConfig,
+    _physical_memory,
     build_model,
+    estimate_experiment_bytes,
     estimate_experiment_cost,
     l2_errors,
     render_csv,
@@ -196,13 +199,17 @@ class TestExperiment:
             raise ValueError("model drawn")
 
         monkeypatch.setattr("mvmlp.bench.build_model", no_draw)
+        monkeypatch.setattr("mvmlp.bench._physical_memory", lambda: 2**40)
+        cfg = ExperimentConfig(d=1000, levels=((1, 1),))
         cost = 10 * analytic_cost(1, 1, 1, 1000, default_cost_units(1000))
         with pytest.raises(ValueError, match=f"desk-scale caps .* total cost {cost} units"):
-            run_experiment(ExperimentConfig(d=1000, levels=((1, 1),)))
+            run_experiment(cfg)
         rc = main(["--d", "1000", "--levels", "1", "--allow-large"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err == f"estimated total cost: {cost} units\nerror: model drawn\n"
+        assert err == (f"estimated total cost: {cost} units\n"
+                       f"estimated peak memory: {estimate_experiment_bytes(cfg) >> 20} MiB\n"
+                       f"error: model drawn\n")
 
     def test_deep_cell_refused_without_its_cost(self, monkeypatch):
         # the exact cost of n = 2000 is an O(n**2) big-integer loop whose
@@ -215,6 +222,51 @@ class TestExperiment:
             with pytest.raises(ValueError, match=r"cell \(n=2000, m=2000\) exceeds desk-scale "
                                                  r"caps \(d <= 100, n <= 4, K = m\*\*n <= 256\)"):
                 run_experiment(ExperimentConfig(d=d, levels=((1, 1), (2000, 2000)), runs=1))
+
+    def test_memory_estimate_is_its_terms(self):
+        # d = 50, K = 27: the family, a slab, one K-row sigma half per thread,
+        # the paths, the reference's block and the interpreter
+        d, K, n, runs = 50, 27, 3, 4
+        ou = ExperimentConfig(model="ou", d=d, levels=((1, 1), (n, n)), runs=runs, threads=2)
+        ku = ExperimentConfig(model="kuramoto", d=d, levels=((n, n),), runs=runs)
+        paths = (K + 1) * d
+        want_ou = d**3 + d * d + 2 * K * d * d + (3 * runs + 7 * n * 2) * paths + K * d * d
+        want_ku = d**3 + d * d + K * d * d + (3 * runs + 7 * n) * paths + 8 * 2**20
+        assert estimate_experiment_bytes(ou) == 8 * want_ou + 64 * 2**20
+        assert estimate_experiment_bytes(ku) == 8 * want_ku + 64 * 2**20
+
+    def test_memory_estimate_bounds_a_run(self):
+        # without the interpreter's share, the estimate still bounds what
+        # tracing the run's own allocations sees (OU: no 64 MiB reference cap
+        # to hide a missing term; two threads: two calls in flight)
+        cfg = ExperimentConfig(model="ou", d=60, levels=((3, 3),), runs=2, threads=2)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < estimate_experiment_bytes(cfg) - 64 * 2**20
+
+    def test_request_above_memory_refused_before_any_draw(self, monkeypatch, capsys):
+        # the physical memory figure is patched: nothing is allocated to test it
+        def no_draw(cfg):
+            raise AssertionError("model drawn")
+
+        monkeypatch.setattr("mvmlp.bench.build_model", no_draw)
+        cfg = ExperimentConfig(model="kuramoto", d=20, levels=((2, 2),), runs=1)
+        need = estimate_experiment_bytes(cfg)
+        monkeypatch.setattr("mvmlp.bench._physical_memory", lambda: need - 1)
+        message = (f"estimated peak memory {need >> 20} MiB exceeds the "
+                   f"{(need - 1) >> 20} MiB of physical memory")
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg)
+        rc = main(["--model", "kuramoto", "--d", "20", "--levels", "2", "--runs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}; lower d, the levels, runs or threads\n"
+        monkeypatch.setattr("mvmlp.bench._physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="model drawn"):
+            run_experiment(cfg)
 
     def test_cost_estimate_sums_cells(self):
         cfg = ExperimentConfig(model="ou", d=2, levels=((1, 1), (2, 2)), runs=3)
@@ -345,11 +397,26 @@ class TestCli:
         # digits str() prints: the line gives the power of ten; no cell runs
         monkeypatch.setattr("mvmlp.cli.run_experiment", lambda cfg: [])
         argv = ["--model", "ou", "--d", "2", "--levels", "8000x1", "--runs", "1"]
-        cost = estimate_experiment_cost(config_from_args(argv))
+        cfg = config_from_args(argv)
+        cost = estimate_experiment_cost(cfg)
         assert cost.bit_length() > 14_000
         assert main(argv + ["--allow-large"]) == 0
         err = capsys.readouterr().err
-        assert err == f"estimated total cost: 10**{math.log10(cost):.2f} units\n"
+        assert err == (f"estimated total cost: 10**{math.log10(cost):.2f} units\n"
+                       f"estimated peak memory: {estimate_experiment_bytes(cfg) >> 20} MiB\n")
+
+    def test_memory_line_past_the_printable_digits(self, capsys):
+        # d = 10**1500 needs about 10**4494 bytes for its family, past the
+        # 4,300 digits str() prints: both memory figures give the power of
+        # ten, and the run is refused before any draw
+        argv = ["--model", "ou", "--d", str(10**1500), "--levels", "1", "--runs", "1"]
+        mib = f"10**{math.log10(estimate_experiment_bytes(config_from_args(argv)) >> 20):.2f}"
+        assert main(argv + ["--allow-large"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[1:] == [f"estimated peak memory: {mib} MiB",
+                           f"error: estimated peak memory {mib} MiB exceeds the "
+                           f"{_physical_memory() >> 20} MiB of physical memory; lower d, "
+                           f"the levels, runs or threads"]
 
 
 @pytest.mark.parametrize("argv, message", [

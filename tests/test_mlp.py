@@ -227,20 +227,34 @@ class TestInvariants:
         assert n == 2 and level == 1 and k == 1
 
 
+class TestMlpConfig:
+    @pytest.mark.parametrize("n, m", [(2.0, 2), (2, 2.0), (True, 2), (2, True), ("2", 2)])
+    def test_depth_and_fanout_must_be_integers(self, n, m):
+        # a float or bool n or m would reach range() in mlp_estimate as a TypeError
+        with pytest.raises(ValueError, match="n and m must be integers"):
+            MlpConfig(n=n, m=m, grid=TimeGrid(T=1.0, K=4))
+
+    def test_numpy_integers_accepted(self):
+        cfg = MlpConfig(n=np.int64(2), m=np.int32(2), grid=TimeGrid(T=1.0, K=4))
+        assert (cfg.n, cfg.m) == (2, 2)
+
+
 class TestCallShape:
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("n, m", [(2, 2), (3, 3)])
     def test_one_paired_diffusion_call_per_iteration(self, kind, n, m):
+        # two K-row calls per iteration, hi then lo, plus the one-row base
+        # calls; an l = 1 iteration's lo states are U_0 = 0, its hi never are
         d, K = 3, 5
         base = _models(d, seed=6)[0 if kind == "ou" else 1]
-        drift_calls, diffusion_rows = [], []
+        drift_calls, diffusion_states = [], []
 
         def drift(x1, x2):
             drift_calls.append(1)
             return base.drift(x1, x2)
 
         def diffusion(x1, x2):
-            diffusion_rows.append(int(np.prod(np.shape(x1)[:-1])))
+            diffusion_states.append(np.array([x1, x2]))
             return base.diffusion(x1, x2)
 
         model = dataclasses.replace(base, drift=drift, diffusion=diffusion)
@@ -251,9 +265,14 @@ class TestCallShape:
         iterations = led.rv_draws // (K * d + 1)
         assert iterations > 0
         assert len(drift_calls) == led.mu_evals
-        assert sum(diffusion_rows) == led.sigma_evals
-        assert diffusion_rows.count(2 * K) == iterations
-        assert all(rows == 1 for rows in diffusion_rows if rows != 2 * K)
+        rows = [int(np.prod(states.shape[1:-1])) for states in diffusion_states]
+        assert sum(rows) == led.sigma_evals
+        assert all(r in (1, K) for r in rows)
+        halves = [i for i, r in enumerate(rows) if r == K]
+        assert len(halves) == 2 * iterations
+        assert halves[1::2] == [i + 1 for i in halves[::2]]
+        zero = [not diffusion_states[i].any() for i in halves]
+        assert not any(zero[::2]) and any(zero[1::2])
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("d", [1, 3, 10])
@@ -293,8 +312,9 @@ class TestCallShape:
             assert multiplied == ([live] if live else []) and same
 
     def test_diffusion_block_freed_inside_iteration(self):
-        # the recursion stack holds no sigma block: one Kuramoto d = 100,
-        # n = m = 3 call peaks below 1.5 paired (2K, d, d) blocks
+        # the recursion stack holds no sigma block and the two halves of an
+        # Ito step are never live together: one Kuramoto d = 100, n = m = 3
+        # call peaks below 1.5 K-row (K, d, d) blocks
         d, n, K = 100, 3, 27
         model = kuramoto_model(random_params("kuramoto", d, derive_stream(0, (0,))))
         grid = TimeGrid(T=1.0, K=K)
@@ -305,7 +325,7 @@ class TestCallShape:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = 2 * K * d * d * 8
+        block = K * d * d * 8
         assert peak < 1.5 * block, peak / block
 
     def test_zero_state_rows_are_not_multiplied(self, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,18 +138,33 @@ class TestGemmLayout:
     """Each family is a (d, d, d) view of one C-contiguous (d, d*d) operand."""
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
-    def test_random_params_written_once(self, kind):
+    def test_random_params_written_once(self, kind, monkeypatch):
         d = 6
+        # the norm sums the d**3 squares in buffer order, not draw order: a
+        # reordered sum of d**3 positive terms, then a root and a product
+        tol = 4 * d**3 * np.finfo(float).eps
+        normed = []
+        norm = np.linalg.norm
+
+        def spy(a, *args, **kwargs):
+            normed.append(np.array(a))
+            return norm(a, *args, **kwargs)
+
+        monkeypatch.setattr(models.np.linalg, "norm", spy)
         p = random_params(kind, d, derive_stream(3, (0,)))
+        monkeypatch.undo()
         P = _family(p)
         assert P.transpose(2, 0, 1).flags.c_contiguous
         assert np.shares_memory(_gemm_operand(P), P)
         # rebuilding the params from the family keeps its buffer
         assert np.shares_memory(_family(dataclasses.replace(p)), P)
         if kind == "kuramoto":
-            # the values of the [k, i, j] uniform draw, scaled as before
+            # before scaling, the buffer holds the [k, i, j] uniform draw
+            # bit for bit; after, it is the draw scaled to norm 0.25
             draw = 2.0 * derive_stream(3, (0,)).uniforms((d, d, d)) - 1.0
-            np.testing.assert_array_equal(P, draw * (0.25 / np.linalg.norm(draw)))
+            (unscaled,) = normed
+            np.testing.assert_array_equal(unscaled.reshape(d, d, d).transpose(1, 2, 0), draw)
+            np.testing.assert_allclose(P, draw * (0.25 / norm(draw)), rtol=tol, atol=0)
 
     def test_c_ordered_input_is_laid_out(self):
         d = 4
@@ -490,6 +506,33 @@ class TestRandomParams:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             random_params("heat", 3, derive_stream(0, (0,)))
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    def test_peak_is_the_family_plus_a_few_slabs(self, kind):
+        # the family is drawn one (d, d) slab at a time into its buffer; OU
+        # also holds A1, A2 and b while it is drawn. Drawing it whole would
+        # add a second family
+        d = 60
+        family, slab = 8 * d**3, 8 * d * d
+        bound = family + 6 * slab
+        tracemalloc.start()
+        try:
+            random_params(kind, d, derive_stream(0, (0,)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak - family) / slab
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_family_rejected(self, bad):
+        d = 3
+        P = np.zeros((d, d, d))
+        P[1, 2, 0] = bad
+        zeros = np.zeros((d, d))
+        with pytest.raises(ValueError, match="non-finite"):
+            KuramotoParams(mu0=0.5, Sigma=P)
+        with pytest.raises(ValueError, match="B contains non-finite"):
+            OuParams(a0=np.zeros(d), A1=zeros, A2=zeros, b=zeros, B=P)
 
 
 class TestModelSpec:

@@ -28,7 +28,11 @@ class TestTimeGrid:
         (1.0, float("inf"), "K must be a positive integer, got inf"),
         (1.0, float("nan"), "K must be a positive integer, got nan"),
         (10**400, 1, "horizon T must be positive and finite, got 1000"),
-    ], ids=["bool", "2**1024", "10**5000", "float K", "K=inf", "K=nan", "T=10**400"])
+        # str() refuses an integer past 4,300 digits: the error names T
+        (10**5000, 1, r"horizon T must be positive and finite, got 10\*\*5000.00$"),
+        (-10**5000, 1, r"horizon T must be positive and finite, got -10\*\*5000.00$"),
+    ], ids=["bool", "2**1024", "10**5000", "float K", "K=inf", "K=nan", "T=10**400",
+            "T=10**5000", "T=-10**5000"])
     def test_step_must_be_a_float(self, T, K, message):
         with pytest.raises(ValueError, match=message):
             TimeGrid(T=T, K=K)
