@@ -98,6 +98,9 @@ class ExperimentConfig:
             raise ValueError(f"formats must be a list of names, got {self.formats!r}")
         if not (self.out_dir is None or isinstance(self.out_dir, (str, PathLike))):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
+        if self.out_dir is not None and not os.fspath(self.out_dir):
+            # an empty path would write the results into the working directory
+            raise ValueError("out_dir must be a non-empty path, got ''")
         if not isinstance(self.allow_large, bool):
             raise ValueError(f"allow_large must be true or false, got {self.allow_large!r}")
         if not (self.unit_costs is None or isinstance(self.unit_costs, CostUnits)):
@@ -206,10 +209,13 @@ def run_cell(
         )
         for r in runs
     ])
-    reference = _reference(cfg, model, grid, increments)
+    cell = f"cell model={cfg.model}, d={model.d}, n={n}, m={m}"
+    try:
+        reference = _reference(cfg, model, grid, increments)
+    except ValueError as exc:
+        raise ValueError(f"reference path failed in {cell}: {exc}") from None
     if not np.isfinite(reference).all():
-        raise ValueError(f"non-finite reference path in cell model={cfg.model}, "
-                         f"d={model.d}, n={n}, m={m}")
+        raise ValueError(f"non-finite reference path in {cell}")
     cost = analytic_cost(n, m, K, model.d, model.unit_costs)
 
     def one(r: int) -> Tuple[np.ndarray, float]:
@@ -228,7 +234,10 @@ def run_cell(
         results = [one(r) for r in runs]
 
     estimates, elapsed = zip(*results)
-    l2_error, per_run_errors = l2_errors(reference, np.stack(estimates))
+    with np.errstate(over="ignore"):    # an overflowed gap is reported below
+        l2_error, per_run_errors = l2_errors(reference, np.stack(estimates))
+    if not np.isfinite([l2_error, *per_run_errors]).all():
+        raise ValueError(f"non-finite L2 error in {cell}")
     return ResultRow(
         model=cfg.model, d=model.d, n=n, m=m, K=K, l2_error=l2_error,
         time_s=float(np.mean(elapsed)), cost=cost, per_run_errors=per_run_errors,

@@ -100,6 +100,8 @@ def config_from_args(argv: Optional[List[str]] = None) -> ExperimentConfig:
             raise ValueError(f"config levels must be a list, got {values['levels']!r}")
         values["levels"] = [tuple(pair) if isinstance(pair, list) else (pair, pair)
                             for pair in values["levels"]]
+        if not values["levels"]:
+            raise ValueError(f"config levels in {args.config} has no entries")
     if "unit_costs" in values and values["unit_costs"] is not None:
         try:
             values["unit_costs"] = CostUnits(**values["unit_costs"])

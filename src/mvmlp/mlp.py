@@ -20,11 +20,11 @@ sigma(x3, x4) as two K-row diffusion calls, hi then lo, and contracts the
 caller's increments with each block before the next is made; only then
 are the two (K, d) step arrays subtracted, so one (K, d, d) block is live
 at a time and none survives into the next iteration's recursion. Each
-call always has K rows, fixed by the cell; which of them BLAS multiplies
-(and so its bits) depends only on the states, since the models copy the
-trailing block of zero rows (U_0 at l = 1) and the trailing block of
-initial-value rows before it (Kuramoto's U_1 = xi) and multiply every row
-before them in one product.
+call always has K rows, fixed by the cell; whether BLAS multiplies them
+(and so its bits) depends only on the states, since the models copy a
+call whose rows are all zero (U_0 at l = 1) or, for Kuramoto, all the
+initial value (U_1 = xi), and multiply every row of any other call in one
+product.
 
 Drift correction: the (n, k, l) iteration draws one uniform time u and
 adds t_j / m^(n-l) * (mu(x1, x2) - mu(x3, x4)) to row j, with the four

@@ -10,13 +10,12 @@ Layout: each (d, d, d) diffusion family P[k, i, j] (OuParams.B,
 KuramotoParams.Sigma) is a view of one C-contiguous (d, d*d) buffer
 indexed [j, (k, i)], which is the GEMM operand of every diffusion call;
 `random_params` draws it one k-slab at a time straight into that buffer,
-so the family is never held twice. One reuse rule: the part of sigma that
-reads a state is linear, so a call's trailing block of zero state rows
-(U_0, the estimator's base call and lo half at l = 1) and the trailing
-block of xi rows before it (the constant U_1 = xi of Kuramoto, whose
-coefficients vanish at 0) copy a row that needs no product: zeros, or the
-product of xi that each model makes once when it is built. Every row
-before those blocks goes through one GEMM.
+so the family is never held twice. One reuse rule, decided per call: the
+part of sigma that reads a state is linear, so a call whose rows are all
+zero (U_0: the estimator's base call and its lo half at l = 1) copies
+zeros, and a Kuramoto call whose rows are all xi (its constant U_1 = xi,
+the hi half at l = 1) copies the product of xi that the model makes once
+when it is built. Any other call multiplies all its rows in one GEMM.
 """
 
 from __future__ import annotations
@@ -145,58 +144,40 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray, known: Optional[tuple] = None) 
     [k, i] layout, so it goes through the swapped view again rather than
     copying.
 
-    Any (..., d) input is read as its (rows, d) reshape. One reuse rule:
-    the trailing block of zero rows, and the trailing block of rows equal
-    to `known[0]` before it, copy zeros and `known[1]` (the row
-    `_known_row` made); every row before them goes through one product.
-    The estimator makes one K-row call for its hi states and one for its
-    lo states, so in practice each block is a whole call: U_0 = 0 at l = 1
-    (and the base call sigma(0, 0), one zero row) and, for Kuramoto,
-    U_1 = xi. BLAS bits depend on the number of rows per call, and so on
-    the length of the blocks.
+    Any (..., d) input is read as its (rows, d) reshape. One decision per
+    call: if every row is zero it copies zeros; else if every row equals
+    `known[0]` it copies `known[1]` (the row Kuramoto makes of xi at
+    build); any other call multiplies all its rows in one product. The
+    estimator makes one K-row call for its hi states and one for its lo
+    states, so U_0 = 0 at l = 1 (and the base call sigma(0, 0), one zero
+    row) and Kuramoto's U_1 = xi are whole calls. BLAS bits depend on the
+    number of rows per call.
     """
     d = P.shape[0]
-    op = P.transpose(2, 0, 1).reshape(d, d * d)
     lead = x.shape[:-1]
     x = x.reshape(-1, d)
-    rows = end = len(x)
-    out = np.empty((rows, d * d))
-    blocks = [(0.0, 0.0)] if known is None else [(0.0, 0.0), known]
-    for state, row in blocks:
-        start = _block_start(x, end, state)
-        if start < end:             # an empty slice's fill costs a microsecond
-            out[start:end] = row
-            end = start
-    if end:
-        np.matmul(x[:end], op, out=out[:end])
+    out = np.empty((len(x), d * d))
+    for state, row in [(0.0, 0.0)] + ([] if known is None else [known]):
+        # the last row screens out a general call at one d-wide compare
+        if not (np.count_nonzero(x[-1:] != state) or np.count_nonzero(x != state)):
+            out[:] = row
+            break
+    else:
+        np.matmul(x, P.transpose(2, 0, 1).reshape(d, d * d), out=out)
     return out.reshape(lead + (d, d))
 
 
-def _block_start(x: np.ndarray, end: int, state) -> int:
-    """First row of the trailing block of rows of x[:end] equal to `state`."""
-    # the last row screens out most calls at one compare; then one flat
-    # mask, since a per-row any() costs as much as the product at d = 10
-    if not end or np.count_nonzero(x[end - 1] != state):
-        return end
-    differ = np.flatnonzero(x[:end] != state)
-    return differ[-1] // x.shape[1] + 1 if differ.size else 0
+def _initial_value(xi: Optional[np.ndarray], d: int, default: float) -> np.ndarray:
+    xi = np.full(d, default) if xi is None else np.asarray(xi, dtype=float)
+    if xi.shape != (d,):
+        raise ValueError(f"initial value has shape {xi.shape}, expected ({d},)")
+    return xi
 
 
-def _known_row(P: np.ndarray, xi: np.ndarray) -> tuple:
-    """(xi, its product row) for `_stacked_apply`'s `known` argument.
-
-    The row is the one-row product of xi, which a lone xi row would make.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (P.shape[0],):
-        raise ValueError(f"initial value has shape {xi.shape}, expected ({P.shape[0]},)")
-    return xi, _stacked_apply(P, xi).reshape(-1)
-
-
-def ou_diffusion(p: OuParams, x2: np.ndarray, known: Optional[tuple] = None) -> np.ndarray:
+def ou_diffusion(p: OuParams, x2: np.ndarray) -> np.ndarray:
     """Matrix with column k = b_k + B_k x2; independent of x1."""
     x2 = _check_dim(x2, p.d, "x2")
-    sigma_t = _stacked_apply(p.B, x2, known)
+    sigma_t = _stacked_apply(p.B, x2)
     # in the contiguous [k, i] layout, with a contiguous addend: same sums, faster
     sigma_t += np.ascontiguousarray(p.b.T)
     return sigma_t.swapaxes(-1, -2)
@@ -293,14 +274,13 @@ def ou_model(
     unit_costs: Optional[CostUnits] = None,
 ) -> ModelSpec:
     d = p.d
-    xi = np.full(d, 20.0) if initial_value is None else np.asarray(initial_value, float)
-    known = _known_row(p.B, xi)
+    xi = _initial_value(initial_value, d, 20.0)
     return ModelSpec(
         name="ou",
         d=d,
         initial_value=xi,
         drift=lambda x1, x2: ou_drift(p, x1, x2),
-        diffusion=lambda x1, x2: ou_diffusion(p, x2, known),
+        diffusion=lambda x1, x2: ou_diffusion(p, x2),
         unit_costs=unit_costs or default_cost_units(d),
         params=p,
     )
@@ -312,8 +292,9 @@ def kuramoto_model(
     unit_costs: Optional[CostUnits] = None,
 ) -> ModelSpec:
     d = p.d
-    xi = np.full(d, 10.0) if initial_value is None else np.asarray(initial_value, float)
-    known = _known_row(p.Sigma, xi)
+    xi = _initial_value(initial_value, d, 10.0)
+    # U_1 = xi makes every l = 1 hi call all xi: one product row, made once
+    known = (xi, _stacked_apply(p.Sigma, xi).reshape(-1))
     return ModelSpec(
         name="kuramoto",
         d=d,

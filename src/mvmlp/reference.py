@@ -4,8 +4,8 @@ The mean-field OU reference is pathwise: exact propagator per step, the
 drift integral read off the exact mean, left-point diffusion in time. It
 therefore consumes exactly the increments array later fed to the paired
 estimator call, which is what the paired-error metric requires.
-Each path function takes one run's increments (K, d) or a cell's stacked
-increments (R, K, d), and a run's values do not depend on R.
+Each path function takes a cell's stacked increments (R, K, d), and a
+run's values do not depend on R.
 
 The Kuramoto reference applies its diffusion only to increments, so it
 never forms sigma(X): sigma(X) dW = sum_j X_j G_j with G_j = dW Sigma[:, :, j]
@@ -58,16 +58,15 @@ def ou_mean(p: OuParams, xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 def _check_increments(increments: np.ndarray, K: int, d: int) -> np.ndarray:
     incr = np.asarray(increments, dtype=float)
-    if incr.ndim not in (2, 3) or incr.shape[-2:] != (K, d):
-        raise ValueError(f"increments must have shape ({K}, {d}) or (R, {K}, {d}), "
-                         f"got {incr.shape}")
+    if incr.ndim != 3 or incr.shape[1:] != (K, d):
+        raise ValueError(f"increments must have shape (R, {K}, {d}), got {incr.shape}")
     return incr
 
 
 def ou_exact_path(
     p: OuParams, xi: np.ndarray, grid: TimeGrid, increments: np.ndarray
 ) -> np.ndarray:
-    """Pathwise OU reference: increments (K, d) or (R, K, d) -> values (..., K+1, d).
+    """Pathwise OU reference: increments (R, K, d) -> values (R, K+1, d).
 
     Variation-of-constants stepping. The run-independent propagators are
     built once per call, so a cell passes all its runs' increments at once.
@@ -86,14 +85,14 @@ def ou_exact_path(
     # left-point diffusion time rule: sigma at the K left means, in one K-row product
     sigmas = ou_diffusion(p, means[:-1])
 
-    out = np.zeros(incr.shape[:-2] + (K + 1, d))
-    out[..., 0, :] = means[0]
-    X = out[..., 0, :].copy()
+    out = np.zeros((len(incr), K + 1, d))
+    out[:, 0] = means[0]
+    X = out[:, 0].copy()
 
     for j in range(K):
-        X = (np.einsum("ij,...j->...i", E, X) + forcing[j]
-             + np.einsum("ik,...k->...i", sigmas[j], incr[..., j, :]))
-        out[..., j + 1, :] = X
+        X = (np.einsum("ij,rj->ri", E, X) + forcing[j]
+             + np.einsum("ik,rk->ri", sigmas[j], incr[:, j]))
+        out[:, j + 1] = X
     return out
 
 
@@ -114,7 +113,7 @@ def kuramoto_reference_path(
 ) -> np.ndarray:
     """Euler-Maruyama reference with moment-damped mean-field drift.
 
-    Increments (K, d) or (R, K, d) -> values (..., K+1, d). The diffusion
+    Increments (R, K, d) -> values (R, K+1, d). The diffusion
     term of step t is sum_j X_j G_j[t] with G_j = dW Sigma[:, :, j]; G is
     made one chunk of steps at a time, as one BLAS (steps x d)(d x d)
     product per (run, j), and each run's step is its own matrix-vector
@@ -122,8 +121,7 @@ def kuramoto_reference_path(
     """
     d, K, dt = p.d, grid.K, grid.dt
     xi = np.asarray(xi, dtype=float)
-    incr = _check_increments(increments, K, d)
-    runs = incr.reshape(-1, K, d)
+    runs = _check_increments(increments, K, d)
     family = p.Sigma.transpose(2, 0, 1)     # [j, k, i]: a contiguous (d, d) block per j
     steps = max(1, min(K, _RUN_DOUBLES // (d * d)))
     per_block = max(1, _BLOCK_DOUBLES // (steps * d * d))
@@ -141,4 +139,4 @@ def kuramoto_reference_path(
                 X = X + drift * dt + np.matmul(X[:, None, :], G[:, :, s])[:, 0]
                 out[group, j + 1] = X
             del G       # before the next block is made
-    return out.reshape(incr.shape[:-2] + (K + 1, d))
+    return out

@@ -3,7 +3,7 @@
 None of this code runs in `mvmlp-bench`: a matrix-exponential series, a
 classical RK4 stepper for the linear and Lyapunov ODEs, the OU marginal
 covariance, the N-particle system whose empirical law approximates the
-McKean-Vlasov law (propagation of chaos), and the row split of the
+McKean-Vlasov law (propagation of chaos), and the call classes of the
 diffusion kernel's reuse rule.
 """
 
@@ -159,16 +159,17 @@ def particle_system_path(model, N: int, grid, stream) -> np.ndarray:
     return out
 
 
-def reuse_blocks(x: np.ndarray, xi: np.ndarray) -> tuple:
-    """(live, zeros) for the state rows x of one diffusion call.
+def reuse_class(x: np.ndarray, xi: np.ndarray) -> str:
+    """How the sigma kernel treats the (..., d) state rows x of one call.
 
-    Rows x[zeros:] are the trailing zero rows, x[live:zeros] the trailing
-    xi rows before them, and x[:live] the rows the kernel multiplies.
+    "zero": every row is zero, and the kernel copies sigma(0); "xi": every
+    row equals xi, which Kuramoto copies and OU multiplies; "tail": the
+    rows differ but the last is zero or xi; "general": the last row is
+    neither. A "tail" or "general" call is one product of all its rows.
     """
-    zeros = len(x)
-    while zeros and not x[zeros - 1].any():
-        zeros -= 1
-    live = zeros
-    while live and (x[live - 1] == xi).all():
-        live -= 1
-    return live, zeros
+    x = x.reshape(-1, x.shape[-1])
+    if not x.any():
+        return "zero"
+    if (x == xi).all():
+        return "xi"
+    return "tail" if not x[-1].any() or (x[-1] == xi).all() else "general"

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,20 @@ class TestRunCell:
             run_cell(ExperimentConfig(model="ou", d=2, runs=2), 2, 2)
         rc = main(["--model", "ou", "--d", "2", "--levels", "2", "--runs", "2"])
         assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, message", [
+        # mu0 = 1e308 keeps every path finite, but the squared gap overflows
+        (["--mu0", "1e308"], "non-finite L2 error in cell model=kuramoto, d=3, n=2, m=2"),
+        # rho = 1e200 overflows the Kuramoto moment generator
+        (["--rho", "1e200"], "reference path failed in cell model=kuramoto, d=3, n=2, m=2: "
+                             "matrix contains non-finite entries"),
+    ])
+    def test_numeric_failure_names_the_cell(self, flag, message, capsys):
+        argv = ["--model", "kuramoto", "--d", "3", "--levels", "2", "--runs", "1", *flag]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_grid_past_the_float_range(self):
@@ -464,6 +479,8 @@ class TestCli:
      "cannot parse config file {configs}/malformed.json: Expecting property name"),
     (["--config", "{configs}/utf16.json"],
      "cannot parse config file {configs}/utf16.json: 'utf-8' codec can't decode"),
+    (["--config", "{configs}/levels_empty.json"],
+     "config levels in {configs}/levels_empty.json has no entries"),
 ])
 def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
     # no --d/--levels/--runs here: they would override the config files' values
@@ -510,6 +527,17 @@ def test_out_dir_must_be_a_path():
         ExperimentConfig(out_dir=3)
 
 
+def test_empty_out_dir_is_refused(monkeypatch, tmp_path, capsys):
+    # an empty path would write the results into the working directory
+    with pytest.raises(ValueError, match="out_dir must be a non-empty path, got ''"):
+        ExperimentConfig(out_dir="")
+    monkeypatch.chdir(tmp_path)
+    rc = main(["--model", "ou", "--d", "2", "--levels", "1", "--runs", "1", "--out", ""])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: out_dir must be a non-empty path, got ''\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.fixture(scope="module")
 def configs(tmp_path_factory):
     """Config files outside the output directory the CLI tests inspect."""
@@ -527,6 +555,7 @@ def configs(tmp_path_factory):
         "levels_str": {"levels": [["2", 2]]},
         "levels_triple": {"levels": [[1, 2, 3]]},
         "levels_int": {"levels": 3},
+        "levels_empty": {"levels": []},
         "units_str": {"unit_costs": {"cost_mu": "1", "cost_sigma": 1, "cost_rv": 1}},
         "units_float": {"unit_costs": {"cost_mu": 1.5, "cost_sigma": 1, "cost_rv": 1}},
         "formats_str": {"formats": "csv"},

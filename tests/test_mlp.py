@@ -27,7 +27,7 @@ from mvmlp.models import (
 )
 from mvmlp.numerics import TimeGrid, grid_floor_index
 from mvmlp.randomness import derive_stream, sample_brownian_increments
-from oracles import reuse_blocks
+from oracles import reuse_class
 
 
 def _models(d, seed=0):
@@ -279,8 +279,8 @@ class TestCallShape:
     @pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (2, 3), (3, 1)])
     def test_paired_calls_multiply_the_rows_before_their_blocks(self, kind, d, n, m,
                                                                 monkeypatch):
-        # each paired call makes at most one product against the family, of
-        # its rows before the trailing zero and xi blocks
+        # each paired call makes one product against the family, of all its
+        # rows, unless it is all zero or (Kuramoto) all xi, which it copies
         base = _models(d, seed=6)[0 if kind == "ou" else 1]
         family = base.params.B if kind == "ou" else base.params.Sigma
         products, calls = [], []
@@ -296,9 +296,10 @@ class TestCallShape:
             products.clear()
             out = base.diffusion(x1, x2)
             if np.ndim(state) == 2:
-                live, _ = reuse_blocks(state, base.initial_value)
-                calls.append(([len(a) for a in products], live,
-                              all(np.array_equal(a, state[:live]) for a in products)))
+                reuse = reuse_class(state, base.initial_value)
+                copied = reuse == "zero" or (reuse == "xi" and kind == "kuramoto")
+                calls.append((len(products), copied,
+                              all(np.array_equal(a, state) for a in products)))
             return out
 
         monkeypatch.setattr(models.np, "matmul", spy)
@@ -308,8 +309,30 @@ class TestCallShape:
         inc = _top_increments(6, 0, K, d, grid.dt)
         mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid), (1, 0), 6, inc, CostLedger())
         assert calls
-        for multiplied, live, same in calls:
-            assert multiplied == ([live] if live else []) and same
+        for multiplied, copied, same in calls:
+            assert multiplied == (0 if copied else 1) and same
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 2), (3, 3)])
+    def test_calls_are_whole_blocks_or_general(self, kind, d, n, m):
+        # the premise of the kernel's whole-call rule: every diffusion call
+        # the estimator makes is all zero, all xi, or ends in a row that is
+        # neither, so no zero or xi tail is multiplied unseen
+        base = _models(d, seed=6)[0 if kind == "ou" else 1]
+        classes = []
+
+        def diffusion(x1, x2):
+            state = x2 if kind == "ou" else x1
+            classes.append(reuse_class(np.asarray(state), base.initial_value))
+            return base.diffusion(x1, x2)
+
+        model = dataclasses.replace(base, diffusion=diffusion)
+        K = m**n
+        grid = TimeGrid(T=1.0, K=K)
+        inc = _top_increments(6, 0, K, d, grid.dt)
+        mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid), (1, 0), 6, inc, CostLedger())
+        assert classes and "tail" not in classes
 
     def test_diffusion_block_freed_inside_iteration(self):
         # the recursion stack holds no sigma block and the two halves of an
@@ -330,14 +353,13 @@ class TestCallShape:
 
     def test_zero_state_rows_are_not_multiplied(self, monkeypatch):
         # a count, not a timing: the rows multiplied against the family are
-        # the nonzero state rows that differ from the row before them and do
-        # not head a run of xi rows (the model knows sigma(xi)), while the
-        # ledger still counts every row; the constant level-1 paths
-        # (U_1 = xi) make most nonzero rows repeats
+        # the rows of the calls that are neither all zero nor all xi (the
+        # model knows sigma(xi)), while the ledger still counts every row;
+        # the constant level-1 paths (U_1 = xi) make most nonzero rows copies
         d, n, K = 5, 3, 27
         base = kuramoto_model(random_params("kuramoto", d, derive_stream(0, (0,))))
         family, xi = base.params.Sigma, base.initial_value
-        passed, nonzero, distinct, multiplied = [], [], [], []
+        passed, nonzero, general, multiplied = [], [], [], []
         matmul = np.matmul
 
         def spy(a, b, *args, **kwargs):
@@ -348,13 +370,8 @@ class TestCallShape:
         def diffusion(x1, x2):
             rows = np.reshape(x1, (-1, d))      # Kuramoto's sigma reads x1
             passed.append(len(rows))
-            live = rows.any(axis=1)
-            repeat = np.zeros(len(rows), dtype=bool)
-            repeat[1:] = (rows[1:] == rows[:-1]).all(axis=1)
-            xi_head = np.zeros(len(rows), dtype=bool)
-            xi_head[:-1] = (rows[:-1] == xi).all(axis=1) & repeat[1:] & ~repeat[:-1]
-            nonzero.append(int(live.sum()))
-            distinct.append(int((live & ~repeat & ~xi_head).sum()))
+            nonzero.append(int(rows.any(axis=1).sum()))
+            general.append(0 if reuse_class(rows, xi) in ("zero", "xi") else len(rows))
             return base.diffusion(x1, x2)
 
         monkeypatch.setattr(models.np, "matmul", spy)
@@ -364,8 +381,8 @@ class TestCallShape:
         inc = _top_increments(0, 0, K, d, grid.dt)
         mlp_estimate(model, MlpConfig(n=n, m=n, grid=grid), (1, 0), 0, inc, led)
         assert sum(passed) == led.sigma_evals == analytic_cost(n, n, K, d, CostUnits(0, 1, 0))
-        assert sum(multiplied) == sum(distinct) == 3 * K
-        assert sum(distinct) < sum(nonzero) < led.sigma_evals
+        assert sum(multiplied) == sum(general) == 3 * K
+        assert sum(general) < sum(nonzero) < led.sigma_evals
 
 
 class TestAnalyticCost:

@@ -23,7 +23,7 @@ from mvmlp.models import (
 )
 from mvmlp.numerics import TimeGrid
 from mvmlp.randomness import derive_stream, sample_brownian_increments
-from oracles import reuse_blocks
+from oracles import reuse_class
 
 
 def _ou_params(d, seed=0, scale=0.25):
@@ -213,12 +213,13 @@ def _spy_products(monkeypatch, family):
 
 
 def _check_rule(model, x, products):
-    """The reuse rule on one call; returns `reuse_blocks(x, xi)`.
+    """The reuse rule on one call; returns `reuse_class(x, xi)`.
 
-    Every row is the einsum definition; the rows before the trailing zero
-    and xi blocks go through one product, whose values they are; the blocks
-    copy sigma(0) and the one-row product of xi bit for bit. `products` is
-    a `_spy_products` list, cleared before the call.
+    Every row is the einsum definition. An all-zero call, and a Kuramoto
+    all-xi call, make no product and copy sigma(0) or the one-row product
+    of xi bit for bit; any other call is one product of all its rows,
+    whose values it returns. `products` is a `_spy_products` list, cleared
+    before the call.
     """
     p, d, xi = model.params, model.d, model.initial_value
     P = _family(p)
@@ -236,20 +237,26 @@ def _check_rule(model, x, products):
     scale = np.einsum("kij,...j->...ik", np.abs(P), np.abs(x)) + (np.abs(p.b) if ou else 0.0)
     assert got.shape == x.shape + (d,)
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
-    live, zeros = reuse_blocks(x, xi)
-    assert len(products) == (1 if live else 0)
-    if live:
-        np.testing.assert_array_equal(products[0], x[:live])
-        np.testing.assert_array_equal(got[:live], product(x[:live]))
-    xi_row = product(xi[None, :])[0]
-    for i in range(live, zeros):
-        assert got[i].tobytes() == xi_row.tobytes(), i
-    assert (got[zeros:] == (p.b if ou else 0.0)).all()
-    return live, zeros
+    kind = reuse_class(x, xi)
+    rows = x.reshape(-1, d)
+    got = got.reshape(-1, d, d)
+    if kind == "zero":
+        assert not products
+        assert (got == (p.b if ou else 0.0)).all()
+    elif kind == "xi" and not ou:
+        assert not products
+        xi_row = product(xi[None, :])[0]
+        for i, row in enumerate(got):
+            assert row.tobytes() == xi_row.tobytes(), i
+    else:
+        assert len(products) == 1
+        np.testing.assert_array_equal(products[0], rows)
+        assert got.tobytes() == product(rows).tobytes()
+    return kind
 
 
 class TestZeroStateRows:
-    """The trailing zero rows copy sigma(0); the rows before them are one product."""
+    """An all-zero call copies sigma(0); a call with trailing zero rows is one product."""
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("d", [3, 10, 100])
@@ -259,12 +266,11 @@ class TestZeroStateRows:
         model = _model(kind, p)
         products = _spy_products(monkeypatch, _family(p))
         rng = np.random.default_rng(d)
-        for zeros in (0, 1, K, 2 * K):
+        for zeros, want in ((0, "general"), (1, "tail"), (K, "tail"), (2 * K, "zero")):
             x = rng.normal(scale=5.0, size=(2 * K, d))
             x[1] = 0.0                      # a lone interior zero row is multiplied
             x[2 * K - zeros:] = 0.0
-            live = 2 * K - zeros
-            assert _check_rule(model, x, products) == (live, live)
+            assert _check_rule(model, x, products) == want, zeros
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     def test_base_call(self, kind):
@@ -293,6 +299,8 @@ class TestStateRows:
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     def test_trailing_zero_rows_across_a_lead(self, kind, monkeypatch):
+        # the rule reads all the rows of the reshape: zero trailing rows
+        # are multiplied with the rest, and only an all-zero state is copied
         d = 10
         p = random_params(kind, d, derive_stream(d, (0,)))
         model = _model(kind, p)
@@ -301,14 +309,16 @@ class TestStateRows:
         x[1, 20:] = 0.0
         x[2:] = 0.0
         products = _spy_products(monkeypatch, _family(p))
-        got = model.diffusion(x, x).reshape(-1, d, d)
-        assert [a.shape for a in products] == [(27 + 20, d)]
-        for row in got[27 + 20:]:
+        assert _check_rule(model, x, products) == "tail"
+        zero = np.zeros_like(x)
+        got = model.diffusion(zero, zero).reshape(-1, d, d)
+        assert [a.shape for a in products] == [(4 * 27, d)]     # no second product
+        for row in got:
             assert row.tobytes() == sigma0.tobytes()
 
 
 class TestRepeatedStateRows:
-    """Equal rows before the trailing blocks are multiplied with the rest.
+    """Equal rows are multiplied with the rest.
 
     Any 2-D state makes at most one product against the family.
     """
@@ -347,7 +357,7 @@ class TestRepeatedStateRows:
         products = _spy_products(monkeypatch, _family(p))
         for name, x in self._cases(d, model.initial_value).items():
             # none of the cases ends in a zero or xi row: all rows, one product
-            assert _check_rule(model, x, products) == (len(x), len(x)), name
+            assert _check_rule(model, x, products) == "general", name
             assert len(products) == 1, name
 
     @settings(max_examples=50, deadline=None)
@@ -355,75 +365,96 @@ class TestRepeatedStateRows:
     def test_random_duplications(self, kind, d, data):
         # few distinct values, so runs, zero rows, xi rows and -0.0 are common
         values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0])
-        base = data.draw(arrays(float, st.tuples(st.integers(1, 6), st.just(d)),
-                                elements=values))
-        repeats = data.draw(st.lists(st.integers(1, 4), min_size=len(base),
-                                     max_size=len(base)))
         xi = data.draw(arrays(float, d, elements=values))
-        tail = data.draw(st.lists(st.sampled_from(["xi", "zero"]), max_size=4))
-        x = np.concatenate([np.repeat(base, repeats, axis=0)]
-                           + [(xi if row == "xi" else np.zeros(d))[None, :] for row in tail])
+        whole = data.draw(st.sampled_from(["zero", "xi", "mixed"]))
+        if whole == "mixed":
+            base = data.draw(arrays(float, st.tuples(st.integers(1, 6), st.just(d)),
+                                    elements=values))
+            repeats = data.draw(st.lists(st.integers(1, 4), min_size=len(base),
+                                         max_size=len(base)))
+            tail = data.draw(st.lists(st.sampled_from(["xi", "zero"]), max_size=4))
+            x = np.concatenate([np.repeat(base, repeats, axis=0)]
+                               + [(xi if row == "xi" else np.zeros(d))[None, :]
+                                  for row in tail])
+        else:
+            rows = data.draw(st.integers(1, 8))
+            x = np.repeat((xi if whole == "xi" else np.zeros(d))[None, :], rows, axis=0)
         p = random_params(kind, d, derive_stream(d, (0,)))
         model = _model(kind, p, initial_value=xi)
         with pytest.MonkeyPatch.context() as mp:
-            _check_rule(model, x, _spy_products(mp, _family(p)))
+            got = _check_rule(model, x, _spy_products(mp, _family(p)))
+        if whole != "mixed":
+            # an all-xi call whose xi is zero is an all-zero call
+            assert got == ("zero" if whole == "zero" or not xi.any() else "xi")
 
 
 class TestKnownRows:
-    """The trailing xi rows copy the row the model made of xi at build."""
+    """A Kuramoto all-xi call copies the row the model made of xi at build."""
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("d", [3, 100])
     def test_xi_run_copies_the_known_row(self, kind, d, monkeypatch):
+        # only a whole call of xi rows is copied, and only by Kuramoto; a
+        # call with an xi tail is one product of all its rows
         p = random_params(kind, d, derive_stream(d, (0,)))
         model = _model(kind, p)
         xi = model.initial_value
         products = _spy_products(monkeypatch, _family(p))
         x = np.random.default_rng(d).normal(scale=5.0, size=(9, d))
+        whole = np.repeat(xi[None, :], 9, axis=0)    # Kuramoto's hi half at l = 1
         tail = x.copy()
         tail[5:] = xi
-        then_zeros = x.copy()                # the l = 1 shape of a call
+        then_zeros = x.copy()
         then_zeros[3:6] = xi
         then_zeros[6:] = 0.0
-        level_one = np.zeros((8, d))         # Kuramoto at l = 1: U_1 = xi, U_0 = 0
-        level_one[:4] = xi
-        not_last = x.copy()                  # an xi run is trailing or multiplied
+        xi_then_zeros = np.zeros((8, d))
+        xi_then_zeros[:4] = xi
+        not_last = x.copy()
         not_last[3:7] = xi
-        cases = {"xi tail": (tail, (5, 9)), "xi, then zeros": (then_zeros, (3, 6)),
-                 "level 1": (level_one, (0, 4)), "xi run not last": (not_last, (9, 9))}
-        for name, (x, blocks) in cases.items():
-            assert _check_rule(model, x, products) == blocks, name
+        cases = {"all xi": (whole, "xi"), "xi tail": (tail, "tail"),
+                 "xi, then zeros": (then_zeros, "tail"),
+                 "all xi, then zeros": (xi_then_zeros, "tail"),
+                 "xi run not last": (not_last, "general")}
+        for name, (x, want) in cases.items():
+            assert _check_rule(model, x, products) == want, name
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     def test_lone_xi_row_is_multiplied_in_its_stretch(self, kind, monkeypatch):
-        # the stretch is every row before the trailing blocks
+        # a call with an xi row and other rows is one product of all of them
         d, rows = 10, 6
         p = random_params(kind, d, derive_stream(d, (0,)))
         model = _model(kind, p)
         products = _spy_products(monkeypatch, _family(p))
         x = np.random.default_rng(d).normal(scale=5.0, size=(rows, d))
         x[0] = model.initial_value        # row 0 of every OU path
-        assert _check_rule(model, x, products) == (rows, rows)
+        assert _check_rule(model, x, products) == "general"
 
-    def test_ou_paired_calls_never_take_the_rule(self, monkeypatch):
-        # OU's paths start at xi but never stay there, so each paired call
-        # multiplies all its rows before its trailing zero rows
-        d, n, K = 3, 3, 5
+    def test_ou_makes_no_xi_copy(self, monkeypatch):
+        # OU's paths never stay at xi, so its model holds no xi row: an
+        # all-xi call (the one-row calls of a K = 1 cell) is one product,
+        # the same operands and shape as a one-row product made at build
+        d, n = 3, 3
         base = ou_model(_ou_params(d, seed=6))
+        xi = base.initial_value
         products = _spy_products(monkeypatch, base.params.B)
-        blocks = []
+        for rows in (1, 5):
+            x = np.repeat(xi[None, :], rows, axis=0)
+            assert _check_rule(base, x, products) == "xi"
+        classes = []
 
         def diffusion(x1, x2):
-            if np.ndim(x2) == 2:                # a paired call; OU's sigma reads x2
-                blocks.append(reuse_blocks(x2, base.initial_value))
-            return base.diffusion(x1, x2)
+            products.clear()
+            out = base.diffusion(x1, x2)
+            kind = reuse_class(np.asarray(x2), xi)       # OU's sigma reads x2
+            classes.append(kind)
+            assert len(products) == (0 if kind == "zero" else 1)
+            return out
 
         model = dataclasses.replace(base, diffusion=diffusion)
-        grid = TimeGrid(T=1.0, K=K)
-        inc = sample_brownian_increments(derive_stream(6, (1, 0)), K, d, grid.dt)
-        mlp_estimate(model, MlpConfig(n=n, m=n, grid=grid), (1, 0), 6, inc, CostLedger())
-        assert all(live == zeros for live, zeros in blocks)
-        assert [len(a) for a in products] == [live for live, _ in blocks if live]
+        grid = TimeGrid(T=1.0, K=1)
+        inc = sample_brownian_increments(derive_stream(6, (1, 0)), 1, d, grid.dt)
+        mlp_estimate(model, MlpConfig(n=n, m=1, grid=grid), (1, 0), 6, inc, CostLedger())
+        assert "xi" in classes
 
 
 class TestKuramoto:
@@ -506,6 +537,13 @@ class TestRandomParams:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             random_params("heat", 3, derive_stream(0, (0,)))
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    def test_initial_value_shape_checked(self, kind):
+        p = random_params(kind, 3, derive_stream(0, (0,)))
+        for xi in (np.ones(2), np.ones((1, 3)), 1.0):
+            with pytest.raises(ValueError, match=r"initial value has shape .*, expected \(3,\)"):
+                _model(kind, p, initial_value=xi)
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     def test_peak_is_the_family_plus_a_few_slabs(self, kind):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -98,7 +99,7 @@ class TestOuMean:
         assert np.linalg.norm(p.A2) > 0
         grid = TimeGrid(T=1.0, K=16)
         xi = np.full(5, 20.0)
-        path = ou_exact_path(p, xi, grid, np.zeros((grid.K, 5)))
+        path = ou_exact_path(p, xi, grid, np.zeros((1, grid.K, 5)))[0]
         np.testing.assert_allclose(path, ou_mean(p, xi, grid), rtol=1e-12, atol=0)
 
 
@@ -151,7 +152,7 @@ class TestOuExactPath:
         grid = TimeGrid(T=1.0, K=5)
         inc = np.random.default_rng(0).normal(scale=np.sqrt(grid.dt), size=(5, d))
         xi = np.array([1.0, -1.0])
-        path = ou_exact_path(p, xi, grid, inc)
+        path = ou_exact_path(p, xi, grid, inc[None])[0]
         W = np.vstack([np.zeros(d), np.cumsum(inc, axis=0)])
         np.testing.assert_allclose(path, xi + W @ b.T, atol=1e-12)
 
@@ -160,7 +161,7 @@ class TestOuExactPath:
         p = OuParams(a0=np.array([a0]), A1=np.array([[a]]), A2=np.zeros((1, 1)),
                      b=np.array([[0.2]]), B=np.zeros((1, 1, 1)))
         grid = TimeGrid(T=1.0, K=10)
-        path = ou_exact_path(p, np.array([xi]), grid, np.zeros((10, 1)))
+        path = ou_exact_path(p, np.array([xi]), grid, np.zeros((1, 10, 1)))[0]
         t = grid.times()
         want = np.exp(a * t) * xi + (a0 / a) * (np.exp(a * t) - 1)
         np.testing.assert_allclose(path[:, 0], want, atol=1e-10)
@@ -193,7 +194,7 @@ class TestOuExactPath:
         p = _ou(5, seed=7)
         grid = TimeGrid(T=1.0, K=32)
         inc = sample_brownian_increments(derive_stream(7, (1, 0)), 32, 5, grid.dt)
-        path = ou_exact_path(p, np.full(5, 20.0), grid, inc)
+        path = ou_exact_path(p, np.full(5, 20.0), grid, inc[None])[0]
         assert np.max(np.abs(path)) < 1e6
 
 
@@ -253,9 +254,9 @@ class TestKuramotoReferencePath:
         variance = kuramoto_moments(p, xi, grid)
         path = kuramoto_reference_path(
             KuramotoParams(mu0=p.mu0, Sigma=np.zeros((3, 3, 3))),
-            xi, grid, np.zeros((8, 3)), variance,
+            xi, grid, np.zeros((1, 8, 3)), variance,
         )
-        np.testing.assert_allclose(path, np.broadcast_to(xi, (9, 3)), atol=1e-12)
+        np.testing.assert_allclose(path, np.broadcast_to(xi, (1, 9, 3)), atol=1e-12)
 
     def test_monte_carlo_mean_small_noise(self):
         d, N, seed = 2, 10_000, 11
@@ -391,6 +392,23 @@ class TestBatchDeterminism:
         assert reference._RUN_DOUBLES // (d * d) < K
         self._check("kuramoto", d, K, runs=20)
 
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    def test_one_run_needs_its_run_axis(self, kind):
+        # the cell's (R, K, d) increments are the one input shape
+        d, K = 3, 4
+        p = random_params(kind, d, derive_stream(17, (0,)))
+        xi = np.full(d, 10.0)
+        grid = TimeGrid(T=1.0, K=K)
+        variance = kuramoto_moments(p, xi, grid) if kind == "kuramoto" else None
+        for shape in ((K, d), (1, 1, K, d), (1, K + 1, d)):
+            args = (p, xi, grid, np.zeros(shape))
+            message = f"increments must have shape (R, {K}, {d}), got {shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                if kind == "ou":
+                    ou_exact_path(*args)
+                else:
+                    kuramoto_reference_path(*args, variance)
+
     @staticmethod
     def _check(kind, d, K, runs):
         p = random_params(kind, d, derive_stream(17, (0,)))
@@ -408,4 +426,3 @@ class TestBatchDeterminism:
         full = path(incr)
         for R in (1, 2, 17):
             assert np.array_equal(path(incr[:R]), full[:R]), R
-        assert np.array_equal(path(incr[0]), full[0])
