@@ -188,18 +188,17 @@ def _reference(cfg: ExperimentConfig, model: ModelSpec, grid: TimeGrid,
     )
 
 
-def _cell_steps(n: int, m: int) -> int:
-    """Grid steps K of an (n, m) cell: m**n, and one step at n = 0."""
-    return m**n if n >= 1 else 1
-
-
 def run_cell(
     cfg: ExperimentConfig, n: int, m: int, model: Optional[ModelSpec] = None
 ) -> ResultRow:
     """All runs of one (n, m) cell; K = m**n."""
     if model is None:
         model = build_model(cfg)
-    K = _cell_steps(n, m)
+    elif (model.name, model.d) != (cfg.model, cfg.d):
+        # the reference and the error rows follow cfg: a mismatch would fail deep inside
+        raise ValueError(f"model {model.name} with d={model.d} does not match the config's "
+                         f"model {cfg.model} with d={cfg.d}")
+    K = m**n
     grid = TimeGrid(T=cfg.T, K=K)
     mlp_cfg = MlpConfig(n=n, m=m, grid=grid)
     runs = range(cfg.runs)
@@ -247,7 +246,7 @@ def run_cell(
 def estimate_experiment_cost(cfg: ExperimentConfig) -> int:
     """Total closed-form cost of all runs of all cells."""
     units = cfg.unit_costs or default_cost_units(cfg.d)
-    return sum(cfg.runs * analytic_cost(n, m, _cell_steps(n, m), cfg.d, units)
+    return sum(cfg.runs * analytic_cost(n, m, m**n, cfg.d, units)
                for n, m in cfg.levels)
 
 
@@ -265,7 +264,7 @@ def estimate_experiment_bytes(cfg: ExperimentConfig) -> int:
     d, calls = cfg.d, min(cfg.threads, cfg.runs)
     cell = 0
     for n, m in cfg.levels:
-        K = _cell_steps(n, m)
+        K = m**n
         reference = K * d * d if cfg.model == "ou" else max(_BLOCK_DOUBLES, d * d)
         paths = (3 * cfg.runs + 7 * n * calls) * (K + 1) * d
         cell = max(cell, calls * K * d * d + paths + reference)
@@ -278,7 +277,7 @@ def _physical_memory() -> int:
 
 def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
     """Run all cells and write any configured outputs."""
-    deep = [(n, m) for n, m in cfg.levels if n > DESK_MAX_N or _cell_steps(n, m) > DESK_MAX_K]
+    deep = [(n, m) for n, m in cfg.levels if n > DESK_MAX_N or m**n > DESK_MAX_K]
     if (deep or cfg.d > DESK_MAX_D) and not cfg.allow_large:
         caps = f"(d <= {DESK_MAX_D}, n <= {DESK_MAX_N}, K = m**n <= {DESK_MAX_K})"
         if deep:

@@ -21,9 +21,10 @@ caller's increments with each block before the next is made; only then
 are the two (K, d) step arrays subtracted, so one (K, d, d) block is live
 at a time and none survives into the next iteration's recursion. Each
 call always has K rows, fixed by the cell; whether BLAS multiplies them
-(and so its bits) depends only on the states, since the models copy a
+(and so its bits) depends only on the states, since the models return a
 call whose rows are all zero (U_0 at l = 1) or, for Kuramoto, all the
-initial value (U_1 = xi), and multiply every row of any other call in one
+initial value (U_1 = xi) as a read-only view of one (d, d) matrix, which
+makes no (K, d, d) block, and multiply every row of any other call in one
 product.
 
 Drift correction: the (n, k, l) iteration draws one uniform time u and

@@ -10,12 +10,13 @@ Layout: each (d, d, d) diffusion family P[k, i, j] (OuParams.B,
 KuramotoParams.Sigma) is a view of one C-contiguous (d, d*d) buffer
 indexed [j, (k, i)], which is the GEMM operand of every diffusion call;
 `random_params` draws it one k-slab at a time straight into that buffer,
-so the family is never held twice. One reuse rule, decided per call: the
-part of sigma that reads a state is linear, so a call whose rows are all
-zero (U_0: the estimator's base call and its lo half at l = 1) copies
-zeros, and a Kuramoto call whose rows are all xi (its constant U_1 = xi,
-the hi half at l = 1) copies the product of xi that the model makes once
-when it is built. Any other call multiplies all its rows in one GEMM.
+so the family is never held twice. Both diffusions are one affine kernel,
+offset + P x (OU's offset is b, Kuramoto has none), with one rule decided
+per call: a call whose rows are all zero (U_0: the estimator's base call
+and its lo half at l = 1) returns sigma(0), and a Kuramoto call whose rows
+are all xi (its constant U_1 = xi, the hi half at l = 1) returns the
+sigma(xi) the model makes once when it is built, each as a read-only view
+of one (d, d) matrix. Any other call is one GEMM of all its rows.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ class OuParams:
     """Parameters of the mean-field Ornstein-Uhlenbeck model.
 
     `b` stores the diffusion offset vectors as columns (b[:, k] is the k-th
-    offset); `B[k]` is the matrix applied to the mean-field argument in
-    column k.
+    offset), as the transposed view of a C-contiguous [k, i] buffer, the
+    layout the diffusion kernel adds; `B[k]` is the matrix applied to the
+    mean-field argument in column k.
     """
 
     a0: np.ndarray      # (d,)
@@ -86,6 +88,7 @@ class OuParams:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
             if not _all_finite(arr):
                 raise ValueError(f"{name} contains non-finite entries")
+        object.__setattr__(self, "b", np.ascontiguousarray(self.b.T, dtype=float).T)
         object.__setattr__(self, "B", _gemm_layout(self.B))
 
     @property
@@ -134,37 +137,37 @@ def _gemm_layout(P: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(P.transpose(2, 0, 1), dtype=float).transpose(1, 2, 0)
 
 
-def _stacked_apply(P: np.ndarray, x: np.ndarray, known: Optional[tuple] = None) -> np.ndarray:
-    """[..., k, i] = sum_j P[k, i, j] x[..., j], as one BLAS GEMM over the rows of x.
+def _stacked_apply(P: np.ndarray, x: np.ndarray, offset: Optional[np.ndarray] = None,
+                   known: tuple = ()) -> np.ndarray:
+    """[..., k, i] = offset[k, i] + sum_j P[k, i, j] x[..., j], as one BLAS GEMM.
 
     P must be in the `_gemm_layout`, so the operand (d, d*d) [j, (k, i)] is
-    a view of the contiguous buffer BLAS packs fastest; callers return the
-    swapped view, which is the [i, k] layout. Work on the result (an added
-    offset, a contraction with increments) is faster on the contiguous
-    [k, i] layout, so it goes through the swapped view again rather than
-    copying.
+    a view of the contiguous buffer BLAS packs fastest. Callers return the
+    swapped view, the [i, k] layout, and swap back to work on the faster
+    contiguous [k, i] layout (a contraction with increments) without a copy.
 
     Any (..., d) input is read as its (rows, d) reshape. One decision per
-    call: if every row is zero it copies zeros; else if every row equals
-    `known[0]` it copies `known[1]` (the row Kuramoto makes of xi at
-    build); any other call multiplies all its rows in one product. The
-    estimator makes one K-row call for its hi states and one for its lo
-    states, so U_0 = 0 at l = 1 (and the base call sigma(0, 0), one zero
-    row) and Kuramoto's U_1 = xi are whole calls. BLAS bits depend on the
-    number of rows per call.
+    call: all-zero rows return the offset (a (d, d) zero matrix if there is
+    none), and rows all equal to the state of a `known` (state, (d, d)
+    matrix) pair return its matrix, each as a read-only view with zero
+    leading strides; any other call is one product of all its rows, with
+    the offset added in place. The estimator's hi and lo halves are one
+    K-row call each, so U_0 = 0 at l = 1 (and the base call sigma(0, 0))
+    and Kuramoto's U_1 = xi are whole calls. BLAS bits depend on the number
+    of rows per call. A constant stays a (d, d) matrix: a product against a
+    view of a scalar (all strides zero) skips BLAS.
     """
     d = P.shape[0]
     lead = x.shape[:-1]
     x = x.reshape(-1, d)
-    out = np.empty((len(x), d * d))
-    for state, row in [(0.0, 0.0)] + ([] if known is None else [known]):
+    for state, matrix in ((0.0, offset), *known):
         # the last row screens out a general call at one d-wide compare
         if not (np.count_nonzero(x[-1:] != state) or np.count_nonzero(x != state)):
-            out[:] = row
-            break
-    else:
-        np.matmul(x, P.transpose(2, 0, 1).reshape(d, d * d), out=out)
-    return out.reshape(lead + (d, d))
+            return np.broadcast_to(np.zeros((d, d)) if matrix is None else matrix, lead + (d, d))
+    out = np.matmul(x, P.transpose(2, 0, 1).reshape(d, d * d)).reshape(lead + (d, d))
+    if offset is not None:
+        out += offset
+    return out
 
 
 def _initial_value(xi: Optional[np.ndarray], d: int, default: float) -> np.ndarray:
@@ -177,10 +180,7 @@ def _initial_value(xi: Optional[np.ndarray], d: int, default: float) -> np.ndarr
 def ou_diffusion(p: OuParams, x2: np.ndarray) -> np.ndarray:
     """Matrix with column k = b_k + B_k x2; independent of x1."""
     x2 = _check_dim(x2, p.d, "x2")
-    sigma_t = _stacked_apply(p.B, x2)
-    # in the contiguous [k, i] layout, with a contiguous addend: same sums, faster
-    sigma_t += np.ascontiguousarray(p.b.T)
-    return sigma_t.swapaxes(-1, -2)
+    return _stacked_apply(p.B, x2, p.b.T).swapaxes(-1, -2)
 
 
 def kuramoto_drift(p: KuramotoParams, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -190,12 +190,10 @@ def kuramoto_drift(p: KuramotoParams, x1: np.ndarray, x2: np.ndarray) -> np.ndar
     return p.mu0 * np.sin(x1 - x2)
 
 
-def kuramoto_diffusion(
-    p: KuramotoParams, x1: np.ndarray, known: Optional[tuple] = None
-) -> np.ndarray:
+def kuramoto_diffusion(p: KuramotoParams, x1: np.ndarray, known: tuple = ()) -> np.ndarray:
     """Matrix with column k = Sigma_k x1; independent of x2."""
     x1 = _check_dim(x1, p.d, "x1")
-    return _stacked_apply(p.Sigma, x1, known).swapaxes(-1, -2)
+    return _stacked_apply(p.Sigma, x1, known=known).swapaxes(-1, -2)
 
 
 def random_params(
@@ -257,7 +255,11 @@ def random_params(
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A concrete McKean-Vlasov model: initial value, coefficients, costs."""
+    """A concrete McKean-Vlasov model: initial value, coefficients, costs.
+
+    A diffusion result may be a read-only view (a constant call's one
+    (d, d) matrix, broadcast over its rows): callers read it, never write.
+    """
 
     name: str
     d: int
@@ -293,8 +295,8 @@ def kuramoto_model(
 ) -> ModelSpec:
     d = p.d
     xi = _initial_value(initial_value, d, 10.0)
-    # U_1 = xi makes every l = 1 hi call all xi: one product row, made once
-    known = (xi, _stacked_apply(p.Sigma, xi).reshape(-1))
+    # U_1 = xi makes every l = 1 hi call all xi: its matrix, made once
+    known = ((xi, _stacked_apply(p.Sigma, xi)),)
     return ModelSpec(
         name="kuramoto",
         d=d,

@@ -162,10 +162,11 @@ def particle_system_path(model, N: int, grid, stream) -> np.ndarray:
 def reuse_class(x: np.ndarray, xi: np.ndarray) -> str:
     """How the sigma kernel treats the (..., d) state rows x of one call.
 
-    "zero": every row is zero, and the kernel copies sigma(0); "xi": every
-    row equals xi, which Kuramoto copies and OU multiplies; "tail": the
-    rows differ but the last is zero or xi; "general": the last row is
-    neither. A "tail" or "general" call is one product of all its rows.
+    "zero": every row is zero, and the kernel returns sigma(0); "xi": every
+    row equals xi, which Kuramoto returns as its known matrix and OU
+    multiplies; "tail": the rows differ but the last is zero or xi;
+    "general": the last row is neither. A "tail" or "general" call is one
+    product of all its rows.
     """
     x = x.reshape(-1, x.shape[-1])
     if not x.any():

@@ -82,6 +82,19 @@ class TestRunCell:
             row = run_cell(cfg, n, m, model=model)
             assert row.l2_error < 1e-8
 
+    @pytest.mark.parametrize("kind, model_kind, model_d", [
+        ("ou", "kuramoto", 3), ("kuramoto", "ou", 3), ("ou", "ou", 4),
+    ])
+    def test_model_must_match_the_config(self, kind, model_kind, model_d):
+        # the reference follows cfg.model: a swapped model used to end in an
+        # AttributeError on the other model's parameters
+        cfg = ExperimentConfig(model=kind, d=3, runs=1)
+        model = build_model(ExperimentConfig(model=model_kind, d=model_d, runs=1))
+        want = (f"model {model_kind} with d={model_d} does not match the config's "
+                f"model {kind} with d=3")
+        with pytest.raises(ValueError, match=want):
+            run_cell(cfg, 1, 1, model=model)
+
     def test_cost_column_is_closed_form(self):
         cfg = ExperimentConfig(model="kuramoto", d=3, runs=2, seed=1)
         model = build_model(cfg)

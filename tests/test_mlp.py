@@ -280,7 +280,7 @@ class TestCallShape:
     def test_paired_calls_multiply_the_rows_before_their_blocks(self, kind, d, n, m,
                                                                 monkeypatch):
         # each paired call makes one product against the family, of all its
-        # rows, unless it is all zero or (Kuramoto) all xi, which it copies
+        # rows, unless it is all zero or (Kuramoto) all xi, a constant it returns
         base = _models(d, seed=6)[0 if kind == "ou" else 1]
         family = base.params.B if kind == "ou" else base.params.Sigma
         products, calls = [], []
@@ -297,8 +297,8 @@ class TestCallShape:
             out = base.diffusion(x1, x2)
             if np.ndim(state) == 2:
                 reuse = reuse_class(state, base.initial_value)
-                copied = reuse == "zero" or (reuse == "xi" and kind == "kuramoto")
-                calls.append((len(products), copied,
+                constant = reuse == "zero" or (reuse == "xi" and kind == "kuramoto")
+                calls.append((len(products), constant,
                               all(np.array_equal(a, state) for a in products)))
             return out
 
@@ -309,8 +309,8 @@ class TestCallShape:
         inc = _top_increments(6, 0, K, d, grid.dt)
         mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid), (1, 0), 6, inc, CostLedger())
         assert calls
-        for multiplied, copied, same in calls:
-            assert multiplied == (0 if copied else 1) and same
+        for multiplied, constant, same in calls:
+            assert multiplied == (0 if constant else 1) and same
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("d", [1, 3, 10])
@@ -355,7 +355,7 @@ class TestCallShape:
         # a count, not a timing: the rows multiplied against the family are
         # the rows of the calls that are neither all zero nor all xi (the
         # model knows sigma(xi)), while the ledger still counts every row;
-        # the constant level-1 paths (U_1 = xi) make most nonzero rows copies
+        # the constant level-1 paths (U_1 = xi) make most nonzero rows views
         d, n, K = 5, 3, 27
         base = kuramoto_model(random_params("kuramoto", d, derive_stream(0, (0,))))
         family, xi = base.params.Sigma, base.initial_value

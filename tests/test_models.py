@@ -216,10 +216,12 @@ def _check_rule(model, x, products):
     """The reuse rule on one call; returns `reuse_class(x, xi)`.
 
     Every row is the einsum definition. An all-zero call, and a Kuramoto
-    all-xi call, make no product and copy sigma(0) or the one-row product
-    of xi bit for bit; any other call is one product of all its rows,
-    whose values it returns. `products` is a `_spy_products` list, cleared
-    before the call.
+    all-xi call, make no product and return sigma(0), bit for bit the
+    definition, or the model's one-row product of xi, as a read-only view
+    of one (d, d) matrix with zero leading strides (OU's sigma(0) is its
+    offset b); any other call is one product of all its rows, whose values
+    it returns in a fresh writable block. `products` is a `_spy_products`
+    list, cleared before the call.
     """
     p, d, xi = model.params, model.d, model.initial_value
     P = _family(p)
@@ -239,24 +241,45 @@ def _check_rule(model, x, products):
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
     kind = reuse_class(x, xi)
     rows = x.reshape(-1, d)
-    got = got.reshape(-1, d, d)
-    if kind == "zero":
+    if kind == "zero" or (kind == "xi" and not ou):
         assert not products
-        assert (got == (p.b if ou else 0.0)).all()
-    elif kind == "xi" and not ou:
-        assert not products
-        xi_row = product(xi[None, :])[0]
-        for i, row in enumerate(got):
-            assert row.tobytes() == xi_row.tobytes(), i
+        assert not got.flags.writeable
+        # a (d, d) matrix: a product against a view of a scalar skips BLAS
+        assert got.strides[:-2] == (0,) * (got.ndim - 2)
+        assert d == 1 or 0 not in got.strides[-2:]
     else:
         assert len(products) == 1
         np.testing.assert_array_equal(products[0], rows)
-        assert got.tobytes() == product(rows).tobytes()
+        assert got.flags.writeable and got.swapaxes(-1, -2).flags.c_contiguous
+        assert not any(np.shares_memory(got, a) for a in (x, P, p.b if ou else xi))
+    flat = got.reshape(-1, d, d)
+    if kind == "zero":
+        if ou:
+            assert np.shares_memory(got, p.b)
+        assert flat.tobytes() == want.tobytes()
+    elif kind == "xi" and not ou:
+        assert np.shares_memory(got, model.diffusion(xi, xi))
+        xi_row = product(xi[None, :])[0]
+        for i, row in enumerate(flat):
+            assert row.tobytes() == xi_row.tobytes(), i
+    else:
+        assert flat.tobytes() == product(rows).tobytes()
     return kind
 
 
+def _allocated(call):
+    """Peak bytes traced while `call()` runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
 class TestZeroStateRows:
-    """An all-zero call copies sigma(0); a call with trailing zero rows is one product."""
+    """An all-zero call returns sigma(0) as a view; a call with trailing zero rows is one product."""
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("d", [3, 10, 100])
@@ -280,6 +303,49 @@ class TestZeroStateRows:
         assert got.shape == (d, d)
         assert (got == (p.b if kind == "ou" else 0.0)).all()
 
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("lead", [(16,), (4, 27)])
+    def test_all_zero_call_is_a_view_of_sigma0(self, kind, lead):
+        # the coefficient and the model both return one (d, d) sigma(0)
+        # through zero leading strides: OU's offset b, which the params hold
+        # once, or a (d, d) zero matrix for Kuramoto, which has no offset
+        d = 10
+        p = random_params(kind, d, derive_stream(d, (0,)))
+        coefficient = ou_diffusion if kind == "ou" else kuramoto_diffusion
+        x = np.zeros(lead + (d,))
+        for got in (coefficient(p, x), _model(kind, p).diffusion(x, x)):
+            assert got.shape == lead + (d, d)
+            assert not got.flags.writeable
+            assert got.strides[:-2] == (0,) * len(lead) and 0 not in got.strides[-2:]
+            if kind == "ou":
+                assert np.shares_memory(got, p.b)
+                assert got.swapaxes(-1, -2)[(0,) * len(lead)].flags.c_contiguous
+            want = np.broadcast_to(p.b if kind == "ou" else np.zeros((d, d)), got.shape)
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[(0,) * len(lead)] = 1.0
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("d", [10, 100])
+    def test_constant_call_allocates_no_block(self, kind, d):
+        # an all-zero call (and a Kuramoto all-xi call) makes no (K, d, d)
+        # buffer, where a general call of K rows makes one
+        K = 16
+        p = random_params(kind, d, derive_stream(d, (0,)))
+        model = _model(kind, p)
+        xi = model.initial_value
+        block = K * d * d * 8
+        states = {"zero": np.zeros((K, d)), "general": np.random.default_rng(d).normal(size=(K, d))}
+        if kind == "kuramoto":
+            states["xi"] = np.repeat(xi[None, :], K, axis=0)
+        for name, x in states.items():
+            peak, out = _allocated(lambda: model.diffusion(x, x))
+            assert out.shape == (K, d, d)
+            if name == "general":
+                assert peak >= block, peak / block
+            else:
+                assert peak < block / 4, (name, peak / block)
+
 
 class TestStateRows:
     """A diffusion call reads any (..., d) state as its (rows, d) reshape."""
@@ -300,7 +366,7 @@ class TestStateRows:
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     def test_trailing_zero_rows_across_a_lead(self, kind, monkeypatch):
         # the rule reads all the rows of the reshape: zero trailing rows
-        # are multiplied with the rest, and only an all-zero state is copied
+        # are multiplied with the rest, and only an all-zero state is sigma(0)
         d = 10
         p = random_params(kind, d, derive_stream(d, (0,)))
         model = _model(kind, p)
@@ -389,13 +455,13 @@ class TestRepeatedStateRows:
 
 
 class TestKnownRows:
-    """A Kuramoto all-xi call copies the row the model made of xi at build."""
+    """A Kuramoto all-xi call returns the matrix the model made of xi at build, as a view."""
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("d", [3, 100])
     def test_xi_run_copies_the_known_row(self, kind, d, monkeypatch):
-        # only a whole call of xi rows is copied, and only by Kuramoto; a
-        # call with an xi tail is one product of all its rows
+        # only a whole call of xi rows returns the known matrix, and only
+        # for Kuramoto; a call with an xi tail is one product of all its rows
         p = random_params(kind, d, derive_stream(d, (0,)))
         model = _model(kind, p)
         xi = model.initial_value
@@ -428,6 +494,31 @@ class TestKnownRows:
         x = np.random.default_rng(d).normal(scale=5.0, size=(rows, d))
         x[0] = model.initial_value        # row 0 of every OU path
         assert _check_rule(model, x, products) == "general"
+
+    @pytest.mark.parametrize("d", [10, 100])
+    def test_xi_call_is_a_view_of_the_known_matrix(self, d):
+        # every all-xi call, of any lead, is a read-only view of the one
+        # (d, d) sigma(xi) the model made at build, bit for bit a one-row
+        # product of xi, and none makes a (K, d, d) block
+        K = 16
+        p = random_params("kuramoto", d, derive_stream(d, (0,)))
+        model = kuramoto_model(p)
+        xi = model.initial_value
+        held = model.diffusion(xi, xi)
+        assert held.shape == (d, d) and not held.flags.writeable
+        one_row = (xi[None, :] @ _gemm_operand(p.Sigma)).reshape(d, d).T
+        assert held.tobytes() == one_row.tobytes()
+        for lead in ((K,), (2, K // 2)):
+            x = np.broadcast_to(xi, lead + (d,)).copy()
+            peak, got = _allocated(lambda: model.diffusion(x, x))
+            assert peak < K * d * d * 8 / 4, peak
+            assert got.shape == lead + (d, d) and not got.flags.writeable
+            assert got.strides[:-2] == (0,) * len(lead)
+            assert np.shares_memory(got, held)
+            assert got.tobytes() == np.broadcast_to(one_row, got.shape).tobytes()
+        # the coefficient alone knows no xi: the same call is one product
+        got = kuramoto_diffusion(p, np.repeat(xi[None, :], K, axis=0))
+        assert got.flags.writeable and not np.shares_memory(got, held)
 
     def test_ou_makes_no_xi_copy(self, monkeypatch):
         # OU's paths never stay at xi, so its model holds no xi row: an

@@ -1,0 +1,78 @@
+"""Print one SHA-256 over every estimator path and reference array of a fixed sweep.
+
+    PYTHONPATH=src python3 tools/path_digest.py [--seed 2]
+
+The sweep: OU and Kuramoto, d in {1, 3, 10, 50, 100}, cells (n, m) from
+(0, 2) to (4, 4) (without (4, 4) for d >= 50), two runs each, on the
+experiment's own parameter, increment and run streams. For each cell it
+hashes the reference values of both runs and each run's estimator path,
+with a label naming the array and its shape ahead of its bytes.
+
+Two trees that print the same digest on one host, with the same BLAS
+build and thread count, give the same bits for every array of the sweep,
+so a refactor that claims "same outputs" is checked with one command on
+each tree. The digest itself depends on the BLAS build and thread count,
+so it is a comparison between trees, not a fixed value to test against.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+
+import numpy as np
+
+from mvmlp import bench
+from mvmlp.mlp import CostLedger, MlpConfig, mlp_estimate
+from mvmlp.numerics import TimeGrid
+from mvmlp.randomness import derive_stream, sample_brownian_increments
+
+MODELS = ("ou", "kuramoto")
+DIMS = (1, 3, 10, 50, 100)
+CELLS = ((0, 2), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 4))
+RUNS = 2
+
+
+def cells(d: int):
+    # a (4, 4) cell at d >= 50 holds (256, d, d) sigma blocks for seconds
+    return [cell for cell in CELLS if d < 50 or cell != (4, 4)]
+
+
+def sweep(seed: int):
+    """(label, array) for every array of the sweep, in a fixed order."""
+    for kind in MODELS:
+        for d in DIMS:
+            cfg = bench.ExperimentConfig(model=kind, d=d, runs=RUNS, seed=seed, levels=cells(d))
+            model = bench.build_model(cfg)
+            for n, m in cfg.levels:
+                grid = TimeGrid(T=cfg.T, K=m**n)
+                # the increments `run_cell` draws for run r
+                increments = np.stack([
+                    sample_brownian_increments(
+                        derive_stream(seed, (bench._RUN_PREFIX, r)), grid.K, d, grid.dt)
+                    for r in range(RUNS)
+                ])
+                cell = f"{kind} d={d} n={n} m={m}"
+                yield f"{cell} reference", bench._reference(cfg, model, grid, increments)
+                for r in range(RUNS):
+                    path = mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid),
+                                        (bench._RUN_PREFIX, r), seed, increments[r], CostLedger())
+                    yield f"{cell} run={r} path", path
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=2, help="experiment seed (default 2)")
+    args = parser.parse_args()
+    digest = hashlib.sha256()
+    count = 0
+    for label, arr in sweep(args.seed):
+        arr = np.ascontiguousarray(arr, dtype=float)
+        digest.update(f"{label} {arr.shape}\n".encode())
+        digest.update(arr.tobytes())
+        count += 1
+    print(f"{digest.hexdigest()}  {count} arrays, seed {args.seed}")
+
+
+if __name__ == "__main__":
+    main()
