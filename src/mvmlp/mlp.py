@@ -17,20 +17,27 @@ distinct indices.
 
 Ito correction: the (n, k, l) iteration evaluates sigma(x1, x2) and
 sigma(x3, x4) as two K-row diffusion calls, hi then lo, and contracts the
-caller's increments with each block before the next is made; only then
-are the two (K, d) step arrays subtracted, so one (K, d, d) block is live
-at a time and none survives into the next iteration's recursion. Each
-call always has K rows, fixed by the cell; whether BLAS multiplies them
-(and so its bits) depends only on the states, since the models return a
-call whose rows are all zero (U_0 at l = 1) or, for Kuramoto, all the
-initial value (U_1 = xi) as a read-only view of one (d, d) matrix, which
-makes no (K, d, d) block, and multiply every row of any other call in one
-product.
+caller's increments with each block before the next is made; the lo step
+is then subtracted from the hi step in place, so one (K, d, d) block is
+live at a time and none survives into the next iteration's recursion.
+Each call always has K rows, fixed by the cell; whether BLAS multiplies
+them (and so its bits) depends only on the states, since the models
+return a call whose rows are all zero (U_0 at l = 1) or, for Kuramoto,
+all the initial value (U_1 = xi) as a read-only view of one (d, d)
+matrix with a zero leading stride, which makes no (K, d, d) block, and
+multiply every row of any other call in one product. A zero-stride half
+is contracted as one (K, d) x (d, d) product, whose summation order is
+fixed by the cell; any other half row by row.
 
 Drift correction: the (n, k, l) iteration draws one uniform time u and
 adds t_j / m^(n-l) * (mu(x1, x2) - mu(x3, x4)) to row j, with the four
 sub-estimates read at the grid floor of t_j * u (one array call of
-:func:`grid_floor_index` per iteration).
+:func:`grid_floor_index` per iteration); the scale t_j / m^(n-l) is made
+once per level.
+
+Arrays: the Brownian paths, the base path and the Ito and drift steps are
+the estimator's own and are updated in place. It never writes into an
+array a coefficient returned, which may be a read-only view.
 """
 
 from __future__ import annotations
@@ -117,27 +124,15 @@ def mlp_estimate(
         raise ValueError(f"increments must have shape ({K}, {d}), got {increments.shape}")
 
     times = grid.times()
+    times_col = times[:, None]
     dt = grid.dt
     zero = np.zeros(d)
 
     def brownian_path(incr: np.ndarray) -> np.ndarray:
-        return np.vstack([zero, np.cumsum(incr, axis=0)])
-
-    def ito_steps(x1, x2, x3, x4, incr: np.ndarray) -> np.ndarray:
-        """sigma(x1, x2) dW - sigma(x3, x4) dW at the K left points.
-
-        Each half is one K-row diffusion call, contracted with the
-        (K, 1, d) increments on the contiguous [k, i] layout the
-        coefficients write before the other half's (K, d, d) block is made.
-        """
-        def half(a, b):
-            s = model.diffusion(a[:-1], b[:-1])
-            return np.matmul(incr[:, None, :], s.swapaxes(-1, -2))[:, 0]
-
-        hi = half(x1, x2)
-        lo = half(x3, x4)
-        ledger.sigma_evals += 2 * K
-        return hi - lo
+        W = np.empty((K + 1, d))
+        W[0] = 0.0
+        np.cumsum(incr, axis=0, out=W[1:])
+        return W
 
     def estimate(n: int, theta: MultiIndex, incr: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Level-n path on increments `incr`, whose Brownian path is `W`."""
@@ -148,13 +143,16 @@ def mlp_estimate(
         ledger.mu_evals += 1
         sigma0 = model.diffusion(zero, zero)
         ledger.sigma_evals += 1
-        X = model.initial_value + times[:, None] * mu0 + W @ sigma0.T
+        X = times_col * mu0
+        X += model.initial_value
+        X += W @ sigma0.T
         _check_finite(X, n, 0, 0)
         if n == 1:
             return X
 
         for level in range(1, n):
             fanout = cfg.m ** (n - level)
+            scale = times_col / fanout
             for k in range(1, fanout + 1):
                 block = (n, k, level)
                 child_stream = derive_stream(root_seed, theta + block + (_FRESH,))
@@ -168,22 +166,41 @@ def mlp_estimate(
                 x4 = estimate(level - 1, theta + block + (_FRESH,), fresh, W_fresh)
 
                 # stochastic-integral correction: left-point Ito sum against
-                # the caller's increments
-                steps = ito_steps(x1, x2, x3, x4, incr) / fanout
-                X[1:] += np.cumsum(steps, axis=0)
+                # the caller's increments; each sigma half is one K-row call,
+                # contracted before the other half's (K, d, d) block is made
+                steps = _ito_contract(incr, model.diffusion(x1[:-1], x2[:-1]))
+                steps -= _ito_contract(incr, model.diffusion(x3[:-1], x4[:-1]))
+                ledger.sigma_evals += 2 * K
+                steps /= fanout
+                X[1:] += np.cumsum(steps, axis=0, out=steps)
 
                 # drift correction: one uniform time draw per (n, k, l)
                 u = child_stream.uniform()
                 ledger.rv_draws += 1
                 rows = grid_floor_index(times * u, grid)
-                mu_hi = model.drift(x1[rows], x2[rows])
-                mu_lo = model.drift(x3[rows], x4[rows])
+                mu_hi = model.drift(x1.take(rows, 0), x2.take(rows, 0))
+                mu_lo = model.drift(x3.take(rows, 0), x4.take(rows, 0))
                 ledger.mu_evals += 2
-                X += times[:, None] / fanout * (mu_hi - mu_lo)
+                step = mu_hi - mu_lo
+                step *= scale
+                X += step
                 _check_finite(X, n, level, k)
         return X
 
     return estimate(cfg.n, tuple(theta), increments, brownian_path(increments))
+
+
+def _ito_contract(incr: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """[r, i] = sum_k sigma[r, i, k] incr[r, k] for a (K, d, d) diffusion result.
+
+    A result with a zero leading stride is one (d, d) matrix over all K rows
+    and is contracted as one (K, d) x (d, d) product; any other is
+    contracted row by row, (1, d) x (d, d), on the contiguous [k, i] layout
+    the coefficients write. The result is a new array.
+    """
+    if sigma.strides[0] == 0:
+        return incr @ sigma[0].T
+    return np.matmul(incr[:, None, :], sigma.swapaxes(-1, -2))[:, 0]
 
 
 def _check_finite(X: np.ndarray, n: int, level: int, sample: int) -> None:

@@ -16,7 +16,10 @@ per call: a call whose rows are all zero (U_0: the estimator's base call
 and its lo half at l = 1) returns sigma(0), and a Kuramoto call whose rows
 are all xi (its constant U_1 = xi, the hi half at l = 1) returns the
 sigma(xi) the model makes once when it is built, each as a read-only view
-of one (d, d) matrix. Any other call is one GEMM of all its rows.
+of one C-contiguous (d, d) matrix with zero leading strides, made directly
+on the matrix's buffer. Any other call is one GEMM of all its rows. A
+caller only reads a coefficient's result; the estimator contracts a
+zero-stride result as one product.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ class OuParams:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
             if not _all_finite(arr):
                 raise ValueError(f"{name} contains non-finite entries")
+        # b.T is C-contiguous: the diffusion returns it as a direct view
         object.__setattr__(self, "b", np.ascontiguousarray(self.b.T, dtype=float).T)
         object.__setattr__(self, "B", _gemm_layout(self.B))
 
@@ -150,8 +154,9 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray, offset: Optional[np.ndarray] = 
     call: all-zero rows return the offset (a (d, d) zero matrix if there is
     none), and rows all equal to the state of a `known` (state, (d, d)
     matrix) pair return its matrix, each as a read-only view with zero
-    leading strides; any other call is one product of all its rows, with
-    the offset added in place. The estimator's hi and lo halves are one
+    leading strides made directly on the matrix's buffer, which must be
+    C-contiguous; any other call is one product of all its rows, with the
+    offset added in place. The estimator's hi and lo halves are one
     K-row call each, so U_0 = 0 at l = 1 (and the base call sigma(0, 0))
     and Kuramoto's U_1 = xi are whole calls. BLAS bits depend on the number
     of rows per call. A constant stays a (d, d) matrix: a product against a
@@ -163,7 +168,11 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray, offset: Optional[np.ndarray] = 
     for state, matrix in ((0.0, offset), *known):
         # the last row screens out a general call at one d-wide compare
         if not (np.count_nonzero(x[-1:] != state) or np.count_nonzero(x != state)):
-            return np.broadcast_to(np.zeros((d, d)) if matrix is None else matrix, lead + (d, d))
+            matrix = np.zeros((d, d)) if matrix is None else matrix
+            # np.broadcast_to makes the same view at several times the cost
+            view = np.ndarray(lead + (d, d), float, matrix, 0, (0,) * len(lead) + matrix.strides)
+            view.flags.writeable = False
+            return view
     out = np.matmul(x, P.transpose(2, 0, 1).reshape(d, d * d)).reshape(lead + (d, d))
     if offset is not None:
         out += offset
@@ -257,8 +266,9 @@ def random_params(
 class ModelSpec:
     """A concrete McKean-Vlasov model: initial value, coefficients, costs.
 
-    A diffusion result may be a read-only view (a constant call's one
-    (d, d) matrix, broadcast over its rows): callers read it, never write.
+    A coefficient's result belongs to the model: callers read it and never
+    write into it. A diffusion result may be a read-only view (a constant
+    call's one (d, d) matrix over its rows, with zero leading strides).
     """
 
     name: str
@@ -295,7 +305,8 @@ def kuramoto_model(
 ) -> ModelSpec:
     d = p.d
     xi = _initial_value(initial_value, d, 10.0)
-    # U_1 = xi makes every l = 1 hi call all xi: its matrix, made once
+    # U_1 = xi makes every l = 1 hi call all xi: its matrix, made once as a
+    # C-contiguous one-row product, which the diffusion returns as a direct view
     known = ((xi, _stacked_apply(p.Sigma, xi)),)
     return ModelSpec(
         name="kuramoto",

@@ -1,0 +1,22 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_checkout_against_itself():
+    # the tool copies the same tree under two package names and alternates
+    # their calls: two timings, a ratio and a pair count come out
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_time.py"), str(ROOT), str(ROOT),
+         "--levels", "2x2", "--pairs", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("cell: --model ou --d 10 --levels 2x2 --runs 1 --seed 0; 2 pairs")
+    for label, line in zip("AB", lines[1:3]):
+        assert re.fullmatch(rf"{label} .+: trimmed-mean call [\d.]+ ms, median [\d.]+ ms", line)
+    assert re.fullmatch(r"runs/s B/A: x[\d.]+; B faster in [012] of 2 pairs", lines[3])

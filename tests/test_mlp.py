@@ -13,6 +13,7 @@ from mvmlp.mlp import (
     CostLedger,
     MlpConfig,
     NumericOverflowError,
+    _ito_contract,
     analytic_cost,
     mlp_estimate,
 )
@@ -39,6 +40,33 @@ def _models(d, seed=0):
 
 def _top_increments(seed, run, K, d, dt):
     return sample_brownian_increments(derive_stream(seed, (1, run)), K, d, dt)
+
+
+def _constant_model():
+    # constant mu and sigma, returned as read-only np.broadcast_to views
+    d = 2
+    const_mu = np.array([0.3, -0.2])
+    const_sig = np.array([[0.5, 0.1], [0.0, 0.4]])
+    return ModelSpec(
+        name="const",
+        d=d,
+        initial_value=np.array([1.0, 2.0]),
+        drift=lambda x1, x2: np.broadcast_to(const_mu, np.shape(x1)),
+        diffusion=lambda x1, x2: np.broadcast_to(
+            const_sig, np.shape(x1)[:-1] + (d, d)
+        ),
+        unit_costs=default_cost_units(d),
+    )
+
+
+def _read_only_copy(out):
+    # a copy in the result's own layout, so the estimator contracts it the
+    # same way: a zero-stride diffusion result stays one (d, d) matrix
+    if out.ndim == 3 and out.strides[0] == 0:
+        return np.broadcast_to(out[0].copy(order="K"), out.shape)
+    copy = out.copy(order="K")
+    copy.flags.writeable = False
+    return copy
 
 
 class TestBaseCases:
@@ -157,18 +185,7 @@ class TestInvariants:
     def test_constant_coefficients_collapse_to_level_one(self):
         # constant mu and sigma: every correction term vanishes identically
         d = 2
-        const_mu = np.array([0.3, -0.2])
-        const_sig = np.array([[0.5, 0.1], [0.0, 0.4]])
-        model = ModelSpec(
-            name="const",
-            d=d,
-            initial_value=np.array([1.0, 2.0]),
-            drift=lambda x1, x2: np.broadcast_to(const_mu, np.shape(x1)),
-            diffusion=lambda x1, x2: np.broadcast_to(
-                const_sig, np.shape(x1)[:-1] + (d, d)
-            ),
-            unit_costs=default_cost_units(d),
-        )
+        model = _constant_model()
         grid = TimeGrid(T=1.0, K=4)
         inc = _top_increments(3, 0, 4, d, grid.dt)
         reference = None
@@ -196,6 +213,26 @@ class TestInvariants:
         W = np.vstack([np.zeros(d), np.cumsum(inc, axis=0)])
         want = model.initial_value + grid.times()[:, None] * a0 + W @ b.T
         np.testing.assert_allclose(path, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_coefficient_results_are_never_written(self, kind, d, n):
+        # every drift and diffusion result comes back as a read-only copy:
+        # a write into one raises, and reading the copies gives the same path
+        base = _models(d, seed=8)[0 if kind == "ou" else 1]
+        model = dataclasses.replace(
+            base,
+            drift=lambda x1, x2: _read_only_copy(base.drift(x1, x2)),
+            diffusion=lambda x1, x2: _read_only_copy(base.diffusion(x1, x2)),
+        )
+        K = n**n
+        grid = TimeGrid(T=1.0, K=K)
+        cfg = MlpConfig(n=n, m=n, grid=grid)
+        inc = _top_increments(8, 0, K, d, grid.dt)
+        want = mlp_estimate(base, cfg, (1, 0), 8, inc, CostLedger())
+        got = mlp_estimate(model, cfg, (1, 0), 8, inc, CostLedger())
+        assert got.tobytes() == want.tobytes()
 
     def test_caller_increments_unchanged(self):
         model = _models(2, seed=4)[0]
@@ -383,6 +420,52 @@ class TestCallShape:
         assert sum(passed) == led.sigma_evals == analytic_cost(n, n, K, d, CostUnits(0, 1, 0))
         assert sum(multiplied) == sum(general) == 3 * K
         assert sum(general) < sum(nonzero) < led.sigma_evals
+
+
+class TestItoContraction:
+    @staticmethod
+    def _halves(model, n, m, d):
+        """(states, result) of every K-row diffusion call of one estimator call."""
+        halves = []
+
+        def diffusion(x1, x2):
+            out = model.diffusion(x1, x2)
+            if np.ndim(x1) == 2:
+                halves.append((np.array([x1, x2]), out))
+            return out
+
+        K = m**n
+        grid = TimeGrid(T=1.0, K=K)
+        inc = _top_increments(9, 0, K, d, grid.dt)
+        mlp_estimate(dataclasses.replace(model, diffusion=diffusion),
+                     MlpConfig(n=n, m=m, grid=grid), (1, 0), 9, inc, CostLedger())
+        return inc, halves
+
+    @pytest.mark.parametrize("case", ["ou lo, sigma(0) = b", "kuramoto hi, sigma(xi)",
+                                      "broadcast_to model"])
+    def test_constant_half_is_one_product(self, case):
+        # a zero-stride half is contracted as one (K, d) x (d, d) product:
+        # the same sum as the row-wise definition, within rounding
+        d, n, m = 3, 2, 3
+        if case == "broadcast_to model":
+            model, d = _constant_model(), 2
+            pick = lambda states: True
+        else:
+            model = _models(d, seed=9)[0 if case.startswith("ou") else 1]
+            xi = model.initial_value
+            pick = {"ou": lambda states: reuse_class(states[1], xi) == "zero",
+                    "kuramoto": lambda states: reuse_class(states[0], xi) == "xi"}[model.name]
+        inc, halves = self._halves(model, n, m, d)
+        constant = [sigma for states, sigma in halves if pick(states)]
+        general = [sigma for states, sigma in halves if sigma.strides[0] != 0]
+        assert constant and all(sigma.strides[0] == 0 for sigma in constant)
+        for sigma in constant + general:
+            got = _ito_contract(inc, sigma)
+            want = np.einsum("rk,rik->ri", inc, sigma)
+            scale = np.einsum("rk,rik->ri", np.abs(inc), np.abs(sigma)).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+            if sigma.strides[0] == 0:
+                assert got.tobytes() == (inc @ sigma[0].T).tobytes()
 
 
 class TestAnalyticCost:
