@@ -3,10 +3,12 @@
 Model parameters are drawn once per experiment from a dedicated parameter
 stream (multi-index (0,)) and shared across all cells and runs, so a level
 sweep varies only the estimator. Run r uses top-level multi-index (1, r).
-A cell draws every run's increments, computes the reference of all runs in
-one call, then runs the estimator per run, serially or on a thread pool;
-results are assembled by run index, so the output is byte-identical for
-any thread count.
+A cell draws every run's increments (`_run_increments`), computes the
+reference of all runs in one call, then runs the estimator per run,
+serially or on a thread pool; results are assembled by run index, so the
+output is byte-identical for any thread count. `mvmlp-bench` sets each
+`ExperimentConfig` field from the flag of its name (`--out` sets
+`out_dir`, `--format` sets `formats`).
 """
 
 from __future__ import annotations
@@ -90,11 +92,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.levels, (list, tuple)):
+            raise ValueError(f"levels must be a list of (n, m) pairs, got {self.levels!r}")
         for pair in self.levels:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                     and all(is_int(v) for v in pair)):
                 raise ValueError(f"levels entries must be integer pairs (n, m), got {pair!r}")
-        if isinstance(self.formats, str) or not all(isinstance(f, str) for f in self.formats):
+        if not (isinstance(self.formats, (list, tuple))
+                and all(isinstance(f, str) for f in self.formats)):
             raise ValueError(f"formats must be a list of names, got {self.formats!r}")
         if not (self.out_dir is None or isinstance(self.out_dir, (str, PathLike))):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
@@ -169,12 +174,18 @@ def l2_errors(reference: np.ndarray, estimates: np.ndarray) -> Tuple[float, List
 
 def build_model(cfg: ExperimentConfig) -> ModelSpec:
     """The experiment's model, from the dedicated parameter stream."""
-    stream = derive_stream(cfg.seed, _PARAM_INDEX)
-    if cfg.model == "ou":
-        params = random_params("ou", cfg.d, stream, scale=cfg.rho)
-        return ou_model(params, unit_costs=cfg.unit_costs)
-    params = random_params("kuramoto", cfg.d, stream, scale=cfg.rho, mu0=cfg.mu0)
-    return kuramoto_model(params, unit_costs=cfg.unit_costs)
+    params = random_params(cfg.model, cfg.d, derive_stream(cfg.seed, _PARAM_INDEX),
+                           scale=cfg.rho, mu0=cfg.mu0)
+    builder = ou_model if cfg.model == "ou" else kuramoto_model
+    return builder(params, unit_costs=cfg.unit_costs)
+
+
+def _run_increments(cfg: ExperimentConfig, d: int, grid: TimeGrid) -> np.ndarray:
+    """The (R, K, d) Brownian increments of a cell's runs, run r from stream (1, r)."""
+    return np.stack([
+        sample_brownian_increments(derive_stream(cfg.seed, (_RUN_PREFIX, r)), grid.K, d, grid.dt)
+        for r in range(cfg.runs)
+    ])
 
 
 def _reference(cfg: ExperimentConfig, model: ModelSpec, grid: TimeGrid,
@@ -202,12 +213,7 @@ def run_cell(
     grid = TimeGrid(T=cfg.T, K=K)
     mlp_cfg = MlpConfig(n=n, m=m, grid=grid)
     runs = range(cfg.runs)
-    increments = np.stack([
-        sample_brownian_increments(
-            derive_stream(cfg.seed, (_RUN_PREFIX, r)), K, model.d, grid.dt
-        )
-        for r in runs
-    ])
+    increments = _run_increments(cfg, model.d, grid)
     cell = f"cell model={cfg.model}, d={model.d}, n={n}, m={m}"
     try:
         reference = _reference(cfg, model, grid, increments)

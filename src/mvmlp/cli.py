@@ -1,7 +1,8 @@
 """Benchmark command line: `mvmlp-bench`.
 
-Flags mirror the JSON config file; flags given on the command line
-override config-file values.
+Each flag sets the `ExperimentConfig` field of its name (`--out` sets
+`out_dir`, `--format` sets `formats`), as does the same key in the JSON
+config file; flags given on the command line override config-file values.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in _REAL_FLAGS:
         p.add_argument(flag, type=float)
     p.add_argument("--threads", type=int)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--format", help="comma list among csv,json,md")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+    p.add_argument("--format", dest="formats", metavar="FORMAT",
+                   help="comma list among csv,json,md")
     p.add_argument("--allow-large", action="store_true", default=None,
                    help="permit cells beyond the desk-scale caps")
     return p
@@ -93,15 +95,16 @@ def config_from_args(argv: Optional[List[str]] = None) -> ExperimentConfig:
     for i in reversed(range(1, len(argv))):
         if argv[i - 1] in _REAL_FLAGS and not argv[i].startswith("--"):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = build_parser().parse_args(argv)
-    values = _read_config(args.config) if args.config else {}
+    args = vars(build_parser().parse_args(argv))
+    path = args.pop("config")
+    values = _read_config(path) if path else {}
     if "levels" in values:
         if not isinstance(values["levels"], list):
             raise ValueError(f"config levels must be a list, got {values['levels']!r}")
         values["levels"] = [tuple(pair) if isinstance(pair, list) else (pair, pair)
                             for pair in values["levels"]]
         if not values["levels"]:
-            raise ValueError(f"config levels in {args.config} has no entries")
+            raise ValueError(f"config levels in {path} has no entries")
     if "unit_costs" in values and values["unit_costs"] is not None:
         try:
             values["unit_costs"] = CostUnits(**values["unit_costs"])
@@ -111,21 +114,11 @@ def config_from_args(argv: Optional[List[str]] = None) -> ExperimentConfig:
                 f"cost_mu, cost_sigma, cost_rv, got {values['unit_costs']!r}"
             ) from None
 
-    overrides = {
-        "model": args.model,
-        "d": args.d,
-        "levels": _parse_levels(args.levels) if args.levels is not None else None,
-        "runs": args.runs,
-        "seed": args.seed,
-        "T": args.T,
-        "rho": args.rho,
-        "mu0": args.mu0,
-        "threads": args.threads,
-        "out_dir": args.out,
-        "formats": args.format.split(",") if args.format is not None else None,
-        "allow_large": args.allow_large,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    if args["levels"] is not None:
+        args["levels"] = _parse_levels(args["levels"])
+    if args["formats"] is not None:
+        args["formats"] = args["formats"].split(",")
+    values.update({k: v for k, v in args.items() if v is not None})
     return ExperimentConfig(**values)
 
 

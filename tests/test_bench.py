@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -22,7 +24,7 @@ from mvmlp.bench import (
     run_cell,
     run_experiment,
 )
-from mvmlp.cli import config_from_args, main
+from mvmlp.cli import build_parser, config_from_args, main
 from mvmlp.mlp import NumericOverflowError, analytic_cost, mlp_estimate
 from mvmlp.models import CostUnits, OuParams, default_cost_units, ou_model
 
@@ -309,6 +311,14 @@ class TestExperiment:
             ExperimentConfig(levels=((1, 0),))
         with pytest.raises(ValueError):
             ExperimentConfig(model="heat")
+        # a value that is not a list or tuple names its field, not a TypeError
+        for values, message in (
+            ({"levels": 3}, "levels must be a list of (n, m) pairs, got 3"),
+            ({"levels": None}, "levels must be a list of (n, m) pairs, got None"),
+            ({"formats": None}, "formats must be a list of names, got None"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ExperimentConfig(**values)
 
     def test_unit_costs_must_be_cost_units(self):
         units = {"cost_mu": 1, "cost_sigma": 1, "cost_rv": 1}
@@ -390,6 +400,16 @@ class TestCli:
         assert out.count("l2_error=") == 2
         text = (tmp_path / "results.csv").read_text()
         assert text.startswith(CSV_HEADER)
+
+    def test_each_flag_sets_the_field_of_its_name(self):
+        # config_from_args merges the parsed flags into the config by dest:
+        # a dest that is no field, or a field with no flag, breaks that rule
+        parser = build_parser()
+        dests = set(vars(parser.parse_args([]))) - {"config"}
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert dests == fields - {"unit_costs"}
+        assert "--out OUT" in parser.format_help()
+        assert "--format FORMAT" in parser.format_help()
 
     def test_desk_cap_exit_code(self, capsys):
         for levels in ("5", "2x100000"):
@@ -494,6 +514,8 @@ class TestCli:
      "cannot parse config file {configs}/utf16.json: 'utf-8' codec can't decode"),
     (["--config", "{configs}/levels_empty.json"],
      "config levels in {configs}/levels_empty.json has no entries"),
+    (["--config", "{configs}/formats_null.json"], "formats must be a list of names, got None"),
+    (["--config", "{configs}/formats_int.json"], "formats must be a list of names, got 3"),
 ])
 def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
     # no --d/--levels/--runs here: they would override the config files' values
@@ -572,6 +594,8 @@ def configs(tmp_path_factory):
         "units_str": {"unit_costs": {"cost_mu": "1", "cost_sigma": 1, "cost_rv": 1}},
         "units_float": {"unit_costs": {"cost_mu": 1.5, "cost_sigma": 1, "cost_rv": 1}},
         "formats_str": {"formats": "csv"},
+        "formats_null": {"formats": None},
+        "formats_int": {"formats": 3},
         "allow_large_str": {"allow_large": "no"},
         "T_huge_int": {"T": 10**400},
         "seed_2_64": {"seed": 2**64},

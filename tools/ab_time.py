@@ -9,7 +9,9 @@ process, and `run_experiment` of the same cell (flags spelled as in
 called on A and on B in turn, which of them goes first alternating from
 pair to pair. The output gives each side's 10 %-trimmed mean and median
 call time, the runs/s ratio B/A (A's trimmed mean over B's) and the
-number of pairs in which B was faster; ties count for neither side.
+number of pairs in which B was faster; ties count for neither side. A
+cell that `mvmlp-bench` would refuse ends the tool with one `error:` line
+and exit code 2, before any estimator call.
 
 The host's speed drifts over seconds, and the same tree can run twice as
 fast in one process as in another, so two trees are compared by calls
@@ -53,7 +55,7 @@ def main(argv=None) -> int:
     parser.add_argument("a", help="checkout root A (the base)")
     parser.add_argument("b", help="checkout root B (the change)")
     parser.add_argument("--model", default="ou", choices=["ou", "kuramoto"])
-    parser.add_argument("--d", default="10")
+    parser.add_argument("--d", type=int, default=10)
     parser.add_argument("--levels", default="4x4", help="as in mvmlp-bench, e.g. '4x4' or '3'")
     parser.add_argument("--pairs", type=int, default=30)
     args = parser.parse_args(argv)
@@ -62,19 +64,15 @@ def main(argv=None) -> int:
     for var in THREAD_VARS:
         os.environ.setdefault(var, "1")
 
-    cell = ["--model", args.model, "--d", args.d, "--levels", args.levels,
+    cell = ["--model", args.model, "--d", str(args.d), "--levels", args.levels,
             "--runs", "1", "--seed", "0"]
     with tempfile.TemporaryDirectory(prefix="ab_time-") as tmp:
         sys.path.insert(0, tmp)
         try:
             sides = [load(root, name, Path(tmp)) for root, name in
                      ((args.a, "mvmlp_a"), (args.b, "mvmlp_b"))]
-            try:
-                cfgs = [importlib.import_module(f"{pkg.__name__}.cli").config_from_args(cell)
-                        for pkg in sides]
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            cfgs = [importlib.import_module(f"{pkg.__name__}.cli").config_from_args(cell)
+                    for pkg in sides]
             for pkg, cfg in zip(sides, cfgs):
                 pkg.run_experiment(cfg)     # warm-up: lazy set-up stays out of the timing
             walls = ([], [])
@@ -83,6 +81,9 @@ def main(argv=None) -> int:
                     start = time.perf_counter()
                     sides[side].run_experiment(cfgs[side])
                     walls[side].append(time.perf_counter() - start)
+        except ValueError as exc:   # a flag value or a cell that mvmlp refuses
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         finally:
             sys.path.remove(tmp)
 

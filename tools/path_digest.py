@@ -4,7 +4,8 @@
 
 The sweep: OU and Kuramoto, d in {1, 3, 10, 50, 100}, cells (n, m) from
 (0, 2) to (4, 4) (without (4, 4) for d >= 50), two runs each, on the
-experiment's own parameter, increment and run streams. For each cell it
+experiment's own parameter, increment and run streams, each run's
+increments drawn by `run_cell`'s own routine. For each cell it
 hashes the reference values of both runs and each run's estimator path,
 with a label naming the array and its shape ahead of its bytes.
 
@@ -25,7 +26,6 @@ import numpy as np
 from mvmlp import bench
 from mvmlp.mlp import CostLedger, MlpConfig, mlp_estimate
 from mvmlp.numerics import TimeGrid
-from mvmlp.randomness import derive_stream, sample_brownian_increments
 
 MODELS = ("ou", "kuramoto")
 DIMS = (1, 3, 10, 50, 100)
@@ -46,12 +46,7 @@ def sweep(seed: int):
             model = bench.build_model(cfg)
             for n, m in cfg.levels:
                 grid = TimeGrid(T=cfg.T, K=m**n)
-                # the increments `run_cell` draws for run r
-                increments = np.stack([
-                    sample_brownian_increments(
-                        derive_stream(seed, (bench._RUN_PREFIX, r)), grid.K, d, grid.dt)
-                    for r in range(RUNS)
-                ])
+                increments = bench._run_increments(cfg, d, grid)
                 cell = f"{kind} d={d} n={n} m={m}"
                 yield f"{cell} reference", bench._reference(cfg, model, grid, increments)
                 for r in range(RUNS):
