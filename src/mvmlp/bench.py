@@ -6,9 +6,12 @@ sweep varies only the estimator. Run r uses top-level multi-index (1, r).
 A cell draws every run's increments (`_run_increments`), computes the
 reference of all runs in one call, then runs the estimator per run,
 serially or on a thread pool; results are assembled by run index, so the
-output is byte-identical for any thread count. `mvmlp-bench` sets each
-`ExperimentConfig` field from the flag of its name (`--out` sets
-`out_dir`, `--format` sets `formats`).
+output is byte-identical for any thread count. `ExperimentConfig` checks
+every field for all front ends alike: `mvmlp-bench` sets each field from
+the flag of its name (`--out` sets `out_dir`, `--format` sets `formats`)
+or from the config file's key. The cost units are the model's: a custom
+`CostUnits` goes to `ou_model` or `kuramoto_model`, whose model is then
+passed to `run_cell`.
 """
 
 from __future__ import annotations
@@ -22,13 +25,12 @@ from os import PathLike
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate
-from .models import (CostUnits, ModelSpec, default_cost_units, kuramoto_model, ou_model,
-                     random_params)
+from .models import ModelSpec, default_cost_units, kuramoto_model, ou_model, random_params
 from .numerics import TimeGrid, format_number, is_finite, is_int
 from .randomness import derive_stream, sample_brownian_increments
 from .reference import (_BLOCK_DOUBLES, kuramoto_moments, kuramoto_reference_path,
@@ -67,9 +69,15 @@ def _is_real(value) -> bool:
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; every front end (Python, JSON file, flags) is checked here.
+
+    A `levels` entry is `n` (the cell (n, n)) or an `(n, m)` pair, given as
+    a tuple or a list; the entries become a tuple of `(n, m)` tuples.
+    """
+
     model: str = "ou"
     d: int = 10
-    levels: Sequence[Tuple[int, int]] = ((1, 1), (2, 2), (3, 3))
+    levels: Sequence[Union[int, Tuple[int, int]]] = ((1, 1), (2, 2), (3, 3))
     runs: int = 10
     seed: int = 0
     T: float = 1.0
@@ -79,7 +87,6 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
     formats: Sequence[str] = FORMATS
     allow_large: bool = False
-    unit_costs: Optional[CostUnits] = None
 
     def __post_init__(self) -> None:
         for name in ("d", "runs", "seed", "threads"):
@@ -94,10 +101,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not isinstance(self.levels, (list, tuple)):
             raise ValueError(f"levels must be a list of (n, m) pairs, got {self.levels!r}")
-        for pair in self.levels:
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(is_int(v) for v in pair)):
+        if not self.levels:
+            raise ValueError(f"levels must have at least one entry, got {self.levels!r}")
+        cells = tuple((v, v) if is_int(v) else tuple(v) if isinstance(v, (list, tuple)) else v
+                      for v in self.levels)
+        for pair in cells:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(is_int(v) for v in pair)):
                 raise ValueError(f"levels entries must be integer pairs (n, m), got {pair!r}")
+        self.levels = cells
         if not (isinstance(self.formats, (list, tuple))
                 and all(isinstance(f, str) for f in self.formats)):
             raise ValueError(f"formats must be a list of names, got {self.formats!r}")
@@ -108,8 +119,6 @@ class ExperimentConfig:
             raise ValueError("out_dir must be a non-empty path, got ''")
         if not isinstance(self.allow_large, bool):
             raise ValueError(f"allow_large must be true or false, got {self.allow_large!r}")
-        if not (self.unit_costs is None or isinstance(self.unit_costs, CostUnits)):
-            raise ValueError(f"unit_costs must be None or a CostUnits, got {self.unit_costs!r}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.runs < 1:
@@ -177,7 +186,7 @@ def build_model(cfg: ExperimentConfig) -> ModelSpec:
     params = random_params(cfg.model, cfg.d, derive_stream(cfg.seed, _PARAM_INDEX),
                            scale=cfg.rho, mu0=cfg.mu0)
     builder = ou_model if cfg.model == "ou" else kuramoto_model
-    return builder(params, unit_costs=cfg.unit_costs)
+    return builder(params)
 
 
 def _run_increments(cfg: ExperimentConfig, d: int, grid: TimeGrid) -> np.ndarray:
@@ -216,7 +225,9 @@ def run_cell(
     increments = _run_increments(cfg, model.d, grid)
     cell = f"cell model={cfg.model}, d={model.d}, n={n}, m={m}"
     try:
-        reference = _reference(cfg, model, grid, increments)
+        # an overflow warning would come before the failure the finite check reports
+        with np.errstate(all="ignore"):
+            reference = _reference(cfg, model, grid, increments)
     except ValueError as exc:
         raise ValueError(f"reference path failed in {cell}: {exc}") from None
     if not np.isfinite(reference).all():
@@ -251,7 +262,7 @@ def run_cell(
 
 def estimate_experiment_cost(cfg: ExperimentConfig) -> int:
     """Total closed-form cost of all runs of all cells."""
-    units = cfg.unit_costs or default_cost_units(cfg.d)
+    units = default_cost_units(cfg.d)
     return sum(cfg.runs * analytic_cost(n, m, m**n, cfg.d, units)
                for n, m in cfg.levels)
 
@@ -308,7 +319,7 @@ def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
             raise OSError(
                 f"cannot create output directory {cfg.out_dir}: {exc.strerror}"
             ) from None
-    model = build_model(cfg) if cfg.levels else None
+    model = build_model(cfg)
     rows = [run_cell(cfg, n, m, model) for n, m in cfg.levels]
     if cfg.out_dir is not None:
         write_outputs(rows, Path(cfg.out_dir), cfg.formats)
@@ -338,7 +349,8 @@ def render_markdown(rows: Sequence[ResultRow]) -> str:
     for (model, d), cells in groups.items():
         lines.append(f"## {model}, d = {d}")
         lines.append("")
-        header = "| | " + " | ".join(f"n = m = {r.n}" for r in cells) + " |"
+        header = "| | " + " | ".join(
+            f"n = m = {r.n}" if r.n == r.m else f"n = {r.n}, m = {r.m}" for r in cells) + " |"
         sep = "|---" * (len(cells) + 1) + "|"
         err = "| L2-Error | " + " | ".join(f"{r.l2_error:.4e}" for r in cells) + " |"
         tm = "| Time | " + " | ".join(f"{r.time_s:.3f}" for r in cells) + " |"

@@ -3,6 +3,9 @@
 Each flag sets the `ExperimentConfig` field of its name (`--out` sets
 `out_dir`, `--format` sets `formats`), as does the same key in the JSON
 config file; flags given on the command line override config-file values.
+File values go to `ExperimentConfig` as they are, which checks every field
+and owns the `levels` rule; the only conversion here is of the `--levels`
+and `--format` strings into lists.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .bench import (
     ExperimentConfig,
@@ -21,15 +24,14 @@ from .bench import (
     run_experiment,
 )
 from .mlp import NumericOverflowError
-from .models import CostUnits
 from .numerics import format_number
 
 _REAL_FLAGS = ("--T", "--rho", "--mu0")
 
 
-def _parse_levels(text: str) -> List[Tuple[int, int]]:
-    """'1,2,3' -> [(1,1), (2,2), (3,3)]; '2x3' entries give explicit (n,m)."""
-    pairs = []
+def _parse_levels(text: str) -> List[Union[int, Tuple[int, int]]]:
+    """'1,2x3' -> [1, (2, 3)]: 'N' is the entry n, 'NxM' the pair (n, m)."""
+    entries = []
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -37,15 +39,12 @@ def _parse_levels(text: str) -> List[Tuple[int, int]]:
         try:
             if "x" in token:
                 n, m = token.split("x")
-                pairs.append((int(n), int(m)))
+                entries.append((int(n), int(m)))
             else:
-                v = int(token)
-                pairs.append((v, v))
+                entries.append(int(token))
         except ValueError:
             raise ValueError(f"levels entry {token!r} is not N or NxM") from None
-    if not pairs:
-        raise ValueError(f"levels {text!r} has no entries")
-    return pairs
+    return entries
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,22 +97,6 @@ def config_from_args(argv: Optional[List[str]] = None) -> ExperimentConfig:
     args = vars(build_parser().parse_args(argv))
     path = args.pop("config")
     values = _read_config(path) if path else {}
-    if "levels" in values:
-        if not isinstance(values["levels"], list):
-            raise ValueError(f"config levels must be a list, got {values['levels']!r}")
-        values["levels"] = [tuple(pair) if isinstance(pair, list) else (pair, pair)
-                            for pair in values["levels"]]
-        if not values["levels"]:
-            raise ValueError(f"config levels in {path} has no entries")
-    if "unit_costs" in values and values["unit_costs"] is not None:
-        try:
-            values["unit_costs"] = CostUnits(**values["unit_costs"])
-        except (TypeError, ValueError):
-            raise ValueError(
-                "config unit_costs must be an object of nonnegative integers "
-                f"cost_mu, cost_sigma, cost_rv, got {values['unit_costs']!r}"
-            ) from None
-
     if args["levels"] is not None:
         args["levels"] = _parse_levels(args["levels"])
     if args["formats"] is not None:

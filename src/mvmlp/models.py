@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import is_int
+from .numerics import is_finite, is_int
 from .randomness import RandomStream
 
 
@@ -183,6 +183,8 @@ def _initial_value(xi: Optional[np.ndarray], d: int, default: float) -> np.ndarr
     xi = np.full(d, default) if xi is None else np.asarray(xi, dtype=float)
     if xi.shape != (d,):
         raise ValueError(f"initial value has shape {xi.shape}, expected ({d},)")
+    if not _all_finite(xi):
+        raise ValueError("initial value contains non-finite entries")
     return xi
 
 
@@ -223,8 +225,10 @@ def random_params(
     d*d x d map x2 -> vec sigma) fall roughly like d**-0.5, so at fixed
     `scale` a larger d is a more weakly coupled problem.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (is_int(d) and d >= 1):
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    if not (is_finite(scale) and scale > 0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
 
     def u(shape):
         # 2 v - 1 in place: the same bits as the expression, one array

@@ -28,6 +28,8 @@ from typing import Tuple
 import numpy as np
 from scipy.special import ndtri
 
+from .numerics import is_finite, is_int
+
 MultiIndex = Tuple[int, ...]
 
 # domain tags keep Brownian draws, uniform draws and parameter draws of the
@@ -45,8 +47,14 @@ _local = threading.local()
 
 def _stream_key(root_seed: int, index: MultiIndex, domain: int) -> int:
     for part in index:
+        # int() would read 1.5 or True as 1, and struct refuses a part past 64
+        # bits; the exact-int test spares the hot path is_int's ABC check
+        if not (type(part) is int or is_int(part)):
+            raise ValueError(f"multi-index entries must be integers, got {part!r}")
         if part < 0:
             raise ValueError(f"multi-index entries must be nonnegative, got {part}")
+        if part >= _U64:
+            raise ValueError(f"multi-index entries must be below 2**64, got {part}")
     data = struct.pack(f"<QQQ{len(index)}Q", root_seed % _U64, domain % _U64, len(index),
                        *index)
     return int.from_bytes(hashlib.sha256(data).digest()[:16], "little")
@@ -132,12 +140,13 @@ class RandomStream:
 
 def derive_stream(root_seed: int, index: MultiIndex) -> RandomStream:
     """Stream for a multi-index; equal arguments give identical sequences."""
-    index = tuple(map(int, index))
+    index = tuple(index)
+    # the keys first: _stream_key checks each part before int() reads it
     return RandomStream(
         root_seed=root_seed,
-        index=index,
         _gauss_key=_key_words(_stream_key(root_seed, index, _DOMAIN_GAUSS)),
         _uniform_key=_key_words(_stream_key(root_seed, index, _DOMAIN_UNIFORM)),
+        index=tuple(map(int, index)),
     )
 
 
@@ -147,6 +156,6 @@ def sample_brownian_increments(
     """K x d array of i.i.d. N(0, dt) increments."""
     if K < 1 or d < 1:
         raise ValueError(f"K and d must be >= 1, got K={K}, d={d}")
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
+    if not (is_finite(dt) and dt >= 0):
+        raise ValueError(f"dt must be finite and nonnegative, got {dt}")
     return np.sqrt(dt) * stream.normals((K, d))

@@ -179,8 +179,7 @@ def test_06_dimension_robustness():
         )
         norms[d] = [op_norm(params.A1), op_norm(params.A2),
                     op_norm(params.B.reshape(d * d, d))]
-        rows[d] = run_cell(cfg, 3, 3,
-                           model=ou_model(params, unit_costs=cfg.unit_costs))
+        rows[d] = run_cell(cfg, 3, 3, model=ou_model(params))
     gap = max(abs(v - cfg.rho) for d in norms for v in norms[d])
     norms_ok = gap <= 1e-12
     ratio = rows[100].l2_error / rows[10].l2_error

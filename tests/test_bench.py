@@ -26,7 +26,7 @@ from mvmlp.bench import (
 )
 from mvmlp.cli import build_parser, config_from_args, main
 from mvmlp.mlp import NumericOverflowError, analytic_cost, mlp_estimate
-from mvmlp.models import CostUnits, OuParams, default_cost_units, ou_model
+from mvmlp.models import OuParams, default_cost_units, ou_model
 
 
 def _runs(*paths):
@@ -138,6 +138,11 @@ class TestRunCell:
         # rho = 1e200 overflows the Kuramoto moment generator
         (["--rho", "1e200"], "reference path failed in cell model=kuramoto, d=3, n=2, m=2: "
                              "matrix contains non-finite entries"),
+        # a finite but overflowing reference is reported once, without numpy's warnings
+        (["--rho", "40", "--T", "10"], "non-finite reference path in cell model=kuramoto, "
+                                       "d=3, n=2, m=2"),
+        (["--model", "ou", "--rho", "100", "--T", "60"],
+         "non-finite reference path in cell model=ou, d=3, n=2, m=2"),
     ])
     def test_numeric_failure_names_the_cell(self, flag, message, capsys):
         argv = ["--model", "kuramoto", "--d", "3", "--levels", "2", "--runs", "1", *flag]
@@ -211,7 +216,9 @@ class TestRunCell:
 
 class TestExperiment:
     def test_empty_levels(self):
-        assert run_experiment(ExperimentConfig(levels=())) == []
+        message = "levels must have at least one entry, got ()"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(levels=())
 
     def test_desk_caps(self):
         with pytest.raises(ValueError):
@@ -320,12 +327,6 @@ class TestExperiment:
             with pytest.raises(ValueError, match=re.escape(message)):
                 ExperimentConfig(**values)
 
-    def test_unit_costs_must_be_cost_units(self):
-        units = {"cost_mu": 1, "cost_sigma": 1, "cost_rv": 1}
-        with pytest.raises(ValueError, match="unit_costs must be None or a CostUnits, got {"):
-            ExperimentConfig(unit_costs=units)
-        ExperimentConfig(unit_costs=CostUnits(**units))
-
 
 class TestOutputs:
     def _rows(self):
@@ -356,6 +357,8 @@ class TestOutputs:
         text = render_markdown(self._rows())
         assert "## ou, d = 2" in text
         assert "n = m = 1" in text and "n = m = 2" in text
+        cfg = ExperimentConfig(model="ou", d=2, levels=((2, 2), (2, 3)), runs=1)
+        assert "| | n = m = 2 | n = 2, m = 3 |" in render_markdown(run_experiment(cfg))
         for label in ("L2-Error", "Time", "Cost"):
             assert f"| {label} |" in text
 
@@ -380,6 +383,14 @@ class TestCli:
         assert cfg.d == 4
         assert list(cfg.levels) == [(1, 1), (2, 3)]
         assert (cfg.runs, cfg.seed, cfg.threads) == (5, 9, 2)
+
+    def test_levels_rule_is_the_same_for_every_front_end(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"levels": [1, [2, 3]]}))
+        for cfg in (config_from_args(["--levels", "1,2x3"]),
+                    config_from_args(["--config", str(path)]),
+                    ExperimentConfig(levels=[1, (2, 3)])):
+            assert cfg.levels == ((1, 1), (2, 3))
 
     def test_config_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -407,7 +418,7 @@ class TestCli:
         parser = build_parser()
         dests = set(vars(parser.parse_args([]))) - {"config"}
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert dests == fields - {"unit_costs"}
+        assert dests == fields
         assert "--out OUT" in parser.format_help()
         assert "--format FORMAT" in parser.format_help()
 
@@ -477,7 +488,7 @@ class TestCli:
     (["--config", "{configs}/typo.json"], "unknown config key(s) in {configs}/typo.json: dd"),
     (["--config", "{configs}/removed.json"],
      "unknown config key(s) in {configs}/removed.json: drift_time_mode, substeps"),
-    (["--levels", ","], "levels ',' has no entries"),
+    (["--levels", ","], "levels must have at least one entry, got []"),
     (["--config", "{configs}/list.json"], "config file {configs}/list.json must hold a JSON object"),
     (["--config", "{configs}/d_str.json"], "d must be an integer, got '3'"),
     (["--config", "{configs}/runs_float.json"], "runs must be an integer, got 2.5"),
@@ -487,11 +498,11 @@ class TestCli:
      "levels entries must be integer pairs (n, m), got ('2', 2)"),
     (["--config", "{configs}/levels_triple.json"],
      "levels entries must be integer pairs (n, m), got (1, 2, 3)"),
-    (["--config", "{configs}/levels_int.json"], "config levels must be a list, got 3"),
+    (["--config", "{configs}/levels_int.json"], "levels must be a list of (n, m) pairs, got 3"),
     (["--config", "{configs}/units_str.json"],
-     "config unit_costs must be an object of nonnegative integers"),
+     "unknown config key(s) in {configs}/units_str.json: unit_costs"),
     (["--config", "{configs}/units_float.json"],
-     "config unit_costs must be an object of nonnegative integers"),
+     "unknown config key(s) in {configs}/units_float.json: unit_costs"),
     (["--config", "{configs}/formats_str.json"], "formats must be a list of names, got 'csv'"),
     (["--config", "{configs}/allow_large_str.json"],
      "allow_large must be true or false, got 'no'"),
@@ -512,8 +523,7 @@ class TestCli:
      "cannot parse config file {configs}/malformed.json: Expecting property name"),
     (["--config", "{configs}/utf16.json"],
      "cannot parse config file {configs}/utf16.json: 'utf-8' codec can't decode"),
-    (["--config", "{configs}/levels_empty.json"],
-     "config levels in {configs}/levels_empty.json has no entries"),
+    (["--config", "{configs}/levels_empty.json"], "levels must have at least one entry, got []"),
     (["--config", "{configs}/formats_null.json"], "formats must be a list of names, got None"),
     (["--config", "{configs}/formats_int.json"], "formats must be a list of names, got 3"),
 ])

@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -635,6 +637,29 @@ class TestRandomParams:
         for xi in (np.ones(2), np.ones((1, 3)), 1.0):
             with pytest.raises(ValueError, match=r"initial value has shape .*, expected \(3,\)"):
                 _model(kind, p, initial_value=xi)
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    def test_non_finite_initial_value_rejected(self, kind):
+        p = random_params(kind, 3, derive_stream(0, (0,)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="initial value contains non-finite entries"):
+                _model(kind, p, initial_value=[0.0, bad, 1.0])
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0])
+    def test_scale_must_be_positive_and_finite(self, kind, scale):
+        with pytest.raises(ValueError, match=f"scale must be positive and finite, got {scale}"):
+            random_params(kind, 3, derive_stream(0, (0,)), scale=scale)
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("d", [0, -2, 2.0, True, "3"])
+    def test_d_must_be_a_positive_integer(self, kind, d):
+        # refused before the draw, which at d = 0 would divide by a zero norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"d must be an integer >= 1, got {d!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                random_params(kind, d, derive_stream(0, (0,)))
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     def test_peak_is_the_family_plus_a_few_slabs(self, kind):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import sys
 import threading
@@ -107,6 +108,24 @@ class TestDeriveStream:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative, got -1"):
             _stream_key(0, (2, -1), 0)
+
+    @pytest.mark.parametrize("index, message", [
+        ((1.5,), "must be integers, got 1.5"),
+        ((True, 2), "must be integers, got True"),
+        ((np.float64(2.0),), f"must be integers, got {np.float64(2.0)!r}"),
+        ((0, 2**64), "must be below 2**64, got 18446744073709551616"),
+    ])
+    def test_index_part_that_int_would_alias_rejected(self, index, message):
+        # int() would read 1.5 and True as 1; struct.pack refuses a part past 64 bits
+        with pytest.raises(ValueError, match=re.escape(message)):
+            derive_stream(0, index)
+
+    def test_numpy_integer_index_is_its_int(self):
+        for index in ((np.int64(3), np.uint64(2**64 - 1)), (np.int32(0),)):
+            stream = derive_stream(4, index)
+            assert stream.index == tuple(map(int, index))
+            assert np.array_equal(stream.normals(5),
+                                  derive_stream(4, tuple(map(int, index))).normals(5))
 
     def test_length_prefix_prevents_aliasing(self):
         assert _stream_key(0, (1, 2), 0) != _stream_key(0, (1, 2, 0), 0)
@@ -243,6 +262,11 @@ class TestBrownianIncrements:
     def test_zero_dt(self):
         draws = sample_brownian_increments(derive_stream(3, (1,)), 8, 4, 0.0)
         assert np.array_equal(draws, np.zeros((8, 4)))
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -1.0])
+    def test_dt_must_be_finite_and_nonnegative(self, dt):
+        with pytest.raises(ValueError, match=f"dt must be finite and nonnegative, got {dt}"):
+            sample_brownian_increments(derive_stream(3, (1,)), 8, 4, dt)
 
 
 class TestUniform:
