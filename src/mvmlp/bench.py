@@ -100,14 +100,15 @@ class ExperimentConfig:
             if not is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not isinstance(self.levels, (list, tuple)):
-            raise ValueError(f"levels must be a list of (n, m) pairs, got {self.levels!r}")
+            raise ValueError(f"levels must be a list of n or (n, m) entries, got {self.levels!r}")
         if not self.levels:
             raise ValueError(f"levels must have at least one entry, got {self.levels!r}")
         cells = tuple((v, v) if is_int(v) else tuple(v) if isinstance(v, (list, tuple)) else v
                       for v in self.levels)
         for pair in cells:
             if not (isinstance(pair, tuple) and len(pair) == 2 and all(is_int(v) for v in pair)):
-                raise ValueError(f"levels entries must be integer pairs (n, m), got {pair!r}")
+                raise ValueError(f"levels entries must be an integer n or an integer pair (n, m), "
+                                 f"got {pair!r}")
         self.levels = cells
         if not (isinstance(self.formats, (list, tuple))
                 and all(isinstance(f, str) for f in self.formats)):
@@ -126,7 +127,7 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if not 0 <= self.seed < 2**64:
-            # derive_stream reads the seed mod 2**64: any other value aliases one inside
+            # derive_stream refuses any other seed; refused here before any cell runs
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("T", "rho"):
             if getattr(self, name) <= 0:

@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--model", choices=["ou", "kuramoto"])
     p.add_argument("--d", type=int)
-    p.add_argument("--levels", help="comma list of n=m values, e.g. '1,2,3,4'")
+    p.add_argument("--levels", help="comma list of N (n = m = N) or NxM, e.g. '1,2,3x4'")
     p.add_argument("--runs", type=int)
     p.add_argument("--seed", type=int)
     for flag in _REAL_FLAGS:

@@ -38,6 +38,10 @@ once per level.
 Arrays: the Brownian paths, the base path and the Ito and drift steps are
 the estimator's own and are updated in place. It never writes into an
 array a coefficient returned, which may be a read-only view.
+
+Lifetime: a call holds no reference to its model, ledger or increments
+once it returns or raises, so they are freed by reference counting and
+calls made one after another never hold two models' coefficients at once.
 """
 
 from __future__ import annotations
@@ -187,7 +191,13 @@ def mlp_estimate(
                 _check_finite(X, n, level, k)
         return X
 
-    return estimate(cfg.n, tuple(theta), increments, brownian_path(increments))
+    try:
+        return estimate(cfg.n, tuple(theta), increments, brownian_path(increments))
+    finally:
+        # estimate reaches itself through its closure cell, a cycle that holds
+        # the model, the ledger and the increments until the cyclic gc runs;
+        # dropping the name breaks it, so the call frees them on return
+        del estimate
 
 
 def _ito_contract(incr: np.ndarray, sigma: np.ndarray) -> np.ndarray:

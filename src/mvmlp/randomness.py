@@ -140,6 +140,15 @@ class RandomStream:
 
 def derive_stream(root_seed: int, index: MultiIndex) -> RandomStream:
     """Stream for a multi-index; equal arguments give identical sequences."""
+    # the key reads the seed mod 2**64: a seed outside [0, 2**64) would alias
+    # one inside, and struct refuses a float; a numpy integer is read as its
+    # int, whose mod does not overflow
+    if type(root_seed) is not int:
+        if not is_int(root_seed):
+            raise ValueError(f"root seed must be an integer, got {root_seed!r}")
+        root_seed = int(root_seed)
+    if not 0 <= root_seed < _U64:
+        raise ValueError(f"root seed must be in [0, 2**64), got {root_seed}")
     index = tuple(index)
     # the keys first: _stream_key checks each part before int() reads it
     return RandomStream(

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import json
 import math
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -305,6 +307,27 @@ class TestExperiment:
         with pytest.raises(AssertionError, match="model drawn"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_experiment_frees_its_models(self, kind, threads, monkeypatch):
+        # with the cyclic gc off, a model still alive after the call is held
+        # by a reference cycle, and would stack one family per experiment
+        params = []
+
+        def recording(cfg):
+            model = build_model(cfg)
+            params.append(weakref.ref(model.params))
+            return model
+
+        monkeypatch.setattr("mvmlp.bench.build_model", recording)
+        cfg = ExperimentConfig(model=kind, d=3, levels=((2, 3),), runs=2, threads=threads)
+        gc.disable()
+        try:
+            run_experiment(cfg)
+            assert params and all(ref() is None for ref in params)
+        finally:
+            gc.enable()
+
     def test_cost_estimate_sums_cells(self):
         cfg = ExperimentConfig(model="ou", d=2, levels=((1, 1), (2, 2)), runs=3)
         units = build_model(cfg).unit_costs
@@ -320,8 +343,10 @@ class TestExperiment:
             ExperimentConfig(model="heat")
         # a value that is not a list or tuple names its field, not a TypeError
         for values, message in (
-            ({"levels": 3}, "levels must be a list of (n, m) pairs, got 3"),
-            ({"levels": None}, "levels must be a list of (n, m) pairs, got None"),
+            ({"levels": 3}, "levels must be a list of n or (n, m) entries, got 3"),
+            ({"levels": None}, "levels must be a list of n or (n, m) entries, got None"),
+            ({"levels": [2.5]},
+             "levels entries must be an integer n or an integer pair (n, m), got 2.5"),
             ({"formats": None}, "formats must be a list of names, got None"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -422,6 +447,10 @@ class TestCli:
         assert "--out OUT" in parser.format_help()
         assert "--format FORMAT" in parser.format_help()
 
+    def test_levels_help_names_both_entry_forms(self):
+        help_text = " ".join(build_parser().format_help().split())
+        assert "--levels LEVELS comma list of N (n = m = N) or NxM, e.g. '1,2,3x4'" in help_text
+
     def test_desk_cap_exit_code(self, capsys):
         for levels in ("5", "2x100000"):
             rc = main(["--model", "ou", "--d", "2", "--levels", levels, "--runs", "1"])
@@ -495,10 +524,11 @@ class TestCli:
     (["--config", "{configs}/threads_bool.json"], "threads must be an integer, got True"),
     (["--config", "{configs}/rho_str.json"], "rho must be a real number, got '0.25'"),
     (["--config", "{configs}/levels_str.json"],
-     "levels entries must be integer pairs (n, m), got ('2', 2)"),
+     "levels entries must be an integer n or an integer pair (n, m), got ('2', 2)"),
     (["--config", "{configs}/levels_triple.json"],
-     "levels entries must be integer pairs (n, m), got (1, 2, 3)"),
-    (["--config", "{configs}/levels_int.json"], "levels must be a list of (n, m) pairs, got 3"),
+     "levels entries must be an integer n or an integer pair (n, m), got (1, 2, 3)"),
+    (["--config", "{configs}/levels_int.json"],
+     "levels must be a list of n or (n, m) entries, got 3"),
     (["--config", "{configs}/units_str.json"],
      "unknown config key(s) in {configs}/units_str.json: unit_costs"),
     (["--config", "{configs}/units_float.json"],
@@ -519,7 +549,8 @@ class TestCli:
     (["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
     (["--seed", "18446744073709551616"], "seed must be in [0, 2**64), got 18446744073709551616"),
     (["--config", "{configs}/seed_2_64.json"],
-     "seed must be in [0, 2**64), got 18446744073709551616"),    (["--config", "{configs}/malformed.json"],
+     "seed must be in [0, 2**64), got 18446744073709551616"),
+    (["--config", "{configs}/malformed.json"],
      "cannot parse config file {configs}/malformed.json: Expecting property name"),
     (["--config", "{configs}/utf16.json"],
      "cannot parse config file {configs}/utf16.json: 'utf-8' codec can't decode"),

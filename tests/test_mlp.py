@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -262,6 +264,35 @@ class TestInvariants:
             mlp_estimate(model, cfg, (1, 0), 0, inc, CostLedger())
         n, level, k, row = err.value.location
         assert n == 2 and level == 1 and k == 1
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto", "overflow"])
+    def test_call_frees_its_model(self, kind):
+        # with the cyclic gc off, only reference counting frees the model: a
+        # recursion that reaches itself through its closure would hold it
+        d, grid = 3, TimeGrid(T=1.0, K=9)
+        cfg = MlpConfig(n=2, m=3, grid=grid)
+        inc = _top_increments(0, 0, grid.K, d, grid.dt)
+        gc.disable()
+        try:
+            if kind == "overflow":
+                model = dataclasses.replace(
+                    _models(d)[0], drift=lambda x1, x2: np.full(np.shape(x1), np.inf))
+            else:
+                model = _models(d)[0 if kind == "ou" else 1]
+            params = weakref.ref(model.params)
+            try:
+                with np.errstate(invalid="ignore"):     # t * inf at t = 0
+                    mlp_estimate(model, cfg, (1, 0), 0, inc, CostLedger())
+            except NumericOverflowError:
+                assert kind == "overflow"
+            else:
+                assert kind != "overflow"
+            del model
+            assert params() is None
+        finally:
+            gc.enable()
 
 
 class TestMlpConfig:

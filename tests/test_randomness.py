@@ -120,6 +120,23 @@ class TestDeriveStream:
         with pytest.raises(ValueError, match=re.escape(message)):
             derive_stream(0, index)
 
+    @pytest.mark.parametrize("seed, message", [
+        (2**64, "must be in [0, 2**64), got 18446744073709551616"),
+        (-1, "must be in [0, 2**64), got -1"),
+        (1.5, "must be an integer, got 1.5"),
+        (True, "must be an integer, got True"),
+        (np.float64(2.0), f"must be an integer, got {np.float64(2.0)!r}"),
+    ])
+    def test_root_seed_that_would_alias_rejected(self, seed, message):
+        # the key reads the seed mod 2**64: 2**64 would draw seed 0's values
+        with pytest.raises(ValueError, match=re.escape(f"root seed {message}")):
+            derive_stream(seed, (0,))
+
+    def test_numpy_integer_seed_is_its_int(self):
+        for seed in (np.int64(3), np.uint64(2**64 - 1)):
+            assert np.array_equal(derive_stream(seed, (0,)).normals(5),
+                                  derive_stream(int(seed), (0,)).normals(5))
+
     def test_numpy_integer_index_is_its_int(self):
         for index in ((np.int64(3), np.uint64(2**64 - 1)), (np.int32(0),)):
             stream = derive_stream(4, index)
