@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import time
 from os import PathLike
@@ -31,7 +30,7 @@ import numpy as np
 
 from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate
 from .models import ModelSpec, default_cost_units, kuramoto_model, ou_model, random_params
-from .numerics import TimeGrid, format_number, is_finite, is_int
+from .numerics import TimeGrid, format_number, is_finite, is_int, is_real
 from .randomness import derive_stream, sample_brownian_increments
 from .reference import (_BLOCK_DOUBLES, kuramoto_moments, kuramoto_reference_path,
                         ou_exact_path)
@@ -48,8 +47,8 @@ DESK_MAX_D = 100
 DESK_MAX_N = 4
 DESK_MAX_K = 256
 
-# the interpreter with numpy and scipy loaded: a desk-scale run peaks near
-# 64 MiB of resident memory
+# a bound on the interpreter with numpy, scipy.special and the package
+# loaded (~53 MiB resident): an OU run of d = 10, n = m = 4 peaks near 57 MiB
 _PROCESS_BYTES = 64 * 2**20
 
 
@@ -61,10 +60,6 @@ class LedgerMismatchError(RuntimeError):
         super().__init__(
             f"cost ledger mismatch at model={model}, d={d}, n={n}, m={m}, run={run}"
         )
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -95,7 +90,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("T", "rho", "mu0"):
             value = getattr(self, name)
-            if not _is_real(value):
+            if not is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")

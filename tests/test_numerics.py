@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from mvmlp.numerics import TimeGrid, grid_floor_index, mat_exp
 from oracles import solve_linear_ode, solve_lyapunov_ode, taylor_expm
@@ -101,6 +102,11 @@ class TestGridFloorIndex:
         assert all(a <= b for a, b in zip(idx, idx[1:]))
 
 
+# Higham (2005), Table 2.3: the 1-norm bounds of Pade degrees 3, 5, 7, 9, 13
+THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+          2.097847961257068e0, 5.371920351148152e0)
+
+
 class TestMatExp:
     def test_zero(self):
         np.testing.assert_array_equal(mat_exp(np.zeros((3, 3)), 1.3), np.eye(3))
@@ -109,6 +115,31 @@ class TestMatExp:
         a = np.array([0.5, -1.0, 2.0])
         got = mat_exp(np.diag(a), 0.7)
         np.testing.assert_allclose(got, np.diag(np.exp(a * 0.7)), rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 51, 101])
+    @pytest.mark.parametrize("norm, tol", [(theta * (1 - 1e-6), 1e-13) for theta in THETAS]
+                             + [(20.0, 1e-11), (100.0, 1e-11)],
+                             ids=["theta3", "theta5", "theta7", "theta9", "theta13", "20", "100"])
+    def test_against_scipy(self, d, norm, tol):
+        # just below each degree's bound, and past the last one where
+        # squarings run; scipy's own error is the larger one at d <= 3 past
+        # theta9 (up to 4e-13 at theta13 and 1e-11 at 100 on other draws,
+        # against 40-digit arithmetic, where mat_exp stays near 1e-14)
+        A = np.random.default_rng(d).standard_normal((d, d))
+        A *= norm / np.abs(A).sum(axis=0).max()
+        want = expm(A)
+        assert np.abs(mat_exp(A) - want).max() <= tol * np.abs(want).max()
+
+    def test_nilpotent(self):
+        N = np.array([[0.0, 1.5, -2.0], [0.0, 0.0, 0.7], [0.0, 0.0, 0.0]])
+        np.testing.assert_allclose(mat_exp(N, 1.3), np.eye(3) + 1.3 * N + (1.3 * N) @ (1.3 * N) / 2,
+                                   rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.1, 1.0, np.pi / 2, 3.0, 10.0])
+    def test_rotation(self, theta):
+        got = mat_exp(np.array([[0.0, -theta], [theta, 0.0]]))
+        c, s = np.cos(theta), np.sin(theta)
+        np.testing.assert_allclose(got, [[c, -s], [s, c]], rtol=0, atol=1e-15)
 
     def test_against_taylor_oracle(self):
         rng = np.random.default_rng(42)
@@ -125,11 +156,24 @@ class TestMatExp:
         rhs = mat_exp(A, 0.4) @ mat_exp(A, 0.5)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            mat_exp(np.array([[np.nan, 0], [0, 0]]), 1.0)
-        with pytest.raises(ValueError):
-            mat_exp(np.eye(2), np.inf)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("A, t, message", [
+        ([[np.nan, 0], [0, 0]], 1.0, "matrix contains non-finite entries"),
+        (np.eye(2), np.inf, "t must be finite, got inf"),
+        (np.eye(2), np.nan, "t must be finite, got nan"),
+        (np.eye(2), 10**400, "t must be finite, got 1000"),
+        (np.eye(2), "x", "t must be a real number, got 'x'"),
+        (np.eye(2), True, "t must be a real number, got True"),
+        (np.eye(2), np.True_, r"t must be a real number, got (np\.)?True"),
+        # the product overflows: refused without an overflow warning
+        ([[1, 2], [3, 4]], 1e308, r"A \* t overflows for t = 1e\+308"),
+        # each entry is finite, but a column's sum is not
+        ([[1e308, 0], [1e308, 0]], 1.0, r"A \* t overflows for t = 1.0"),
+    ], ids=["A-nan", "t-inf", "t-nan", "t-10e400", "t-str", "t-bool", "t-numpy-bool",
+            "At-overflow", "norm-overflow"])
+    def test_non_finite_rejected(self, A, t, message):
+        with pytest.raises(ValueError, match=message):
+            mat_exp(A, t)
 
 
 class TestSolveLinearOde:

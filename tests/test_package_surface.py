@@ -2,10 +2,13 @@
 
 A function, method or class named nowhere in `src/mvmlp/` outside
 `__init__.py` is reached only from tests, or not at all; a test oracle
-belongs in `tests/oracles.py`.
+belongs in `tests/oracles.py`. A run loads no module it does not use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mvmlp"
@@ -26,3 +29,18 @@ def test_every_def_is_named_in_the_package():
     assert defined
     unreached = [f"{where} {name}" for name, where in defined if name not in named]
     assert not unreached, unreached
+
+
+def test_a_run_never_imports_scipy_linalg():
+    # scipy.linalg alone adds ~7 MiB to a process's resident memory, and
+    # the package's one use of scipy is scipy.special's ndtri
+    code = ("import sys\n"
+            "from mvmlp import ExperimentConfig, run_experiment\n"
+            "for model in ('ou', 'kuramoto'):\n"
+            "    run_experiment(ExperimentConfig(model=model, d=3, levels=[(2, 2)], runs=1))\n"
+            "print('scipy.linalg' not in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
