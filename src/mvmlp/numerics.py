@@ -5,9 +5,10 @@ that needs to map a continuous time to a stored path row goes through
 :func:`grid_floor_index`. It returns an *index*, never a time, so there is
 no floating-point re-quantization downstream.
 
-:func:`mat_exp` is the scaling-and-squaring Pade method of Higham, "The
-scaling and squaring method for the matrix exponential revisited", SIAM J.
-Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3, in numpy alone.
+:func:`mat_exp` is the degree-13 scaling-and-squaring Pade method of
+Higham, "The scaling and squaring method for the matrix exponential
+revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3, in
+numpy alone; the one degree serves every norm.
 """
 
 from __future__ import annotations
@@ -95,83 +96,61 @@ def grid_floor_index(t: float | np.ndarray, grid: TimeGrid) -> int | np.ndarray:
     return int(k) if k.ndim == 0 else k
 
 
-def _check_square(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix contains non-finite entries")
-    return A
-
-
-# Higham (2005), Table 2.3: the largest 1-norm of A t at which the degree-m
+# Higham (2005), Table 2.3: the largest 1-norm of A t at which the degree-13
 # Pade approximant's backward error stays below the unit roundoff 2**-53
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068e0,
-               13: 5.371920351148152e0}
-# coefficients b_0..b_m of the degree-m Pade numerator p(x) = sum b_k x^k;
+_THETA_13 = 5.371920351148152e0
+# coefficients b_0..b_13 of the degree-13 Pade numerator p(x) = sum b_k x^k;
 # the denominator is p(-x)
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
-
-
-def _pade_odd_even(M: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The odd part U and even part V of the degree-m Pade numerator at M."""
-    b = _PADE_B[m]
-    eye = np.eye(len(M))
-    M2 = M @ M
-    if m == 13:
-        # Higham's scheme: three powers and three products, where the
-        # powers up to M**12 alone would take six
-        M4 = M2 @ M2
-        M6 = M4 @ M2
-        u = (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
-        v = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-             + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
-        return M @ u, v
-    evens = [eye, M2]
-    while len(evens) <= m // 2:
-        evens.append(evens[-1] @ M2)
-    u = sum(b[2 * k + 1] * P for k, P in enumerate(evens))
-    v = sum(b[2 * k] * P for k, P in enumerate(evens))
-    return M @ u, v
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+            16380.0, 182.0, 1.0)
 
 
 def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(A*t) by scaling and squaring (Higham 2005, Algorithm 2.3).
 
-    The lowest Pade degree among 3, 5, 7 and 9 whose bound covers the
-    1-norm of A*t is used as it is; past the degree-9 bound, A*t is halved
-    s times to within the degree-13 bound and the result squared s times.
-    A finite square A and a finite real t (not a bool) are required, and
-    A*t must not overflow.
+    A*t is halved s times to within the degree-13 Pade bound, the degree-13
+    approximant is taken there, and the result is squared s times; s is 0
+    when the 1-norm of A*t is already within the bound. A finite square A
+    of real numbers and a finite real t (not a bool) are required, and A*t
+    must not overflow.
     """
-    A = _check_square(A)
+    A = np.asarray(A)
+    # a float conversion would read a complex as its real part, a bool as 0 or 1
+    # and a numeric string as its number
+    if A.dtype.kind not in "iuf":
+        raise ValueError(f"matrix must be real, got dtype {A.dtype}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix contains non-finite entries")
     if not is_real(t):
         raise ValueError(f"t must be a real number, got {t!r}")
     if not is_finite(t):
         raise ValueError(f"t must be finite, got {format_number(t)}")
     with np.errstate(over="ignore"):
-        M = A * float(t)
+        M = A.astype(float, copy=False) * float(t)
         norm = float(np.abs(M).sum(axis=0).max(initial=0.0))
     if not math.isfinite(norm):
         raise ValueError(f"A * t overflows for t = {t}")
     if norm == 0.0:
         return np.eye(len(M))
-    m = next((m for m in (3, 5, 7, 9) if norm <= _PADE_THETA[m]), 13)
-    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13])))
-    u, v = _pade_odd_even(M / 2.0**s, m)
-    R = np.linalg.solve(v - u, v + u)
+    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    M = M / 2.0**s
+    b = _PADE_13
+    # Higham's scheme: the odd part U and the even part V of the numerator
+    # from three powers and three products, where the powers up to M**12
+    # alone would take six
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    eye = np.eye(len(M))
+    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
+    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         R = R @ R
     return R

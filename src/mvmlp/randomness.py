@@ -115,7 +115,9 @@ class RandomStream:
 
         (word >> 11) is what `Generator.integers(0, 2**53)` returns for the
         same word: Lemire's bounded draw never rejects at a range of 2**53.
-        The +1/2 keeps the uniform strictly inside (0, 1).
+        The +1/2 keeps the uniform above 0; the top value 2**53 - 1/2 rounds
+        to 2**53, so its uniform is clamped to 1 - 2**-53, which no other
+        word reaches, and the normal stays finite.
         """
         gen = _generator_at(self._gauss_key, self._gauss_pos)
         words = gen.bit_generator.random_raw(shape)
@@ -124,6 +126,8 @@ class RandomStream:
         out = words.view(np.float64)
         np.add(words, 0.5, out=out)
         out *= 2.0**-53
+        # the largest double below 1, for the top word's 1.0
+        np.minimum(out, 1.0 - 2.0**-53, out=out)
         return ndtri(out, out=out)
 
     def uniform(self) -> float:

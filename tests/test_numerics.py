@@ -102,7 +102,8 @@ class TestGridFloorIndex:
         assert all(a <= b for a, b in zip(idx, idx[1:]))
 
 
-# Higham (2005), Table 2.3: the 1-norm bounds of Pade degrees 3, 5, 7, 9, 13
+# Higham (2005), Table 2.3: the 1-norm bounds of Pade degrees 3, 5, 7, 9, 13;
+# mat_exp takes degree 13 alone, so only the last is still its bound
 THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
           2.097847961257068e0, 5.371920351148152e0)
 
@@ -117,14 +118,19 @@ class TestMatExp:
         np.testing.assert_allclose(got, np.diag(np.exp(a * 0.7)), rtol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 10, 51, 101])
-    @pytest.mark.parametrize("norm, tol", [(theta * (1 - 1e-6), 1e-13) for theta in THETAS]
-                             + [(20.0, 1e-11), (100.0, 1e-11)],
-                             ids=["theta3", "theta5", "theta7", "theta9", "theta13", "20", "100"])
+    @pytest.mark.parametrize("norm, tol", [(1e-12, 1e-13), (1e-8, 1e-13)]
+                             + [(theta * (1 - 1e-6), 1e-13) for theta in THETAS]
+                             + [(THETAS[-1] * (1 + 1e-6), 1e-11), (20.0, 1e-11), (100.0, 1e-11)],
+                             ids=["1e-12", "1e-8", "theta3", "theta5", "theta7", "theta9",
+                                  "theta13", "theta13-halved", "20", "100"])
     def test_against_scipy(self, d, norm, tol):
-        # just below each degree's bound, and past the last one where
-        # squarings run; scipy's own error is the larger one at d <= 3 past
-        # theta9 (up to 4e-13 at theta13 and 1e-11 at 100 on other draws,
-        # against 40-digit arithmetic, where mat_exp stays near 1e-14)
+        # tiny norms and sample norms just below the old degree 3-9 bounds,
+        # all taken by degree 13 unscaled; just below theta13, the last norm
+        # with no squaring; just past it, the first halving; and far past it,
+        # where several squarings run. scipy's own error is the larger one at
+        # d <= 3 past theta9 (up to 4e-13 at theta13 and 1e-11 at 100 on
+        # other draws, against 40-digit arithmetic, where mat_exp stays near
+        # 1e-14)
         A = np.random.default_rng(d).standard_normal((d, d))
         A *= norm / np.abs(A).sum(axis=0).max()
         want = expm(A)
@@ -165,12 +171,16 @@ class TestMatExp:
         (np.eye(2), "x", "t must be a real number, got 'x'"),
         (np.eye(2), True, "t must be a real number, got True"),
         (np.eye(2), np.True_, r"t must be a real number, got (np\.)?True"),
+        # a float conversion would read these as their real part, 0 or 1, and a number
+        ([[1j]], 0.5, "matrix must be real, got dtype complex128"),
+        ([[True]], 0.5, "matrix must be real, got dtype bool"),
+        ([["1"]], 0.5, "matrix must be real, got dtype .U1"),
         # the product overflows: refused without an overflow warning
         ([[1, 2], [3, 4]], 1e308, r"A \* t overflows for t = 1e\+308"),
         # each entry is finite, but a column's sum is not
         ([[1e308, 0], [1e308, 0]], 1.0, r"A \* t overflows for t = 1.0"),
     ], ids=["A-nan", "t-inf", "t-nan", "t-10e400", "t-str", "t-bool", "t-numpy-bool",
-            "At-overflow", "norm-overflow"])
+            "A-complex", "A-bool", "A-str", "At-overflow", "norm-overflow"])
     def test_non_finite_rejected(self, A, t, message):
         with pytest.raises(ValueError, match=message):
             mat_exp(A, t)

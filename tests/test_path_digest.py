@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,3 +40,14 @@ def test_sweep_hashes_what_run_cell_reduces(path_digest):
                 row = run_cell(cfg, n, m, model)
                 assert l2_errors(arrays[f"{cell} reference"], paths) == (row.l2_error,
                                                                           row.per_run_errors)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_range_exits_2(seed):
+    # ExperimentConfig refuses the seed at the sweep's first cell, before any draw
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "path_digest.py"), "--seed", seed],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: seed must be in [0, 2**64), got {seed}\n"

@@ -3,6 +3,7 @@ import re
 import struct
 import sys
 import threading
+import types
 
 import numpy as np
 import numpy.random.bit_generator
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
+from mvmlp import randomness
 from mvmlp.mlp import CostLedger, MlpConfig, mlp_estimate
 from mvmlp.models import ou_model, random_params
 from mvmlp.numerics import TimeGrid
@@ -34,7 +36,9 @@ class _NumpyStream:
             np.random.Philox(key=_stream_key(root_seed, index, _DOMAIN_UNIFORM)))
 
     def normals(self, shape):
-        return ndtri((self._gauss.integers(0, 2**53, size=shape) + 0.5) / 2**53)
+        # the top integer's uniform rounds to 1, and is clamped below it
+        u = (self._gauss.integers(0, 2**53, size=shape) + 0.5) / 2**53
+        return ndtri(np.minimum(u, 1 - 2**-53))
 
     def uniform(self):
         return float(self._uniform.random())
@@ -177,6 +181,20 @@ class TestDrawPath:
         for shape in ((3,), (300, 101), (7, 2, 1000)):
             assert _same_bits(ours.normals(shape), ref.normals(shape))
             assert _same_bits(ours.uniforms(shape), ref.uniforms(shape))
+
+    def test_top_word_gives_a_finite_normal(self, monkeypatch):
+        # the words themselves go through normals' own arithmetic: the top
+        # word, whose unclamped uniform rounds to 1, the bottom word, and the
+        # words just below the top and around the middle, which keep their bits
+        words = np.array([2**64 - 1, 0, 2**64 - 2**11 - 1, 2**63, 2**63 - 1], dtype=np.uint64)
+        engine = types.SimpleNamespace(random_raw=lambda shape: words.copy().reshape(shape))
+        monkeypatch.setattr(randomness, "_generator_at",
+                            lambda key, pos: types.SimpleNamespace(bit_generator=engine))
+        got = derive_stream(0, (0,)).normals(words.shape)
+        assert np.isfinite(got).all()
+        assert got[0] == ndtri(1 - 2**-53) > got[2] > 8
+        uniforms = ((words >> 11).astype(float) + 0.5) / 2**53
+        assert _same_bits(got[1:], ndtri(uniforms[1:]))
 
     def test_no_entropy_read_in_an_estimator_call(self, monkeypatch):
         reads = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import sys
 
 import numpy as np
 
@@ -55,19 +56,24 @@ def sweep(seed: int):
                     yield f"{cell} run={r} path", path
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2, help="experiment seed (default 2)")
     args = parser.parse_args()
     digest = hashlib.sha256()
     count = 0
-    for label, arr in sweep(args.seed):
-        arr = np.ascontiguousarray(arr, dtype=float)
-        digest.update(f"{label} {arr.shape}\n".encode())
-        digest.update(arr.tobytes())
-        count += 1
+    try:
+        for label, arr in sweep(args.seed):
+            arr = np.ascontiguousarray(arr, dtype=float)
+            digest.update(f"{label} {arr.shape}\n".encode())
+            digest.update(arr.tobytes())
+            count += 1
+    except ValueError as exc:   # a seed that ExperimentConfig refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{digest.hexdigest()}  {count} arrays, seed {args.seed}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
