@@ -30,7 +30,7 @@ import numpy as np
 
 from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate
 from .models import ModelSpec, default_cost_units, kuramoto_model, ou_model, random_params
-from .numerics import TimeGrid, format_number, is_finite, is_int, is_real
+from .numerics import TimeGrid, format_number, is_int, real_number
 from .randomness import derive_stream, sample_brownian_increments
 from .reference import (_BLOCK_DOUBLES, kuramoto_moments, kuramoto_reference_path,
                         ou_exact_path)
@@ -89,11 +89,7 @@ class ExperimentConfig:
             if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("T", "rho", "mu0"):
-            value = getattr(self, name)
-            if not is_real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not is_finite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            real_number(getattr(self, name), name)
         if not isinstance(self.levels, (list, tuple)):
             raise ValueError(f"levels must be a list of n or (n, m) entries, got {self.levels!r}")
         if not self.levels:
@@ -128,8 +124,9 @@ class ExperimentConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         unknown = sorted(set(self.formats) - set(FORMATS))
-        if unknown:
-            raise ValueError(f"formats must be among {', '.join(FORMATS)}, got {unknown}")
+        if unknown or not self.formats:
+            # an empty list would write nothing and exit 0
+            raise ValueError(f"formats must be among {', '.join(FORMATS)}, got {unknown or 'none'}")
         for n, m in self.levels:
             if n < 0 or m < 1:
                 raise ValueError(f"invalid level pair (n={n}, m={m})")

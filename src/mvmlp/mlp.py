@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import CostUnits, ModelSpec
-from .numerics import TimeGrid, grid_floor_index, is_int
+from .numerics import TimeGrid, grid_floor_index, is_int, real_array
 from .randomness import MultiIndex, derive_stream, sample_brownian_increments
 
 # tags for the index blocks appended per (n, k, l) iteration
@@ -123,9 +123,7 @@ def mlp_estimate(
     increments) give a bitwise identical path.
     """
     K, d, grid = cfg.grid.K, model.d, cfg.grid
-    increments = np.asarray(caller_increments, dtype=float)
-    if increments.shape != (K, d):
-        raise ValueError(f"increments must have shape ({K}, {d}), got {increments.shape}")
+    increments = real_array(caller_increments, "increments", (K, d))
 
     times = grid.times()
     times_col = times[:, None]

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import is_finite, is_int
+from .numerics import is_finite, is_int, is_real, real_array, real_number
 from .randomness import RandomStream
 
 
@@ -55,12 +55,6 @@ def default_cost_units(d: int) -> CostUnits:
     return CostUnits(cost_mu=d * d, cost_sigma=d * d, cost_rv=1)
 
 
-def _all_finite(arr: np.ndarray) -> bool:
-    # min and max propagate a NaN and reach any inf without the (d, d, d)
-    # boolean mask that isfinite(arr).all() would allocate for a family
-    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
-
-
 @dataclass(frozen=True)
 class OuParams:
     """Parameters of the mean-field Ornstein-Uhlenbeck model.
@@ -78,21 +72,15 @@ class OuParams:
     B: np.ndarray       # (d, d, d), B[k] = B_k
 
     def __post_init__(self) -> None:
-        d = self.a0.shape[0]
-        shapes = {
-            "a0": (self.a0, (d,)),
-            "A1": (self.A1, (d, d)),
-            "A2": (self.A2, (d, d)),
-            "b": (self.b, (d, d)),
-            "B": (self.B, (d, d, d)),
-        }
-        for name, (arr, want) in shapes.items():
-            if arr.shape != want:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
-            if not _all_finite(arr):
-                raise ValueError(f"{name} contains non-finite entries")
+        shape = np.shape(self.a0)
+        if len(shape) != 1:
+            raise ValueError(f"a0 has shape {shape}, expected (d,)")
+        d = shape[0]
+        for name, want in (("a0", (d,)), ("A1", (d, d)), ("A2", (d, d)), ("b", (d, d)),
+                           ("B", (d, d, d))):
+            object.__setattr__(self, name, real_array(getattr(self, name), name, want))
         # b.T is C-contiguous: the diffusion returns it as a direct view
-        object.__setattr__(self, "b", np.ascontiguousarray(self.b.T, dtype=float).T)
+        object.__setattr__(self, "b", np.ascontiguousarray(self.b.T).T)
         object.__setattr__(self, "B", _gemm_layout(self.B))
 
     @property
@@ -108,11 +96,11 @@ class KuramotoParams:
     Sigma: np.ndarray   # (d, d, d), Sigma[k] applied to x1 in column k
 
     def __post_init__(self) -> None:
-        if self.Sigma.ndim != 3 or len(set(self.Sigma.shape)) != 1:
-            raise ValueError(f"Sigma must have shape (d, d, d), got {self.Sigma.shape}")
-        if not (np.isfinite(self.mu0) and _all_finite(self.Sigma)):
-            raise ValueError("parameters contain non-finite entries")
-        object.__setattr__(self, "Sigma", _gemm_layout(self.Sigma))
+        real_number(self.mu0, "mu0")
+        Sigma = real_array(self.Sigma, "Sigma")
+        if Sigma.ndim != 3 or len(set(Sigma.shape)) != 1:
+            raise ValueError(f"Sigma must have shape (d, d, d), got {Sigma.shape}")
+        object.__setattr__(self, "Sigma", _gemm_layout(Sigma))
 
     @property
     def d(self) -> int:
@@ -138,7 +126,7 @@ def _gemm_layout(P: np.ndarray) -> np.ndarray:
 
     No copy when P is already such a view (as `random_params` builds it).
     """
-    return np.ascontiguousarray(P.transpose(2, 0, 1), dtype=float).transpose(1, 2, 0)
+    return np.ascontiguousarray(P.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 def _stacked_apply(P: np.ndarray, x: np.ndarray, offset: Optional[np.ndarray] = None,
@@ -180,12 +168,7 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray, offset: Optional[np.ndarray] = 
 
 
 def _initial_value(xi: Optional[np.ndarray], d: int, default: float) -> np.ndarray:
-    xi = np.full(d, default) if xi is None else np.asarray(xi, dtype=float)
-    if xi.shape != (d,):
-        raise ValueError(f"initial value has shape {xi.shape}, expected ({d},)")
-    if not _all_finite(xi):
-        raise ValueError("initial value contains non-finite entries")
-    return xi
+    return np.full(d, default) if xi is None else real_array(xi, "initial value", (d,))
 
 
 def ou_diffusion(p: OuParams, x2: np.ndarray) -> np.ndarray:
@@ -227,7 +210,7 @@ def random_params(
     """
     if not (is_int(d) and d >= 1):
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
-    if not (is_finite(scale) and scale > 0):
+    if not (is_real(scale) and is_finite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
 
     def u(shape):

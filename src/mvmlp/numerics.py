@@ -1,4 +1,9 @@
-"""Uniform time grids, the grid floor, and the matrix exponential.
+"""Uniform time grids, the grid floor, the matrix exponential, and value checks.
+
+:func:`real_array` and :func:`real_number` are the one check for a value
+from outside the package (model parameters, an initial value, Brownian
+increments, a config's numbers): each refuses a value that is not real and
+finite with one ValueError that names it.
 
 The grid quantizer here is the single canonical one: every piece of code
 that needs to map a continuous time to a stored path row goes through
@@ -45,6 +50,33 @@ def is_finite(value) -> bool:
         return False
 
 
+def real_number(value, name: str) -> None:
+    """Refuse, naming `name`, a value that is not a finite real number (a bool is not one)."""
+    if not is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not is_finite(value):
+        raise ValueError(f"{name} must be finite, got {format_number(value)}")
+
+
+def real_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
+    """`value` as a finite float array (of `shape`, if given), else a ValueError naming `name`.
+
+    A float array comes back as it is, not copied.
+    """
+    arr = np.asarray(value)
+    # a float conversion would read a complex as its real part, a bool as 0 or 1
+    # and a numeric string as its number
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    # min and max propagate a NaN and reach any inf without the boolean mask
+    # that isfinite(arr).all() would allocate for a (d, d, d) family
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid {0, T/K, 2T/K, ..., T}."""
@@ -53,7 +85,7 @@ class TimeGrid:
     K: int
 
     def __post_init__(self) -> None:
-        if not (is_finite(self.T) and self.T > 0):
+        if not (is_real(self.T) and is_finite(self.T) and self.T > 0):
             raise ValueError(f"horizon T must be positive and finite, got "
                              f"{format_number(self.T)}")
         if not is_int(self.K) or self.K < 1:
@@ -116,21 +148,12 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     of real numbers and a finite real t (not a bool) are required, and A*t
     must not overflow.
     """
-    A = np.asarray(A)
-    # a float conversion would read a complex as its real part, a bool as 0 or 1
-    # and a numeric string as its number
-    if A.dtype.kind not in "iuf":
-        raise ValueError(f"matrix must be real, got dtype {A.dtype}")
+    A = real_array(A, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix contains non-finite entries")
-    if not is_real(t):
-        raise ValueError(f"t must be a real number, got {t!r}")
-    if not is_finite(t):
-        raise ValueError(f"t must be finite, got {format_number(t)}")
+    real_number(t, "t")
     with np.errstate(over="ignore"):
-        M = A.astype(float, copy=False) * float(t)
+        M = A * float(t)
         norm = float(np.abs(M).sum(axis=0).max(initial=0.0))
     if not math.isfinite(norm):
         raise ValueError(f"A * t overflows for t = {t}")

@@ -28,7 +28,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import ndtri
 
-from .numerics import is_finite, is_int
+from .numerics import is_finite, is_int, is_real
 
 MultiIndex = Tuple[int, ...]
 
@@ -169,6 +169,6 @@ def sample_brownian_increments(
     """K x d array of i.i.d. N(0, dt) increments."""
     if K < 1 or d < 1:
         raise ValueError(f"K and d must be >= 1, got K={K}, d={d}")
-    if not (is_finite(dt) and dt >= 0):
+    if not (is_real(dt) and is_finite(dt) and dt >= 0):
         raise ValueError(f"dt must be finite and nonnegative, got {dt}")
     return np.sqrt(dt) * stream.normals((K, d))

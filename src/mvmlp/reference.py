@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import KuramotoParams, OuParams, ou_diffusion
-from .numerics import TimeGrid, mat_exp
+from .numerics import TimeGrid, mat_exp, real_array
 
 # the Kuramoto reference contracts a run's increments one chunk of steps at
 # a time, at most _RUN_DOUBLES doubles per run, and stacks as many runs as
@@ -57,7 +57,7 @@ def ou_mean(p: OuParams, xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 
 def _check_increments(increments: np.ndarray, K: int, d: int) -> np.ndarray:
-    incr = np.asarray(increments, dtype=float)
+    incr = real_array(increments, "increments")
     if incr.ndim != 3 or incr.shape[1:] != (K, d):
         raise ValueError(f"increments must have shape (R, {K}, {d}), got {incr.shape}")
     return incr

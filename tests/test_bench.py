@@ -348,6 +348,8 @@ class TestExperiment:
             ({"levels": [2.5]},
              "levels entries must be an integer n or an integer pair (n, m), got 2.5"),
             ({"formats": None}, "formats must be a list of names, got None"),
+            # repr() of this T would raise inside the message
+            ({"T": 10**5000}, "T must be finite, got 10**5000.00"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 ExperimentConfig(**values)
@@ -557,6 +559,7 @@ class TestCli:
     (["--config", "{configs}/levels_empty.json"], "levels must have at least one entry, got []"),
     (["--config", "{configs}/formats_null.json"], "formats must be a list of names, got None"),
     (["--config", "{configs}/formats_int.json"], "formats must be a list of names, got 3"),
+    (["--config", "{configs}/formats_empty.json"], "formats must be among csv, json, md, got none"),
 ])
 def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
     # no --d/--levels/--runs here: they would override the config files' values
@@ -637,6 +640,8 @@ def configs(tmp_path_factory):
         "formats_str": {"formats": "csv"},
         "formats_null": {"formats": None},
         "formats_int": {"formats": 3},
+        # a cell that would run and write nothing
+        "formats_empty": {"formats": [], "d": 2, "levels": [1], "runs": 1},
         "allow_large_str": {"allow_large": "no"},
         "T_huge_int": {"T": 10**400},
         "seed_2_64": {"seed": 2**64},

@@ -245,6 +245,21 @@ class TestInvariants:
         mlp_estimate(model, cfg, (1, 0), 4, inc, CostLedger())
         assert np.array_equal(inc, before)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("inc, message", [
+        # a float conversion would read these as their real part, 0 or 1, and a number
+        (np.zeros((4, 2)) + 1j, "increments must be real, got dtype complex128"),
+        (np.zeros((4, 2), dtype=bool), "increments must be real, got dtype bool"),
+        (np.full((4, 2), "1"), "increments must be real, got dtype <U1"),
+        (np.zeros((4, 3)), r"increments has shape \(4, 3\), expected \(4, 2\)"),
+        (np.full((4, 2), np.nan), "increments contains non-finite entries"),
+    ], ids=["complex", "bool", "str", "shape", "nan"])
+    def test_caller_increments_checked(self, inc, message):
+        model = _models(2, seed=4)[0]
+        cfg = MlpConfig(n=2, m=2, grid=TimeGrid(T=1.0, K=4))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mlp_estimate(model, cfg, (1, 0), 4, inc, CostLedger())
+
     def test_overflow_reports_location(self):
         d = 2
         model = ModelSpec(

@@ -195,6 +195,19 @@ class TestGemmLayout:
         assert np.shares_memory(operands[0], p.Sigma)
 
 
+_FIELD_SHAPES = {"a0": (3,), "A1": (3, 3), "A2": (3, 3), "b": (3, 3), "B": (3, 3, 3),
+                 "Sigma": (3, 3, 3)}
+
+
+def _params_with(field, value):
+    """Zero d = 3 parameters of the model that has `field`, with `field` set to `value`."""
+    if field in ("mu0", "Sigma"):
+        fields = {"mu0": 0.5, "Sigma": np.zeros((3, 3, 3)), field: value}
+        return KuramotoParams(**fields)
+    fields = {name: np.zeros(shape) for name, shape in _FIELD_SHAPES.items() if name != "Sigma"}
+    return OuParams(**{**fields, field: value})
+
+
 def _model(kind, p, initial_value=None):
     build = ou_model if kind == "ou" else kuramoto_model
     return build(p, initial_value=initial_value)
@@ -645,8 +658,22 @@ class TestRandomParams:
             with pytest.raises(ValueError, match="initial value contains non-finite entries"):
                 _model(kind, p, initial_value=[0.0, bad, 1.0])
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
-    @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("bad, dtype", [
+        # a float conversion would read these as their real part, 0 or 1, and a number
+        (np.ones(3) + 1j, "complex128"),
+        (np.ones(3, dtype=bool), "bool"),
+        (np.full(3, "1"), "<U1"),
+    ], ids=["complex", "bool", "str"])
+    def test_initial_value_must_be_real(self, kind, bad, dtype):
+        p = random_params(kind, 3, derive_stream(0, (0,)))
+        with pytest.raises(ValueError, match=f"^initial value must be real, got dtype {dtype}$"):
+            _model(kind, p, initial_value=bad)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0, True, "1", "x", 1j])
     def test_scale_must_be_positive_and_finite(self, kind, scale):
         with pytest.raises(ValueError, match=f"scale must be positive and finite, got {scale}"):
             random_params(kind, 3, derive_stream(0, (0,)), scale=scale)
@@ -687,6 +714,52 @@ class TestRandomParams:
             KuramotoParams(mu0=0.5, Sigma=P)
         with pytest.raises(ValueError, match="B contains non-finite"):
             OuParams(a0=np.zeros(d), A1=zeros, A2=zeros, b=zeros, B=P)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field", ["a0", "A1", "A2", "b", "B", "Sigma"])
+    @pytest.mark.parametrize("make, message", [
+        # a float conversion would read these as their real part, 0 or 1, and a number
+        (lambda shape: np.ones(shape) + 1j, "must be real, got dtype complex128"),
+        (lambda shape: np.ones(shape, dtype=bool), "must be real, got dtype bool"),
+        (lambda shape: np.full(shape, "1"), "must be real, got dtype <U1"),
+        (lambda shape: np.full(shape, np.nan), "contains non-finite entries"),
+    ], ids=["complex", "bool", "str", "nan"])
+    def test_params_field_must_be_real_and_finite(self, field, make, message):
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            _params_with(field, make(_FIELD_SHAPES[field]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, shape, message", [
+        ("a0", (), "a0 has shape (), expected (d,)"),
+        ("a0", (3, 1), "a0 has shape (3, 1), expected (d,)"),
+        ("A1", (3, 4), "A1 has shape (3, 4), expected (3, 3)"),
+        ("A2", (4, 3), "A2 has shape (4, 3), expected (3, 3)"),
+        ("b", (3,), "b has shape (3,), expected (3, 3)"),
+        ("B", (3, 3, 4), "B has shape (3, 3, 4), expected (3, 3, 3)"),
+        ("Sigma", (3, 3, 4), "Sigma must have shape (d, d, d), got (3, 3, 4)"),
+    ], ids=["a0-0d", "a0-2d", "A1", "A2", "b", "B", "Sigma"])
+    def test_params_field_shape_checked(self, field, shape, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _params_with(field, np.zeros(shape))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu0, message", [
+        (True, "mu0 must be a real number, got True"),
+        (np.True_, r"mu0 must be a real number, got (np\.True_|True)"),
+        (1j, "mu0 must be a real number, got 1j"),
+        ("0.5", "mu0 must be a real number, got '0.5'"),
+        (np.nan, "mu0 must be finite, got nan"),
+    ], ids=["bool", "numpy-bool", "complex", "str", "nan"])
+    def test_mu0_must_be_a_finite_real_number(self, mu0, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _params_with("mu0", mu0)
+
+    def test_list_fields_are_read_as_float(self):
+        p = OuParams(a0=[1, 2, 3], A1=np.eye(3, dtype=int), A2=np.zeros((3, 3)),
+                     b=np.zeros((3, 3)), B=np.zeros((3, 3, 3)))
+        assert p.a0.dtype == p.A1.dtype == float
+        np.testing.assert_array_equal(p.a0, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(ou_drift(p, np.zeros(3), np.ones(3)), [1.0, 2.0, 3.0])
 
 
 class TestModelSpec:

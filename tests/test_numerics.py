@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from mvmlp.numerics import TimeGrid, grid_floor_index, mat_exp
+from mvmlp.numerics import TimeGrid, grid_floor_index, mat_exp, real_array
 from oracles import solve_linear_ode, solve_lyapunov_ode, taylor_expm
 
 
@@ -21,6 +21,7 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, K=0)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("T, K, message", [
         (1.0, True, "K must be a positive integer, got True"),
         (1.0, 2**1024, r"K = 10\*\*308.25 leaves no positive finite grid step T / K"),
@@ -32,11 +33,27 @@ class TestTimeGrid:
         # str() refuses an integer past 4,300 digits: the error names T
         (10**5000, 1, r"horizon T must be positive and finite, got 10\*\*5000.00$"),
         (-10**5000, 1, r"horizon T must be positive and finite, got -10\*\*5000.00$"),
+        # a bool is not read as 1, nor a string or complex as a number
+        (True, 4, "horizon T must be positive and finite, got True$"),
+        ("1", 4, "horizon T must be positive and finite, got 1$"),
+        ("x", 4, "horizon T must be positive and finite, got x$"),
+        (1j, 4, "horizon T must be positive and finite, got 1j$"),
     ], ids=["bool", "2**1024", "10**5000", "float K", "K=inf", "K=nan", "T=10**400",
-            "T=10**5000", "T=-10**5000"])
+            "T=10**5000", "T=-10**5000", "T=bool", "T=numeric-str", "T=str", "T=complex"])
     def test_step_must_be_a_float(self, T, K, message):
         with pytest.raises(ValueError, match=message):
             TimeGrid(T=T, K=K)
+
+
+class TestRealArray:
+    def test_float_array_is_not_copied(self):
+        # a (d, d, d) family is checked in place, never held twice
+        x = np.ones((2, 3))
+        assert real_array(x, "x", (2, 3)) is x
+
+    def test_integers_are_read_as_float(self):
+        got = real_array([[1, 2]], "x")
+        assert got.dtype == float and got.tolist() == [[1.0, 2.0]]
 
 
 class TestGridFloorIndex:

@@ -298,7 +298,8 @@ class TestBrownianIncrements:
         draws = sample_brownian_increments(derive_stream(3, (1,)), 8, 4, 0.0)
         assert np.array_equal(draws, np.zeros((8, 4)))
 
-    @pytest.mark.parametrize("dt", [np.nan, np.inf, -1.0])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -1.0, True, "1", "x", 1j])
     def test_dt_must_be_finite_and_nonnegative(self, dt):
         with pytest.raises(ValueError, match=f"dt must be finite and nonnegative, got {dt}"):
             sample_brownian_increments(derive_stream(3, (1,)), 8, 4, dt)

@@ -409,6 +409,26 @@ class TestBatchDeterminism:
                 else:
                     kuramoto_reference_path(*args, variance)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("incr, message", [
+        # a float conversion would read these as their real part, 0 or 1, and a number
+        (np.zeros((1, 4, 3)) + 1j, "increments must be real, got dtype complex128"),
+        (np.zeros((1, 4, 3), dtype=bool), "increments must be real, got dtype bool"),
+        (np.full((1, 4, 3), "1"), "increments must be real, got dtype <U1"),
+        (np.full((1, 4, 3), np.nan), "increments contains non-finite entries"),
+    ], ids=["complex", "bool", "str", "nan"])
+    def test_increments_must_be_real_and_finite(self, kind, incr, message):
+        d, K = 3, 4
+        p = random_params(kind, d, derive_stream(17, (0,)))
+        xi = np.full(d, 10.0)
+        grid = TimeGrid(T=1.0, K=K)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if kind == "ou":
+                ou_exact_path(p, xi, grid, incr)
+            else:
+                kuramoto_reference_path(p, xi, grid, incr, kuramoto_moments(p, xi, grid))
+
     @staticmethod
     def _check(kind, d, K, runs):
         p = random_params(kind, d, derive_stream(17, (0,)))
