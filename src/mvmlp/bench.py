@@ -267,8 +267,9 @@ def estimate_experiment_bytes(cfg: ExperimentConfig) -> int:
     the largest cell's working set and the interpreter. A cell holds one
     K-row sigma half (K, d, d) per estimator call in flight (one per
     thread), its (K+1, d) paths (each run's increments, reference and
-    estimate, and seven per recursion frame of each call in flight) and
-    the reference's largest block: OU's sigma at the K left means, or the
+    estimate, and seven per recursion frame of each call in flight, whose
+    Brownian path carries two more columns, t and 1) and the reference's
+    largest block: OU's sigma at the K left means, or the
     Kuramoto reference's capped block of contracted increments.
     """
     d, calls = cfg.d, min(cfg.threads, cfg.runs)
@@ -276,7 +277,7 @@ def estimate_experiment_bytes(cfg: ExperimentConfig) -> int:
     for n, m in cfg.levels:
         K = m**n
         reference = K * d * d if cfg.model == "ou" else max(_BLOCK_DOUBLES, d * d)
-        paths = (3 * cfg.runs + 7 * n * calls) * (K + 1) * d
+        paths = (3 * cfg.runs * d + n * calls * (7 * d + 2)) * (K + 1)
         cell = max(cell, calls * K * d * d + paths + reference)
     return 8 * (d**3 + d * d + cell) + _PROCESS_BYTES
 

@@ -35,6 +35,12 @@ sub-estimates read at the grid floor of t_j * u (one array call of
 :func:`grid_floor_index` per iteration); the scale t_j / m^(n-l) is made
 once per level.
 
+Base path: a Brownian path W carries two more columns, the grid times t
+and 1, so a frame's base path t mu(0, 0) + xi + W sigma(0, 0)^T is one
+(K+1, d+2) x (d+2, d) product against a block [sigma(0, 0)^T; mu(0, 0);
+xi] that the call holds once and each frame fills with its two base
+calls' results; the sums take xi and the drift term inside the product.
+
 Arrays: the Brownian paths, the base path and the Ito and drift steps are
 the estimator's own and are updated in place. It never writes into an
 array a coefficient returned, which may be a read-only view.
@@ -129,25 +135,29 @@ def mlp_estimate(
     times_col = times[:, None]
     dt = grid.dt
     zero = np.zeros(d)
+    # rows d and d+1 of the base block: mu(0, 0), written per frame, and xi
+    base = np.empty((d + 2, d))
+    base[d + 1] = model.initial_value
 
     def brownian_path(incr: np.ndarray) -> np.ndarray:
-        W = np.empty((K + 1, d))
-        W[0] = 0.0
-        np.cumsum(incr, axis=0, out=W[1:])
+        """[W | t | 1], (K+1, d+2): the path of `incr`, the grid times and ones."""
+        W = np.empty((K + 1, d + 2))
+        W[0, :d] = 0.0
+        np.cumsum(incr, axis=0, out=W[1:, :d])
+        W[:, d] = times
+        W[:, d + 1] = 1.0
         return W
 
     def estimate(n: int, theta: MultiIndex, incr: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Level-n path on increments `incr`, whose Brownian path is `W`."""
+        """Level-n path on increments `incr`, whose `brownian_path` is `W`."""
         if n == 0:
             return np.zeros((K + 1, d))
 
-        mu0 = model.drift(zero, zero)
+        base[d] = model.drift(zero, zero)
         ledger.mu_evals += 1
-        sigma0 = model.diffusion(zero, zero)
+        base[:d] = model.diffusion(zero, zero).T
         ledger.sigma_evals += 1
-        X = times_col * mu0
-        X += model.initial_value
-        X += W @ sigma0.T
+        X = W @ base
         _check_finite(X, n, 0, 0)
         if n == 1:
             return X

@@ -7,19 +7,23 @@ benchmark coefficients take any (..., d) array of states; a diffusion call
 reads it as its (rows, d) reshape.
 
 Layout: each (d, d, d) diffusion family P[k, i, j] (OuParams.B,
-KuramotoParams.Sigma) is a view of one C-contiguous (d, d*d) buffer
-indexed [j, (k, i)], which is the GEMM operand of every diffusion call;
-`random_params` draws it one k-slab at a time straight into that buffer,
-so the family is never held twice. Both diffusions are one affine kernel,
-offset + P x (OU's offset is b, Kuramoto has none), with one rule decided
-per call: a call whose rows are all zero (U_0: the estimator's base call
-and its lo half at l = 1) returns sigma(0), and a Kuramoto call whose rows
-are all xi (its constant U_1 = xi, the hi half at l = 1) returns the
-sigma(xi) the model makes once when it is built, each as a read-only view
-of one C-contiguous (d, d) matrix with zero leading strides, made directly
-on the matrix's buffer. Any other call is one GEMM of all its rows. A
-caller only reads a coefficient's result; the estimator contracts a
-zero-stride result as one product.
+KuramotoParams.Sigma) is a view of one C-contiguous GEMM operand whose
+rows are indexed [j, (k, i)]: Kuramoto's is (d, d*d); OU's is
+(d+1, d*d), with its offset b in [k, i] order as the last row, and
+OuParams.b is a view of that row. `random_params` draws the family one
+k-slab at a time straight into that buffer (OU's offset first), so the
+family is never held twice. Both diffusions are one affine kernel,
+offset + P x (OU's offset is b, Kuramoto has none): a general OU call is
+one product of [x | 1], so b is a term of the product's sums and no
+offset is added after it. One rule is decided per call: a call whose
+rows are all zero (U_0: the estimator's base call and its lo half at
+l = 1) returns sigma(0) (OU's is the view of the offset row), and a
+Kuramoto call whose rows are all xi (its constant U_1 = xi, the hi half
+at l = 1) returns the sigma(xi) the model makes once when it is built,
+each as a read-only view of one C-contiguous (d, d) matrix with zero
+leading strides, made directly on the matrix's buffer. Any other call is
+one GEMM of all its rows. A caller only reads a coefficient's result;
+the estimator contracts a zero-stride result as one product.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import is_finite, is_int, is_real, real_array, real_number
+from .numerics import format_number, is_finite, is_int, is_real, real_array, real_number
 from .randomness import RandomStream
 
 
@@ -60,9 +64,10 @@ class OuParams:
     """Parameters of the mean-field Ornstein-Uhlenbeck model.
 
     `b` stores the diffusion offset vectors as columns (b[:, k] is the k-th
-    offset), as the transposed view of a C-contiguous [k, i] buffer, the
-    layout the diffusion kernel adds; `B[k]` is the matrix applied to the
-    mean-field argument in column k.
+    offset); `B[k]` is the matrix applied to the mean-field argument in
+    column k. Both are views of `operand`, the diffusion's one
+    C-contiguous (d+1, d*d) GEMM operand: B's [j, (k, i)] rows, then b's
+    [k, i] row, so the family is held once.
     """
 
     a0: np.ndarray      # (d,)
@@ -70,18 +75,20 @@ class OuParams:
     A2: np.ndarray      # (d, d)
     b: np.ndarray       # (d, d), column k = b_k
     B: np.ndarray       # (d, d, d), B[k] = B_k
+    operand: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.a0)
-        if len(shape) != 1:
-            raise ValueError(f"a0 has shape {shape}, expected (d,)")
-        d = shape[0]
-        for name, want in (("a0", (d,)), ("A1", (d, d)), ("A2", (d, d)), ("b", (d, d)),
-                           ("B", (d, d, d))):
+        object.__setattr__(self, "a0", real_array(self.a0, "a0"))
+        if self.a0.ndim != 1:
+            raise ValueError(f"a0 has shape {self.a0.shape}, expected (d,)")
+        d = len(self.a0)
+        for name, want in (("A1", (d, d)), ("A2", (d, d)), ("b", (d, d)), ("B", (d, d, d))):
             object.__setattr__(self, name, real_array(getattr(self, name), name, want))
-        # b.T is C-contiguous: the diffusion returns it as a direct view
-        object.__setattr__(self, "b", np.ascontiguousarray(self.b.T).T)
-        object.__setattr__(self, "B", _gemm_layout(self.B))
+        op = _ou_operand(self.B, self.b)
+        B, b = _ou_views(op)
+        object.__setattr__(self, "operand", op)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "b", b)
 
     @property
     def d(self) -> int:
@@ -94,13 +101,16 @@ class KuramotoParams:
 
     mu0: float
     Sigma: np.ndarray   # (d, d, d), Sigma[k] applied to x1 in column k
+    operand: np.ndarray = field(init=False, repr=False)   # (d, d*d), a view of Sigma
 
     def __post_init__(self) -> None:
         real_number(self.mu0, "mu0")
         Sigma = real_array(self.Sigma, "Sigma")
         if Sigma.ndim != 3 or len(set(Sigma.shape)) != 1:
             raise ValueError(f"Sigma must have shape (d, d, d), got {Sigma.shape}")
+        d = len(Sigma)
         object.__setattr__(self, "Sigma", _gemm_layout(Sigma))
+        object.__setattr__(self, "operand", self.Sigma.transpose(2, 0, 1).reshape(d, d * d))
 
     @property
     def d(self) -> int:
@@ -118,23 +128,52 @@ def ou_drift(p: OuParams, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """a0 + A1 x1 + A2 x2, broadcasting over leading dimensions."""
     x1 = _check_dim(x1, p.d, "x1")
     x2 = _check_dim(x2, p.d, "x2")
-    return p.a0 + x1 @ p.A1.T + x2 @ p.A2.T
+    # summed into the first product in place: the same sums, in the same order
+    out = x1 @ p.A1.T
+    out += p.a0
+    return np.add(out, x2 @ p.A2.T, out=out if x1.shape == x2.shape else None)
 
 
 def _gemm_layout(P: np.ndarray) -> np.ndarray:
     """P as a (d, d, d) view of a C-contiguous (d, d*d) buffer [j, (k, i)].
 
     No copy when P is already such a view (as `random_params` builds it).
+    Kuramoto's layout; OU's family takes one more row, its offset's, in
+    `_ou_operand`.
     """
     return np.ascontiguousarray(P.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
-def _stacked_apply(P: np.ndarray, x: np.ndarray, offset: Optional[np.ndarray] = None,
-                   known: tuple = ()) -> np.ndarray:
+def _ou_operand(B: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The C-contiguous (d+1, d*d) operand: B's [j, (k, i)] rows, then b's [k, i] row.
+
+    B and b's own buffer when they are its `_ou_views` (as `random_params`
+    draws them and OuParams holds them), else a new one.
+    """
+    d = len(b)
+    op = B.base
+    if not (isinstance(op, np.ndarray) and op.shape == (d + 1, d * d) and op.flags.c_contiguous
+            and all(view.__array_interface__ == given.__array_interface__
+                    for view, given in zip(_ou_views(op), (B, b)))):
+        op = np.empty((d + 1, d * d))
+        op[:d].reshape(d, d, d)[...] = B.transpose(2, 0, 1)
+        op[d].reshape(d, d)[...] = b.T
+    return op
+
+
+def _ou_views(op: np.ndarray) -> tuple:
+    """B (d, d, d) and b (d, d), the views of a C-contiguous (d+1, d*d) OU operand."""
+    d = len(op) - 1
+    return op[:d].reshape(d, d, d).transpose(1, 2, 0), op[d].reshape(d, d).T
+
+
+def _stacked_apply(op: np.ndarray, x: np.ndarray, known: tuple = ()) -> np.ndarray:
     """[..., k, i] = offset[k, i] + sum_j P[k, i, j] x[..., j], as one BLAS GEMM.
 
-    P must be in the `_gemm_layout`, so the operand (d, d*d) [j, (k, i)] is
-    a view of the contiguous buffer BLAS packs fastest. Callers return the
+    `op` is the params' operand, a view of the contiguous buffer BLAS packs
+    fastest: P's (d, d*d) [j, (k, i)] rows, then, for an offset, its [k, i]
+    row, against which a call multiplies [x | 1], so the offset is a term
+    of each sum and no pass adds it after the product. Callers return the
     swapped view, the [i, k] layout, and swap back to work on the faster
     contiguous [k, i] layout (a contraction with increments) without a copy.
 
@@ -143,16 +182,18 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray, offset: Optional[np.ndarray] = 
     none), and rows all equal to the state of a `known` (state, (d, d)
     matrix) pair return its matrix, each as a read-only view with zero
     leading strides made directly on the matrix's buffer, which must be
-    C-contiguous; any other call is one product of all its rows, with the
-    offset added in place. The estimator's hi and lo halves are one
-    K-row call each, so U_0 = 0 at l = 1 (and the base call sigma(0, 0))
-    and Kuramoto's U_1 = xi are whole calls. BLAS bits depend on the number
-    of rows per call. A constant stays a (d, d) matrix: a product against a
-    view of a scalar (all strides zero) skips BLAS.
+    C-contiguous; any other call is one product of all its rows. The
+    estimator's hi and lo halves are one K-row call each, so U_0 = 0 at
+    l = 1 (and the base call sigma(0, 0)) and Kuramoto's U_1 = xi are whole
+    calls. BLAS bits depend on the number of rows per call. A constant
+    stays a (d, d) matrix: a product against a view of a scalar (all
+    strides zero) skips BLAS.
     """
-    d = P.shape[0]
+    d = x.shape[-1]
     lead = x.shape[:-1]
     x = x.reshape(-1, d)
+    # sigma(0): the offset row's view, or none
+    offset = op[d].reshape(d, d) if len(op) > d else None
     for state, matrix in ((0.0, offset), *known):
         # the last row screens out a general call at one d-wide compare
         if not (np.count_nonzero(x[-1:] != state) or np.count_nonzero(x != state)):
@@ -161,10 +202,12 @@ def _stacked_apply(P: np.ndarray, x: np.ndarray, offset: Optional[np.ndarray] = 
             view = np.ndarray(lead + (d, d), float, matrix, 0, (0,) * len(lead) + matrix.strides)
             view.flags.writeable = False
             return view
-    out = np.matmul(x, P.transpose(2, 0, 1).reshape(d, d * d)).reshape(lead + (d, d))
     if offset is not None:
-        out += offset
-    return out
+        augmented = np.empty((len(x), d + 1))
+        augmented[:, :d] = x
+        augmented[:, d] = 1.0
+        x = augmented
+    return np.matmul(x, op).reshape(lead + (d, d))
 
 
 def _initial_value(xi: Optional[np.ndarray], d: int, default: float) -> np.ndarray:
@@ -174,7 +217,7 @@ def _initial_value(xi: Optional[np.ndarray], d: int, default: float) -> np.ndarr
 def ou_diffusion(p: OuParams, x2: np.ndarray) -> np.ndarray:
     """Matrix with column k = b_k + B_k x2; independent of x1."""
     x2 = _check_dim(x2, p.d, "x2")
-    return _stacked_apply(p.B, x2, p.b.T).swapaxes(-1, -2)
+    return _stacked_apply(p.operand, x2).swapaxes(-1, -2)
 
 
 def kuramoto_drift(p: KuramotoParams, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -187,7 +230,7 @@ def kuramoto_drift(p: KuramotoParams, x1: np.ndarray, x2: np.ndarray) -> np.ndar
 def kuramoto_diffusion(p: KuramotoParams, x1: np.ndarray, known: tuple = ()) -> np.ndarray:
     """Matrix with column k = Sigma_k x1; independent of x2."""
     x1 = _check_dim(x1, p.d, "x1")
-    return _stacked_apply(p.Sigma, x1, known=known).swapaxes(-1, -2)
+    return _stacked_apply(p.operand, x1, known).swapaxes(-1, -2)
 
 
 def random_params(
@@ -211,7 +254,7 @@ def random_params(
     if not (is_int(d) and d >= 1):
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
     if not (is_real(scale) and is_finite(scale) and scale > 0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+        raise ValueError(f"scale must be positive and finite, got {format_number(scale)}")
 
     def u(shape):
         # 2 v - 1 in place: the same bits as the expression, one array
@@ -226,26 +269,28 @@ def random_params(
             raise ValueError("degenerate zero draw")
         return arr * (target / nrm)
 
-    def family():
+    def family(op):
         # the [k, i, j] draw, one k-slab at a time (the same words in the
         # same order as one draw), each written straight into the GEMM
-        # layout [j, k, i] and then scaled in place: the peak is the family
-        # plus one slab
-        buf = np.empty((d, d * d))
-        view = buf.reshape(d, d, d)
+        # layout [j, k, i] of the operand's first d rows and then scaled in
+        # place: the peak is the operand plus one slab
+        rows = op[:d]
+        view = rows.reshape(d, d, d)
         for k in range(d):
             view[:, k, :] = u((d, d)).T
-        buf *= scale / np.linalg.norm(buf)
+        rows *= scale / np.linalg.norm(rows)
         return view.transpose(1, 2, 0)
 
     if model_kind == "ou":
         a0 = to_norm(u(d), scale)
         A1 = to_norm(u((d, d)), scale)
         A2 = to_norm(u((d, d)), scale)
-        b = np.stack([to_norm(u(d), scale) for _ in range(d)], axis=1)
-        return OuParams(a0=a0, A1=A1, A2=A2, b=b, B=family())
+        op = np.empty((d + 1, d * d))
+        # the offsets b_k first, into the operand's last row in [k, i] order
+        op[d] = np.concatenate([to_norm(u(d), scale) for _ in range(d)])
+        return OuParams(a0=a0, A1=A1, A2=A2, b=op[d].reshape(d, d).T, B=family(op))
     if model_kind == "kuramoto":
-        return KuramotoParams(mu0=mu0, Sigma=family())
+        return KuramotoParams(mu0=mu0, Sigma=family(np.empty((d, d * d))))
     raise ValueError(f"unknown model kind {model_kind!r}")
 
 
@@ -294,7 +339,7 @@ def kuramoto_model(
     xi = _initial_value(initial_value, d, 10.0)
     # U_1 = xi makes every l = 1 hi call all xi: its matrix, made once as a
     # C-contiguous one-row product, which the diffusion returns as a direct view
-    known = ((xi, _stacked_apply(p.Sigma, xi)),)
+    known = ((xi, _stacked_apply(p.operand, xi)),)
     return ModelSpec(
         name="kuramoto",
         d=d,

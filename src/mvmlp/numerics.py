@@ -36,7 +36,11 @@ def is_real(value) -> bool:
 
 
 def format_number(value) -> str:
-    """str(value), or a power of ten for an integer too long for str()."""
+    """str(value) of a real number, a power of ten for an integer too long for
+    str(), and repr(value) of anything else, so a string "1" does not read as 1.
+    """
+    if not is_real(value):
+        return repr(value)
     # str() refuses integers past 4,300 digits; 12,000 bits are 3,613 digits
     if not is_int(value) or int(value).bit_length() <= 12_000:
         return str(value)
@@ -63,7 +67,10 @@ def real_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
 
     A float array comes back as it is, not copied.
     """
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # numpy's message for a ragged sequence names no field
+        raise ValueError(f"{name} is a ragged sequence, not an array of one shape") from None
     # a float conversion would read a complex as its real part, a bool as 0 or 1
     # and a numeric string as its number
     if arr.dtype.kind not in "iuf":

@@ -28,7 +28,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import ndtri
 
-from .numerics import is_finite, is_int, is_real
+from .numerics import format_number, is_finite, is_int, is_real
 
 MultiIndex = Tuple[int, ...]
 
@@ -170,5 +170,7 @@ def sample_brownian_increments(
     if K < 1 or d < 1:
         raise ValueError(f"K and d must be >= 1, got K={K}, d={d}")
     if not (is_real(dt) and is_finite(dt) and dt >= 0):
-        raise ValueError(f"dt must be finite and nonnegative, got {dt}")
-    return np.sqrt(dt) * stream.normals((K, d))
+        raise ValueError(f"dt must be finite and nonnegative, got {format_number(dt)}")
+    out = stream.normals((K, d))
+    out *= np.sqrt(dt)
+    return out

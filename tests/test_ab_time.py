@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_checkout_against_itself():
     # the tool copies the same tree under two package names and alternates
-    # their calls: two timings, a ratio and a pair count come out
+    # their calls: two timings, a ratio, a pair count and the per-pair
+    # ratios' median and quartiles come out
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_time.py"), str(ROOT), str(ROOT),
          "--levels", "2x2", "--pairs", "2"],
@@ -22,6 +23,12 @@ def test_checkout_against_itself():
     for label, line in zip("AB", lines[1:3]):
         assert re.fullmatch(rf"{label} .+: trimmed-mean call [\d.]+ ms, median [\d.]+ ms", line)
     assert re.fullmatch(r"runs/s B/A: x[\d.]+; B faster in [012] of 2 pairs", lines[3])
+    match = re.fullmatch(r"per-pair B/A: median x([\d.]+), quartiles x([\d.]+) to x([\d.]+)",
+                         lines[4])
+    assert match, lines[4]
+    q1, median, q3 = map(float, match.group(2, 1, 3))
+    assert q1 <= median <= q3
+    assert len(lines) == 5
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -264,13 +264,15 @@ class TestExperiment:
 
     def test_memory_estimate_is_its_terms(self):
         # d = 50, K = 27: the family, a slab, one K-row sigma half per thread,
-        # the paths, the reference's block and the interpreter
+        # the paths (a frame's Brownian path with its t and 1 columns), the
+        # reference's block and the interpreter
         d, K, n, runs = 50, 27, 3, 4
         ou = ExperimentConfig(model="ou", d=d, levels=((1, 1), (n, n)), runs=runs, threads=2)
         ku = ExperimentConfig(model="kuramoto", d=d, levels=((n, n),), runs=runs)
-        paths = (K + 1) * d
-        want_ou = d**3 + d * d + 2 * K * d * d + (3 * runs + 7 * n * 2) * paths + K * d * d
-        want_ku = d**3 + d * d + K * d * d + (3 * runs + 7 * n) * paths + 8 * 2**20
+        paths, frame = (K + 1) * d, (K + 1) * (7 * d + 2)
+        want_ou = (d**3 + d * d + 2 * K * d * d + 3 * runs * paths + n * 2 * frame
+                   + K * d * d)
+        want_ku = d**3 + d * d + K * d * d + 3 * runs * paths + n * frame + 8 * 2**20
         assert estimate_experiment_bytes(ou) == 8 * want_ou + 64 * 2**20
         assert estimate_experiment_bytes(ku) == 8 * want_ku + 64 * 2**20
 

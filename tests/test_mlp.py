@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mvmlp import models
+from mvmlp import mlp, models
 from mvmlp.bench import ExperimentConfig, LedgerMismatchError, run_cell
 from mvmlp.mlp import (
     CostLedger,
@@ -118,6 +118,49 @@ class TestBaseCases:
             inc = _top_increments(1, 0, 4, 3, grid.dt)
             path = mlp_estimate(model, cfg, (1, 0), 1, inc, CostLedger())
             np.testing.assert_array_equal(path[0], model.initial_value)
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    @pytest.mark.parametrize("d, n, m", [(1, 2, 2), (3, 3, 2), (10, 3, 3)])
+    def test_every_frame_base_path_is_its_affine_sum(self, kind, d, n, m, monkeypatch):
+        # each frame's base path, one product of [W | t | 1] against
+        # [sigma(0, 0)^T; mu(0, 0); xi], is t mu(0, 0) + xi + W sigma(0, 0)^T
+        # on the Brownian path of the caller's or a fresh draw's increments,
+        # up to the order of its sums; Kuramoto's is xi, bit for bit
+        model = _models(d, seed=7)[0 if kind == "ou" else 1]
+        K = m**n
+        grid = TimeGrid(T=1.0, K=K)
+        inc = _top_increments(7, 0, K, d, grid.dt)
+        bases, increments = [], [inc]
+        check, draw = mlp._check_finite, mlp.sample_brownian_increments
+
+        def check_spy(X, n, level, sample):
+            if (level, sample) == (0, 0):       # right after a frame's base path
+                bases.append(X.copy())
+            return check(X, n, level, sample)
+
+        def draw_spy(*args):
+            out = draw(*args)
+            increments.append(out.copy())
+            return out
+
+        monkeypatch.setattr(mlp, "_check_finite", check_spy)
+        monkeypatch.setattr(mlp, "sample_brownian_increments", draw_spy)
+        led = CostLedger()
+        mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid), (1, 0), 7, inc, led)
+        zero, xi, t = np.zeros(d), model.initial_value, grid.times()[:, None]
+        mu0, sigma0 = model.drift(zero, zero), model.diffusion(zero, zero)
+        wants = []
+        for incr in increments:
+            W = np.vstack([zero, np.cumsum(incr, axis=0)])
+            wants.append((t * mu0 + xi + W @ sigma0.T,
+                          t * np.abs(mu0) + np.abs(xi) + np.abs(W) @ np.abs(sigma0).T))
+        # one base path per frame of level n >= 1: the drift calls less the
+        # two of each (n, k, l) iteration
+        assert len(bases) == led.mu_evals - 2 * (led.rv_draws // (K * d + 1))
+        for i, X in enumerate(bases):
+            assert any(np.all(np.abs(X - want) <= 1e-13 * scale) for want, scale in wants), i
+            if kind == "kuramoto":
+                assert X.tobytes() == np.broadcast_to(xi, X.shape).tobytes(), i
 
 
 class TestTranscriptionOracle:
@@ -363,7 +406,8 @@ class TestCallShape:
     def test_paired_calls_multiply_the_rows_before_their_blocks(self, kind, d, n, m,
                                                                 monkeypatch):
         # each paired call makes one product against the family, of all its
-        # rows, unless it is all zero or (Kuramoto) all xi, a constant it returns
+        # rows (OU's with a ones column, for its offset row), unless it is all
+        # zero or (Kuramoto) all xi, a constant it returns
         base = _models(d, seed=6)[0 if kind == "ou" else 1]
         family = base.params.B if kind == "ou" else base.params.Sigma
         products, calls = [], []
@@ -381,8 +425,9 @@ class TestCallShape:
             if np.ndim(state) == 2:
                 reuse = reuse_class(state, base.initial_value)
                 constant = reuse == "zero" or (reuse == "xi" and kind == "kuramoto")
+                rows = np.c_[state, np.ones(len(state))] if kind == "ou" else state
                 calls.append((len(products), constant,
-                              all(np.array_equal(a, state) for a in products)))
+                              all(np.array_equal(a, rows) for a in products)))
             return out
 
         monkeypatch.setattr(models.np, "matmul", spy)

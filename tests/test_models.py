@@ -178,6 +178,36 @@ class TestGemmLayout:
             assert got.transpose(2, 0, 1).flags.c_contiguous
             np.testing.assert_array_equal(got, P)
 
+    @pytest.mark.parametrize("source", ["random_params", "user"])
+    def test_ou_family_and_offset_share_one_operand(self, source):
+        # B's [j, (k, i)] rows and b's [k, i] row are one C-contiguous
+        # (d+1, d*d) buffer, the diffusion's operand, whatever built the
+        # params; sigma(0) is the view of its last row
+        d = 4
+        if source == "random_params":
+            p = _ou_params(d)
+        else:
+            rng = np.random.default_rng(0)
+            B, b = rng.normal(size=(d, d, d)), rng.normal(size=(d, d))
+            zeros = np.zeros((d, d))
+            p = OuParams(a0=np.zeros(d), A1=zeros, A2=zeros, b=b, B=B)
+            np.testing.assert_array_equal(p.B, B)
+            np.testing.assert_array_equal(p.b, b)
+        op = p.operand
+        assert op.shape == (d + 1, d * d) and op.flags.c_contiguous and op.base is None
+        assert p.B.base is op and p.b.base is op
+        assert p.B.transpose(2, 0, 1).reshape(d, d * d).tobytes() == op[:d].tobytes()
+        assert p.b.T.tobytes() == op[d].tobytes()
+        assert np.shares_memory(ou_diffusion(p, np.zeros(d)), op[d])
+        # rebuilt from its views, the params keep the buffer; a new offset
+        # makes a new one and leaves the old params as they were
+        assert dataclasses.replace(p).operand is op
+        before = op.copy()
+        q = dataclasses.replace(p, b=np.ones((d, d)))
+        assert not np.shares_memory(q.operand, op)
+        assert op.tobytes() == before.tobytes()
+        np.testing.assert_array_equal(q.B, p.B)
+
     def test_product_runs_against_the_family_buffer(self, monkeypatch):
         d = 5
         p = random_params("kuramoto", d, derive_stream(3, (0,)))
@@ -213,6 +243,13 @@ def _model(kind, p, initial_value=None):
     return build(p, initial_value=initial_value)
 
 
+def _multiplied(p, rows):
+    """The rows a product against `p.operand` multiplies: OU's offset row takes a ones column."""
+    if isinstance(p, OuParams):
+        return np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
+    return rows
+
+
 def _spy_products(monkeypatch, family):
     """The state rows of each product made against `family` from now on."""
     products = []
@@ -234,19 +271,18 @@ def _check_rule(model, x, products):
     all-xi call, make no product and return sigma(0), bit for bit the
     definition, or the model's one-row product of xi, as a read-only view
     of one (d, d) matrix with zero leading strides (OU's sigma(0) is its
-    offset b); any other call is one product of all its rows, whose values
-    it returns in a fresh writable block. `products` is a `_spy_products`
-    list, cleared before the call.
+    offset b); any other call is one product of all its rows (OU's with a
+    ones column, against its offset row too), whose values it returns in a
+    fresh writable block. `products` is a `_spy_products` list, cleared
+    before the call.
     """
     p, d, xi = model.params, model.d, model.initial_value
     P = _family(p)
-    op = _gemm_operand(P)
     ou = model.name == "ou"
 
     def product(rows):
         # the [i, k] layout of one GEMM of `rows`; `@` bypasses the spy
-        out = (rows @ op).reshape(len(rows), d, d).swapaxes(-1, -2)
-        return out + p.b if ou else out
+        return (_multiplied(p, rows) @ p.operand).reshape(len(rows), d, d).swapaxes(-1, -2)
 
     products.clear()
     got = model.diffusion(x, x)
@@ -264,7 +300,7 @@ def _check_rule(model, x, products):
         assert d == 1 or 0 not in got.strides[-2:]
     else:
         assert len(products) == 1
-        np.testing.assert_array_equal(products[0], rows)
+        np.testing.assert_array_equal(products[0], _multiplied(p, rows))
         assert got.flags.writeable and got.swapaxes(-1, -2).flags.c_contiguous
         assert not any(np.shares_memory(got, a) for a in (x, P, p.b if ou else xi))
     flat = got.reshape(-1, d, d)
@@ -393,7 +429,8 @@ class TestStateRows:
         assert _check_rule(model, x, products) == "tail"
         zero = np.zeros_like(x)
         got = model.diffusion(zero, zero).reshape(-1, d, d)
-        assert [a.shape for a in products] == [(4 * 27, d)]     # no second product
+        # no second product; OU's rows carry a ones column
+        assert [a.shape for a in products] == [(4 * 27, d + (kind == "ou"))]
         for row in got:
             assert row.tobytes() == sigma0.tobytes()
 
@@ -660,22 +697,26 @@ class TestRandomParams:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
-    @pytest.mark.parametrize("bad, dtype", [
+    @pytest.mark.parametrize("bad, message", [
         # a float conversion would read these as their real part, 0 or 1, and a number
-        (np.ones(3) + 1j, "complex128"),
-        (np.ones(3, dtype=bool), "bool"),
-        (np.full(3, "1"), "<U1"),
-    ], ids=["complex", "bool", "str"])
-    def test_initial_value_must_be_real(self, kind, bad, dtype):
+        (np.ones(3) + 1j, "must be real, got dtype complex128"),
+        (np.ones(3, dtype=bool), "must be real, got dtype bool"),
+        (np.full(3, "1"), "must be real, got dtype <U1"),
+        # numpy's own refusal of a ragged sequence names no field
+        ([1.0, [2.0, 3.0], 4.0], "is a ragged sequence, not an array of one shape"),
+    ], ids=["complex", "bool", "str", "ragged"])
+    def test_initial_value_must_be_real(self, kind, bad, message):
         p = random_params(kind, 3, derive_stream(0, (0,)))
-        with pytest.raises(ValueError, match=f"^initial value must be real, got dtype {dtype}$"):
+        with pytest.raises(ValueError, match=f"^initial value {message}$"):
             _model(kind, p, initial_value=bad)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0, True, "1", "x", 1j])
     def test_scale_must_be_positive_and_finite(self, kind, scale):
-        with pytest.raises(ValueError, match=f"scale must be positive and finite, got {scale}"):
+        # a value that is not a real number prints as its repr: "1", not 1
+        message = f"scale must be positive and finite, got {scale!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             random_params(kind, 3, derive_stream(0, (0,)), scale=scale)
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
@@ -723,7 +764,8 @@ class TestRandomParams:
         (lambda shape: np.ones(shape, dtype=bool), "must be real, got dtype bool"),
         (lambda shape: np.full(shape, "1"), "must be real, got dtype <U1"),
         (lambda shape: np.full(shape, np.nan), "contains non-finite entries"),
-    ], ids=["complex", "bool", "str", "nan"])
+        (lambda shape: [[1], [1, 2]], "is a ragged sequence, not an array of one shape"),
+    ], ids=["complex", "bool", "str", "nan", "ragged"])
     def test_params_field_must_be_real_and_finite(self, field, make, message):
         with pytest.raises(ValueError, match=f"^{field} {message}$"):
             _params_with(field, make(_FIELD_SHAPES[field]))

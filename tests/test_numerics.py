@@ -33,10 +33,11 @@ class TestTimeGrid:
         # str() refuses an integer past 4,300 digits: the error names T
         (10**5000, 1, r"horizon T must be positive and finite, got 10\*\*5000.00$"),
         (-10**5000, 1, r"horizon T must be positive and finite, got -10\*\*5000.00$"),
-        # a bool is not read as 1, nor a string or complex as a number
+        # a bool is not read as 1, nor a string or complex as a number; a
+        # value that is not a real number prints as its repr
         (True, 4, "horizon T must be positive and finite, got True$"),
-        ("1", 4, "horizon T must be positive and finite, got 1$"),
-        ("x", 4, "horizon T must be positive and finite, got x$"),
+        ("1", 4, "horizon T must be positive and finite, got '1'$"),
+        ("x", 4, "horizon T must be positive and finite, got 'x'$"),
         (1j, 4, "horizon T must be positive and finite, got 1j$"),
     ], ids=["bool", "2**1024", "10**5000", "float K", "K=inf", "K=nan", "T=10**400",
             "T=10**5000", "T=-10**5000", "T=bool", "T=numeric-str", "T=str", "T=complex"])
@@ -54,6 +55,12 @@ class TestRealArray:
     def test_integers_are_read_as_float(self):
         got = real_array([[1, 2]], "x")
         assert got.dtype == float and got.tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("ragged", [[1.0, [2.0, 3.0], 4.0], [[1], [1, 2]]])
+    def test_ragged_value_names_the_field(self, ragged):
+        message = "x is a ragged sequence, not an array of one shape"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            real_array(ragged, "x")
 
 
 class TestGridFloorIndex:

@@ -301,7 +301,9 @@ class TestBrownianIncrements:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dt", [np.nan, np.inf, -1.0, True, "1", "x", 1j])
     def test_dt_must_be_finite_and_nonnegative(self, dt):
-        with pytest.raises(ValueError, match=f"dt must be finite and nonnegative, got {dt}"):
+        # a value that is not a real number prints as its repr: "1", not 1
+        message = f"dt must be finite and nonnegative, got {dt!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sample_brownian_increments(derive_stream(3, (1,)), 8, 4, dt)
 
 

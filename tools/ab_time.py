@@ -8,15 +8,19 @@ process, and `run_experiment` of the same cell (flags spelled as in
 `mvmlp-bench`; one run, seed 0, as in the benchmark's workloads) is
 called on A and on B in turn, which of them goes first alternating from
 pair to pair. The output gives each side's 10 %-trimmed mean and median
-call time, the runs/s ratio B/A (A's trimmed mean over B's) and the
-number of pairs in which B was faster; ties count for neither side. A
-cell that `mvmlp-bench` would refuse ends the tool with one `error:` line
-and exit code 2, before any estimator call.
+call time, the runs/s ratio B/A (A's trimmed mean over B's), the number
+of pairs in which B was faster (ties count for neither side), and the
+median and quartiles of the per-pair ratios B/A (A's call time over B's).
+A cell that `mvmlp-bench` would refuse ends the tool with one `error:`
+line and exit code 2, before any estimator call.
 
 The host's speed drifts over seconds, and the same tree can run twice as
 fast in one process as in another, so two trees are compared by calls
 interleaved in one process, not by separate runs. BLAS thread counts left
 unset in the environment are pinned to 1, as in `benchmark/run.py`.
+
+The side a tree takes can bias the ratio by several per cent, so a claim
+is run twice, with each tree as A, and reports both runs.
 """
 
 from __future__ import annotations
@@ -92,9 +96,14 @@ def main(argv=None) -> int:
     for label, root, wall in (("A", args.a, walls[0]), ("B", args.b, walls[1])):
         print(f"{label} {root}: trimmed-mean call {trimmed_mean(wall) * 1e3:.1f} ms, "
               f"median {statistics.median(wall) * 1e3:.1f} ms")
-    won = sum(b < a for a, b in zip(*walls))
+    ratios = [a / b for a, b in zip(*walls)]
+    won = sum(r > 1 for r in ratios)
     ratio = trimmed_mean(walls[0]) / trimmed_mean(walls[1])
     print(f"runs/s B/A: x{ratio:.3f}; B faster in {won} of {args.pairs} pairs")
+    # quantiles() needs two values: one pair is its own quartiles
+    q1, median, q3 = (statistics.quantiles(ratios, method="inclusive") if len(ratios) > 1
+                      else ratios * 3)
+    print(f"per-pair B/A: median x{median:.3f}, quartiles x{q1:.3f} to x{q3:.3f}")
     return 0
 
 
