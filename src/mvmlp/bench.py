@@ -30,7 +30,7 @@ import numpy as np
 
 from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate
 from .models import ModelSpec, default_cost_units, kuramoto_model, ou_model, random_params
-from .numerics import TimeGrid, format_number, is_int, real_number
+from .numerics import TimeGrid, format_number, integer, is_int, real_number
 from .randomness import derive_stream, sample_brownian_increments
 from .reference import (_BLOCK_DOUBLES, kuramoto_moments, kuramoto_reference_path,
                         ou_exact_path)
@@ -84,10 +84,10 @@ class ExperimentConfig:
     allow_large: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("d", "runs", "seed", "threads"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # a seed that derive_stream would refuse is refused here, before any cell runs
+        for name, low, high in (("d", 1, None), ("runs", 1, None), ("seed", 0, 2**64),
+                                ("threads", 1, None)):
+            integer(getattr(self, name), name, low, high)
         for name in ("T", "rho", "mu0"):
             real_number(getattr(self, name), name)
         if not isinstance(self.levels, (list, tuple)):
@@ -111,15 +111,6 @@ class ExperimentConfig:
             raise ValueError("out_dir must be a non-empty path, got ''")
         if not isinstance(self.allow_large, bool):
             raise ValueError(f"allow_large must be true or false, got {self.allow_large!r}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if not 0 <= self.seed < 2**64:
-            # derive_stream refuses any other seed; refused here before any cell runs
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("T", "rho"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -128,8 +119,8 @@ class ExperimentConfig:
             # an empty list would write nothing and exit 0
             raise ValueError(f"formats must be among {', '.join(FORMATS)}, got {unknown or 'none'}")
         for n, m in self.levels:
-            if n < 0 or m < 1:
-                raise ValueError(f"invalid level pair (n={n}, m={m})")
+            integer(n, "levels n", 0)
+            integer(m, "levels m", 1)
             # the grid step T / K needs K = m**n as a float: n log2(m) < 1024,
             # checked without forming m**n (the desk caps bound K without it)
             if self.allow_large and m > 1 and n >= 1024 / math.log2(m):

@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import CostUnits, ModelSpec
-from .numerics import TimeGrid, grid_floor_index, is_int, real_array
-from .randomness import MultiIndex, derive_stream, sample_brownian_increments
+from .numerics import TimeGrid, grid_floor_index, integer, real_array
+from .randomness import MultiIndex, derive_stream, multi_index, sample_brownian_increments
 
 # tags for the index blocks appended per (n, k, l) iteration
 _FRESH = 0
@@ -85,10 +85,8 @@ class MlpConfig:
     grid: TimeGrid
 
     def __post_init__(self) -> None:
-        if not (is_int(self.n) and is_int(self.m)):
-            raise ValueError(f"n and m must be integers, got {(self.n, self.m)!r}")
-        if self.n < 0 or self.m < 1:
-            raise ValueError(f"need n >= 0, m >= 1, got {(self.n, self.m)}")
+        integer(self.n, "n", 0)
+        integer(self.m, "m", 1)
 
 
 @dataclass
@@ -200,7 +198,7 @@ def mlp_estimate(
         return X
 
     try:
-        return estimate(cfg.n, tuple(theta), increments, brownian_path(increments))
+        return estimate(cfg.n, multi_index(theta), increments, brownian_path(increments))
     finally:
         # estimate reaches itself through its closure cell, a cycle that holds
         # the model, the ledger and the increments until the cyclic gc runs;
@@ -238,8 +236,8 @@ def analytic_cost(n: int, m: int, K: int, d: int, units: CostUnits) -> int:
     iteration cost at l is carried from level to level as
     S_n = m (S_{n-1} + 2 c_{n-1} + 2 c_{n-2} + e), so one pass does it.
     """
-    if n < 0 or m < 1 or K < 1 or d < 1:
-        raise ValueError(f"invalid arguments {(n, m, K, d)}")
+    for value, name, low in ((n, "n", 0), (m, "m", 1), (K, "K", 1), (d, "d", 1)):
+        integer(value, name, low)
     if n == 0:
         return 0
     base = units.cost_mu + units.cost_sigma

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import format_number, is_finite, is_int, is_real, real_array, real_number
+from .numerics import format_number, integer, is_finite, is_real, real_array, real_number
 from .randomness import RandomStream
 
 
@@ -46,12 +46,9 @@ class CostUnits:
     cost_rv: int
 
     def __post_init__(self) -> None:
-        units = (self.cost_mu, self.cost_sigma, self.cost_rv)
         # the cost recursion is exact integer arithmetic
-        if not all(is_int(u) for u in units):
-            raise ValueError(f"cost units must be integers, got {units}")
-        if min(units) < 0:
-            raise ValueError("cost units must be nonnegative")
+        for name in ("cost_mu", "cost_sigma", "cost_rv"):
+            integer(getattr(self, name), name, 0)
 
 
 def default_cost_units(d: int) -> CostUnits:
@@ -251,8 +248,7 @@ def random_params(
     d*d x d map x2 -> vec sigma) fall roughly like d**-0.5, so at fixed
     `scale` a larger d is a more weakly coupled problem.
     """
-    if not (is_int(d) and d >= 1):
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    integer(d, "d", 1)
     if not (is_real(scale) and is_finite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {format_number(scale)}")
 

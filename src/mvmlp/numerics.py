@@ -1,9 +1,10 @@
 """Uniform time grids, the grid floor, the matrix exponential, and value checks.
 
-:func:`real_array` and :func:`real_number` are the one check for a value
-from outside the package (model parameters, an initial value, Brownian
-increments, a config's numbers): each refuses a value that is not real and
-finite with one ValueError that names it.
+:func:`real_array`, :func:`real_number` and :func:`integer` are the one
+check for a value from outside the package (model parameters, an initial
+value, Brownian increments, a config's numbers, sizes, seeds and
+multi-index parts): each refuses a value that is not real and finite, or
+not an integer in range, with one ValueError that names it.
 
 The grid quantizer here is the single canonical one: every piece of code
 that needs to map a continuous time to a stored path row goes through
@@ -62,6 +63,22 @@ def real_number(value, name: str) -> None:
         raise ValueError(f"{name} must be finite, got {format_number(value)}")
 
 
+def integer(value, name: str, low: int, high: int | None = None) -> int:
+    """`value` as an int, else a ValueError naming `name`.
+
+    An integer, not a bool, in [low, high) is taken; a `high` of None is no upper bound.
+    """
+    # the exact-int test spares a per-iteration caller is_int's ABC check
+    if not (type(value) is int or is_int(value)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or high is not None and value >= high:
+        # a power-of-two bound prints as one: 2**64, not its 20 digits
+        top = f"2**{high.bit_length() - 1}" if high and high & (high - 1) == 0 else high
+        bound = f">= {low}" if high is None else f"in [{low}, {top})"
+        raise ValueError(f"{name} must be {bound}, got {format_number(value)}")
+    return int(value)
+
+
 def real_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
     """`value` as a finite float array (of `shape`, if given), else a ValueError naming `name`.
 
@@ -95,8 +112,7 @@ class TimeGrid:
         if not (is_real(self.T) and is_finite(self.T) and self.T > 0):
             raise ValueError(f"horizon T must be positive and finite, got "
                              f"{format_number(self.T)}")
-        if not is_int(self.K) or self.K < 1:
-            raise ValueError(f"K must be a positive integer, got {self.K!r}")
+        integer(self.K, "K", 1)
         if self.K > sys.float_info.max or self.T / self.K == 0:
             raise ValueError(f"K = 10**{math.log10(self.K):.2f} leaves no positive finite "
                              f"grid step T / K for T = {self.T}")

@@ -28,7 +28,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import ndtri
 
-from .numerics import format_number, is_finite, is_int, is_real
+from .numerics import format_number, integer, is_finite, is_real
 
 MultiIndex = Tuple[int, ...]
 
@@ -48,13 +48,9 @@ _local = threading.local()
 def _stream_key(root_seed: int, index: MultiIndex, domain: int) -> int:
     for part in index:
         # int() would read 1.5 or True as 1, and struct refuses a part past 64
-        # bits; the exact-int test spares the hot path is_int's ABC check
-        if not (type(part) is int or is_int(part)):
-            raise ValueError(f"multi-index entries must be integers, got {part!r}")
-        if part < 0:
-            raise ValueError(f"multi-index entries must be nonnegative, got {part}")
-        if part >= _U64:
-            raise ValueError(f"multi-index entries must be below 2**64, got {part}")
+        # bits; the exact-int test spares the hot path integer's ABC check
+        if not (type(part) is int and 0 <= part < _U64):
+            integer(part, "multi-index entry", 0, _U64)
     data = struct.pack(f"<QQQ{len(index)}Q", root_seed % _U64, domain % _U64, len(index),
                        *index)
     return int.from_bytes(hashlib.sha256(data).digest()[:16], "little")
@@ -142,18 +138,22 @@ class RandomStream:
         return out
 
 
+def multi_index(index) -> MultiIndex:
+    """`index` as a tuple, else a ValueError naming the multi-index; the keys check its parts."""
+    try:
+        return tuple(index)
+    except TypeError:   # tuple(5) names no field
+        raise ValueError(f"multi-index must be a sequence of integers, got {index!r}") from None
+
+
 def derive_stream(root_seed: int, index: MultiIndex) -> RandomStream:
     """Stream for a multi-index; equal arguments give identical sequences."""
     # the key reads the seed mod 2**64: a seed outside [0, 2**64) would alias
     # one inside, and struct refuses a float; a numpy integer is read as its
     # int, whose mod does not overflow
-    if type(root_seed) is not int:
-        if not is_int(root_seed):
-            raise ValueError(f"root seed must be an integer, got {root_seed!r}")
-        root_seed = int(root_seed)
-    if not 0 <= root_seed < _U64:
-        raise ValueError(f"root seed must be in [0, 2**64), got {root_seed}")
-    index = tuple(index)
+    if not (type(root_seed) is int and 0 <= root_seed < _U64):
+        root_seed = integer(root_seed, "root seed", 0, _U64)
+    index = multi_index(index)
     # the keys first: _stream_key checks each part before int() reads it
     return RandomStream(
         root_seed=root_seed,
@@ -167,8 +167,8 @@ def sample_brownian_increments(
     stream: RandomStream, K: int, d: int, dt: float
 ) -> np.ndarray:
     """K x d array of i.i.d. N(0, dt) increments."""
-    if K < 1 or d < 1:
-        raise ValueError(f"K and d must be >= 1, got K={K}, d={d}")
+    integer(K, "K", 1)
+    integer(d, "d", 1)
     if not (is_real(dt) and is_finite(dt) and dt >= 0):
         raise ValueError(f"dt must be finite and nonnegative, got {format_number(dt)}")
     out = stream.normals((K, d))

@@ -44,7 +44,7 @@ def _affine_flow(A: np.ndarray, c: np.ndarray, y0: np.ndarray, grid: TimeGrid) -
     """Path (K+1, d) of y' = A y + c from y0, stepped exactly along the grid."""
     E, v = _flow(A, c, grid.dt)
     out = np.empty((grid.K + 1, A.shape[0]))
-    out[0] = y = np.asarray(y0, dtype=float)
+    out[0] = y = y0
     for j in range(grid.K):
         y = E @ y + v
         out[j + 1] = y
@@ -53,6 +53,7 @@ def _affine_flow(A: np.ndarray, c: np.ndarray, y0: np.ndarray, grid: TimeGrid) -
 
 def ou_mean(p: OuParams, xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Mean path (K+1, d), stepped exactly by the A1+A2 flow and its a0 forcing."""
+    xi = real_array(xi, "initial value", (p.d,))
     return _affine_flow(p.A1 + p.A2, p.a0, xi, grid)
 
 
@@ -98,7 +99,7 @@ def ou_exact_path(
 
 def kuramoto_moments(p: KuramotoParams, xi: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Componentwise variance path (K+1, d) of the linear moment ODE, stepped exactly."""
-    xi = np.asarray(xi, dtype=float)
+    xi = real_array(xi, "initial value", (p.d,))
     # A[i, j] = sum_k (sigma_k^{i,j})^2, with no (d, d, d) squared copy
     A = np.einsum("kij,kij->ij", p.Sigma, p.Sigma)
     return _affine_flow(A, A @ (xi**2), np.zeros_like(xi), grid)
@@ -120,7 +121,8 @@ def kuramoto_reference_path(
     product, so a run's row does not depend on how many runs share the call.
     """
     d, K, dt = p.d, grid.K, grid.dt
-    xi = np.asarray(xi, dtype=float)
+    xi = real_array(xi, "initial value", (d,))
+    variance = real_array(variance, "variance", (K + 1, d))
     runs = _check_increments(increments, K, d)
     family = p.Sigma.transpose(2, 0, 1)     # [j, k, i]: a contiguous (d, d) block per j
     steps = max(1, min(K, _RUN_DOUBLES // (d * d)))

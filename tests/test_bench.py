@@ -140,11 +140,15 @@ class TestRunCell:
         # rho = 1e200 overflows the Kuramoto moment generator
         (["--rho", "1e200"], "reference path failed in cell model=kuramoto, d=3, n=2, m=2: "
                              "matrix contains non-finite entries"),
-        # a finite but overflowing reference is reported once, without numpy's warnings
-        (["--rho", "40", "--T", "10"], "non-finite reference path in cell model=kuramoto, "
-                                       "d=3, n=2, m=2"),
+        # a finite but overflowing reference is reported once, without numpy's
+        # warnings: the variance stays finite here, the drift overflows
+        (["--mu0", "1e308", "--rho", "2"], "non-finite reference path in cell model=kuramoto, "
+                                           "d=3, n=2, m=2"),
         (["--model", "ou", "--rho", "100", "--T", "60"],
          "non-finite reference path in cell model=ou, d=3, n=2, m=2"),
+        # the moment path overflows, and the reference refuses its variance by name
+        (["--rho", "40", "--T", "10"], "reference path failed in cell model=kuramoto, d=3, n=2, "
+                                       "m=2: variance contains non-finite entries"),
     ])
     def test_numeric_failure_names_the_cell(self, flag, message, capsys):
         argv = ["--model", "kuramoto", "--d", "3", "--levels", "2", "--runs", "1", *flag]
@@ -562,6 +566,8 @@ class TestCli:
     (["--config", "{configs}/formats_null.json"], "formats must be a list of names, got None"),
     (["--config", "{configs}/formats_int.json"], "formats must be a list of names, got 3"),
     (["--config", "{configs}/formats_empty.json"], "formats must be among csv, json, md, got none"),
+    (["--levels=-1x2"], "levels n must be >= 0, got -1"),
+    (["--levels", "2x0"], "levels m must be >= 1, got 0"),
 ])
 def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
     # no --d/--levels/--runs here: they would override the config files' values

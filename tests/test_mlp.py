@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import tracemalloc
 import weakref
 
@@ -354,10 +355,15 @@ class TestLifetime:
 
 
 class TestMlpConfig:
-    @pytest.mark.parametrize("n, m", [(2.0, 2), (2, 2.0), (True, 2), (2, True), ("2", 2)])
+    @pytest.mark.parametrize("n, m", [(2.0, 2), (2, 2.0), (True, 2), (2, True), ("2", 2),
+                                      pytest.param(2, "2", id="2-'2'"), (-1, 2), (2, 0)])
     def test_depth_and_fanout_must_be_integers(self, n, m):
-        # a float or bool n or m would reach range() in mlp_estimate as a TypeError
-        with pytest.raises(ValueError, match="n and m must be integers"):
+        # a float or bool n or m would reach range() in mlp_estimate as a TypeError;
+        # n >= 0 and m >= 1
+        name, value, low = ("m", m, 1) if type(n) is int and n >= 0 else ("n", n, 0)
+        message = (f"{name} must be >= {low}, got {value}" if type(value) is int
+                   else f"{name} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MlpConfig(n=n, m=m, grid=TimeGrid(T=1.0, K=4))
 
     def test_numpy_integers_accepted(self):
@@ -603,6 +609,15 @@ class TestAnalyticCost:
                                                 for l in range(1, n)))
                         for n in range(25):
                             assert analytic_cost(n, m, K, d, units) == c[n], (n, m, K, d)
+
+    @pytest.mark.parametrize("args, message", [
+        # a float K once made the cost a float (56.0), a float n a TypeError
+        ((2, 2, 4.0, 3), "K must be an integer, got 4.0"),
+        ((2.5, 2, 4, 3), "n must be an integer, got 2.5"),
+    ])
+    def test_sizes_must_be_integers(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            analytic_cost(*args, CostUnits(2, 3, 1))
 
     def test_large_values_exact(self):
         # integers stay exact far beyond 2^53

@@ -725,7 +725,8 @@ class TestRandomParams:
         # refused before the draw, which at d = 0 would divide by a zero norm
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            message = f"d must be an integer >= 1, got {d!r}"
+            message = (f"d must be >= 1, got {d}" if type(d) is int
+                       else f"d must be an integer, got {d!r}")
             with pytest.raises(ValueError, match=re.escape(message)):
                 random_params(kind, d, derive_stream(0, (0,)))
 

@@ -1,11 +1,40 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from mvmlp.numerics import TimeGrid, grid_floor_index, mat_exp, real_array
+from mvmlp.bench import ExperimentConfig
+from mvmlp.mlp import analytic_cost
+from mvmlp.models import CostUnits
+from mvmlp.numerics import TimeGrid, grid_floor_index, integer, mat_exp, real_array
+from mvmlp.randomness import derive_stream, sample_brownian_increments
 from oracles import solve_linear_ode, solve_lyapunov_ode, taylor_expm
+
+_UNITS = CostUnits(2, 3, 1)
+# every integer from outside the package whose entry point has no table of its
+# own (MlpConfig, TimeGrid, random_params and derive_stream have theirs):
+# (entry point, the field its message names, low, high, a call with the value
+# in that field)
+_INTEGER_FIELDS = [
+    ("ExperimentConfig", "d", 1, None, lambda v: ExperimentConfig(d=v)),
+    ("ExperimentConfig", "runs", 1, None, lambda v: ExperimentConfig(runs=v)),
+    ("ExperimentConfig", "seed", 0, 2**64, lambda v: ExperimentConfig(seed=v)),
+    ("ExperimentConfig", "threads", 1, None, lambda v: ExperimentConfig(threads=v)),
+    ("CostUnits", "cost_mu", 0, None, lambda v: CostUnits(v, 1, 1)),
+    ("CostUnits", "cost_sigma", 0, None, lambda v: CostUnits(1, v, 1)),
+    ("CostUnits", "cost_rv", 0, None, lambda v: CostUnits(1, 1, v)),
+    ("sample_brownian_increments", "K", 1, None,
+     lambda v: sample_brownian_increments(derive_stream(0, (1,)), v, 2, 0.1)),
+    ("sample_brownian_increments", "d", 1, None,
+     lambda v: sample_brownian_increments(derive_stream(0, (1,)), 4, v, 0.1)),
+    ("analytic_cost", "n", 0, None, lambda v: analytic_cost(v, 2, 4, 3, _UNITS)),
+    ("analytic_cost", "m", 1, None, lambda v: analytic_cost(2, v, 4, 3, _UNITS)),
+    ("analytic_cost", "K", 1, None, lambda v: analytic_cost(2, 2, v, 3, _UNITS)),
+    ("analytic_cost", "d", 1, None, lambda v: analytic_cost(2, 2, 4, v, _UNITS)),
+]
 
 
 class TestTimeGrid:
@@ -23,12 +52,14 @@ class TestTimeGrid:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("T, K, message", [
-        (1.0, True, "K must be a positive integer, got True"),
+        (1.0, True, "K must be an integer, got True"),
         (1.0, 2**1024, r"K = 10\*\*308.25 leaves no positive finite grid step T / K"),
         (1.0, 10**5000, r"K = 10\*\*5000.00 leaves no positive finite grid step T / K"),
-        (1.0, 4.0, "K must be a positive integer, got 4.0"),
-        (1.0, float("inf"), "K must be a positive integer, got inf"),
-        (1.0, float("nan"), "K must be a positive integer, got nan"),
+        (1.0, 4.0, "K must be an integer, got 4.0"),
+        (1.0, float("inf"), "K must be an integer, got inf"),
+        (1.0, float("nan"), "K must be an integer, got nan"),
+        (1.0, "2", "K must be an integer, got '2'$"),
+        (1.0, 0, "K must be >= 1, got 0$"),
         (10**400, 1, "horizon T must be positive and finite, got 1000"),
         # str() refuses an integer past 4,300 digits: the error names T
         (10**5000, 1, r"horizon T must be positive and finite, got 10\*\*5000.00$"),
@@ -39,11 +70,47 @@ class TestTimeGrid:
         ("1", 4, "horizon T must be positive and finite, got '1'$"),
         ("x", 4, "horizon T must be positive and finite, got 'x'$"),
         (1j, 4, "horizon T must be positive and finite, got 1j$"),
-    ], ids=["bool", "2**1024", "10**5000", "float K", "K=inf", "K=nan", "T=10**400",
-            "T=10**5000", "T=-10**5000", "T=bool", "T=numeric-str", "T=str", "T=complex"])
+    ], ids=["bool", "2**1024", "10**5000", "float K", "K=inf", "K=nan", "K=str", "K=0",
+            "T=10**400", "T=10**5000", "T=-10**5000", "T=bool", "T=numeric-str", "T=str",
+            "T=complex"])
     def test_step_must_be_a_float(self, T, K, message):
         with pytest.raises(ValueError, match=message):
             TimeGrid(T=T, K=K)
+
+
+class TestInteger:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, name, low, high, value", [
+        pytest.param(call, name, low, high, value, id=f"{entry}-{name}-{value!r}")
+        for entry, name, low, high, call in _INTEGER_FIELDS
+        for value in (2.0, True, "2", low - 1, *(() if high is None else (high,)))
+    ])
+    def test_every_entry_point_names_the_field(self, call, name, low, high, value):
+        # a float, a bool and a string are refused, not read as 2 or 1
+        if type(value) is not int:
+            message = f"{name} must be an integer, got {value!r}"
+        elif high is None:
+            message = f"{name} must be >= {low}, got {value}"
+        else:
+            message = f"{name} must be in [{low}, 2**64), got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    def test_value_comes_back_as_an_int(self):
+        got = integer(np.uint64(2**64 - 1), "x", 0, 2**64)
+        assert type(got) is int and got == 2**64 - 1
+
+    @pytest.mark.parametrize("value, low, high, message", [
+        # a bound that is a power of two prints as one; an integer too long
+        # for str() as a power of ten
+        (10, 0, 10, "x must be in [0, 10), got 10"),
+        (-1, 0, 2**8, "x must be in [0, 2**8), got -1"),
+        (-10**5000, 0, None, "x must be >= 0, got -10**5000.00"),
+        (1j, 0, None, "x must be an integer, got 1j"),
+    ], ids=["high", "power-of-two-high", "huge", "complex"])
+    def test_message(self, value, low, high, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integer(value, "x", low, high)
 
 
 class TestRealArray:

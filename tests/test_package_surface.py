@@ -7,6 +7,7 @@ belongs in `tests/oracles.py`. A run loads no module it does not use.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,17 @@ def test_every_def_is_named_in_the_package():
     assert defined
     unreached = [f"{where} {name}" for name, where in defined if name not in named]
     assert not unreached, unreached
+
+
+def test_integer_checks_are_written_once():
+    # every integer from outside goes through numerics.integer, so its wording
+    # is written there alone: a check written by hand elsewhere would bring a
+    # wording of its own back. The levels rule's "an integer n or an integer
+    # pair" names the two forms a levels entry takes
+    holders = sorted(path.name for path in PACKAGE.glob("*.py")
+                     if re.search(r"must be an integer(?! n or an integer pair)",
+                                  path.read_text()))
+    assert holders == ["numerics.py"]
 
 
 def test_a_run_never_imports_scipy_linalg():

@@ -110,19 +110,33 @@ class TestDeriveStream:
             assert _stream_key(seed, index, domain) == per_part(seed, index, domain)
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative, got -1"):
+        message = "multi-index entry must be in [0, 2**64), got -1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _stream_key(0, (2, -1), 0)
 
     @pytest.mark.parametrize("index, message", [
-        ((1.5,), "must be integers, got 1.5"),
-        ((True, 2), "must be integers, got True"),
-        ((np.float64(2.0),), f"must be integers, got {np.float64(2.0)!r}"),
-        ((0, 2**64), "must be below 2**64, got 18446744073709551616"),
+        ((1.5,), "must be an integer, got 1.5"),
+        ((True, 2), "must be an integer, got True"),
+        ((np.float64(2.0),), f"must be an integer, got {np.float64(2.0)!r}"),
+        ((0, 2**64), "must be in [0, 2**64), got 18446744073709551616"),
+        (("2",), "must be an integer, got '2'"),
     ])
     def test_index_part_that_int_would_alias_rejected(self, index, message):
         # int() would read 1.5 and True as 1; struct.pack refuses a part past 64 bits
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(f"multi-index entry {message}")):
             derive_stream(0, index)
+
+    def test_multi_index_must_be_a_sequence(self):
+        # tuple(5) would end in "'int' object is not iterable", naming no field
+        message = "multi-index must be a sequence of integers, got 5"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            derive_stream(0, 5)
+        grid = TimeGrid(T=1.0, K=4)
+        model = ou_model(random_params("ou", 2, derive_stream(0, (0,))))
+        for n in (0, 2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                mlp_estimate(model, MlpConfig(n=n, m=2, grid=grid), 5, 0, np.zeros((4, 2)),
+                             CostLedger())
 
     @pytest.mark.parametrize("seed, message", [
         (2**64, "must be in [0, 2**64), got 18446744073709551616"),
@@ -130,6 +144,7 @@ class TestDeriveStream:
         (1.5, "must be an integer, got 1.5"),
         (True, "must be an integer, got True"),
         (np.float64(2.0), f"must be an integer, got {np.float64(2.0)!r}"),
+        ("2", "must be an integer, got '2'"),
     ])
     def test_root_seed_that_would_alias_rejected(self, seed, message):
         # the key reads the seed mod 2**64: 2**64 would draw seed 0's values
@@ -297,6 +312,16 @@ class TestBrownianIncrements:
     def test_zero_dt(self):
         draws = sample_brownian_increments(derive_stream(3, (1,)), 8, 4, 0.0)
         assert np.array_equal(draws, np.zeros((8, 4)))
+
+    @pytest.mark.parametrize("K, d, message", [
+        # each once ended in a numpy TypeError
+        (2.5, 3, "K must be an integer, got 2.5"),
+        (2, True, "d must be an integer, got True"),
+        ("2", 3, "K must be an integer, got '2'"),
+    ])
+    def test_sizes_must_be_integers(self, K, d, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_brownian_increments(derive_stream(3, (1,)), K, d, 0.1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dt", [np.nan, np.inf, -1.0, True, "1", "x", 1j])

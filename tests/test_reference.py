@@ -446,3 +446,43 @@ class TestBatchDeterminism:
         full = path(incr)
         for R in (1, 2, 17):
             assert np.array_equal(path(incr[:R]), full[:R]), R
+
+
+class TestInputChecks:
+    """The initial value and the variance are checked as every value from outside is."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", ["ou_mean", "ou_exact_path", "kuramoto_moments",
+                                      "kuramoto_reference_path"])
+    @pytest.mark.parametrize("xi, message", [
+        # numpy once broadcast or multiplied these into its own messages, and
+        # a NaN initial value gave NaN paths
+        (np.zeros(3), "initial value has shape (3,), expected (2,)"),
+        (np.array([0.0, np.nan]), "initial value contains non-finite entries"),
+        (np.array([1j, 0]), "initial value must be real, got dtype complex128"),
+    ], ids=["shape", "nan", "complex"])
+    def test_initial_value_is_checked(self, call, xi, message):
+        d, K = 2, 4
+        kind = call.split("_")[0]
+        p = random_params(kind, d, derive_stream(17, (0,)))
+        grid = TimeGrid(T=1.0, K=K)
+        args = {
+            "ou_mean": (p, xi, grid),
+            "ou_exact_path": (p, xi, grid, np.zeros((1, K, d))),
+            "kuramoto_moments": (p, xi, grid),
+            "kuramoto_reference_path": (p, xi, grid, np.zeros((1, K, d)), np.zeros((K + 1, d))),
+        }[call]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(reference, call)(*args)
+
+    @pytest.mark.parametrize("variance, message", [
+        # a (2, d) variance at K = 4 once ended in an IndexError
+        (np.zeros((2, 3)), "variance has shape (2, 3), expected (5, 3)"),
+        (np.full((5, 3), np.inf), "variance contains non-finite entries"),
+    ], ids=["shape", "inf"])
+    def test_variance_is_checked(self, variance, message):
+        d, K = 3, 4
+        p = random_params("kuramoto", d, derive_stream(17, (0,)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kuramoto_reference_path(p, np.full(d, 10.0), TimeGrid(T=1.0, K=K),
+                                    np.zeros((1, K, d)), variance)
