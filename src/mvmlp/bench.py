@@ -202,6 +202,8 @@ def run_cell(
         # the reference and the error rows follow cfg: a mismatch would fail deep inside
         raise ValueError(f"model {model.name} with d={model.d} does not match the config's "
                          f"model {cfg.model} with d={cfg.d}")
+    # MlpConfig's checks, before K = m**n would be named for a bad n or m
+    n, m = integer(n, "n", 0), integer(m, "m", 1)
     K = m**n
     grid = TimeGrid(T=cfg.T, K=K)
     mlp_cfg = MlpConfig(n=n, m=m, grid=grid)
@@ -254,7 +256,8 @@ def estimate_experiment_cost(cfg: ExperimentConfig) -> int:
 def estimate_experiment_bytes(cfg: ExperimentConfig) -> int:
     """Closed-form estimate of the peak memory of `run_experiment`, in bytes.
 
-    The sum of the (d, d, d) family, the one (d, d) slab its draw holds,
+    The sum of the (d+1, d*d) diffusion operand (the family and its
+    offset row), the one (d, d) slab its draw holds,
     the largest cell's working set and the interpreter. A cell holds one
     K-row sigma half (K, d, d) per estimator call in flight (one per
     thread), its (K+1, d) paths (each run's increments, reference and
@@ -270,7 +273,7 @@ def estimate_experiment_bytes(cfg: ExperimentConfig) -> int:
         reference = K * d * d if cfg.model == "ou" else max(_BLOCK_DOUBLES, d * d)
         paths = (3 * cfg.runs * d + n * calls * (7 * d + 2)) * (K + 1)
         cell = max(cell, calls * K * d * d + paths + reference)
-    return 8 * (d**3 + d * d + cell) + _PROCESS_BYTES
+    return 8 * ((d + 1) * d * d + d * d + cell) + _PROCESS_BYTES
 
 
 def _physical_memory() -> int:

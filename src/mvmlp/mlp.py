@@ -22,12 +22,13 @@ is then subtracted from the hi step in place, so one (K, d, d) block is
 live at a time and none survives into the next iteration's recursion.
 Each call always has K rows, fixed by the cell; whether BLAS multiplies
 them (and so its bits) depends only on the states, since the models
-return a call whose rows are all zero (U_0 at l = 1) or, for Kuramoto,
-all the initial value (U_1 = xi) as a read-only view of one (d, d)
-matrix with a zero leading stride, which makes no (K, d, d) block, and
-multiply every row of any other call in one product. A zero-stride half
-is contracted as one (K, d) x (d, d) product, whose summation order is
-fixed by the cell; any other half row by row.
+return a call whose rows are all zero (U_0 at l = 1: sigma(0), the view
+of the operand's offset row for both models) or, for Kuramoto, all the
+initial value (U_1 = xi) as a read-only view of one (d, d) matrix with a
+zero leading stride, which makes no (K, d, d) block, and multiply every
+row of any other call, with a ones column for the offset row, in one
+product. A zero-stride half is contracted as one (K, d) x (d, d) product,
+whose summation order is fixed by the cell; any other half row by row.
 
 Drift correction: the (n, k, l) iteration draws one uniform time u and
 adds t_j / m^(n-l) * (mu(x1, x2) - mu(x3, x4)) to row j, with the four
@@ -58,7 +59,7 @@ import numpy as np
 
 from .models import CostUnits, ModelSpec
 from .numerics import TimeGrid, grid_floor_index, integer, real_array
-from .randomness import MultiIndex, derive_stream, multi_index, sample_brownian_increments
+from .randomness import MultiIndex, derive_stream, sample_brownian_increments, stream_address
 
 # tags for the index blocks appended per (n, k, l) iteration
 _FRESH = 0
@@ -127,6 +128,8 @@ def mlp_estimate(
     increments) give a bitwise identical path.
     """
     K, d, grid = cfg.grid.K, model.d, cfg.grid
+    # checked here, not first where a frame derives a stream, which n < 2 never reaches
+    root_seed, theta = stream_address(root_seed, theta)
     increments = real_array(caller_increments, "increments", (K, d))
 
     times = grid.times()
@@ -198,7 +201,7 @@ def mlp_estimate(
         return X
 
     try:
-        return estimate(cfg.n, multi_index(theta), increments, brownian_path(increments))
+        return estimate(cfg.n, theta, increments, brownian_path(increments))
     finally:
         # estimate reaches itself through its closure cell, a cycle that holds
         # the model, the ledger and the increments until the cyclic gc runs;

@@ -7,23 +7,22 @@ benchmark coefficients take any (..., d) array of states; a diffusion call
 reads it as its (rows, d) reshape.
 
 Layout: each (d, d, d) diffusion family P[k, i, j] (OuParams.B,
-KuramotoParams.Sigma) is a view of one C-contiguous GEMM operand whose
-rows are indexed [j, (k, i)]: Kuramoto's is (d, d*d); OU's is
-(d+1, d*d), with its offset b in [k, i] order as the last row, and
-OuParams.b is a view of that row. `random_params` draws the family one
-k-slab at a time straight into that buffer (OU's offset first), so the
-family is never held twice. Both diffusions are one affine kernel,
-offset + P x (OU's offset is b, Kuramoto has none): a general OU call is
-one product of [x | 1], so b is a term of the product's sums and no
-offset is added after it. One rule is decided per call: a call whose
-rows are all zero (U_0: the estimator's base call and its lo half at
-l = 1) returns sigma(0) (OU's is the view of the offset row), and a
-Kuramoto call whose rows are all xi (its constant U_1 = xi, the hi half
-at l = 1) returns the sigma(xi) the model makes once when it is built,
-each as a read-only view of one C-contiguous (d, d) matrix with zero
-leading strides, made directly on the matrix's buffer. Any other call is
-one GEMM of all its rows. A caller only reads a coefficient's result;
-the estimator contracts a zero-stride result as one product.
+KuramotoParams.Sigma) is a view of one C-contiguous (d+1, d*d) GEMM
+operand: P's rows indexed [j, (k, i)], then the offset in [k, i] order as
+the last row (OU's b, of which OuParams.b is a view; all zeros for
+Kuramoto). `random_params` draws the family one k-slab at a time straight
+into that buffer, so the family is never held twice. Both diffusions are
+one affine kernel, offset + P x: a general call is one product of
+[x | 1], so the offset is a term of the product's sums and no pass adds
+it after. One rule is decided per call: a call whose rows are all zero
+(U_0: the estimator's base call and its lo half at l = 1) returns
+sigma(0), the view of the offset row, and a Kuramoto call whose rows are
+all xi (its constant U_1 = xi, the hi half at l = 1) returns the
+sigma(xi) the model makes once when it is built, each as a read-only
+view of one C-contiguous (d, d) matrix with zero leading strides, made
+directly on the matrix's buffer. Any other call is one GEMM of all its
+rows. A caller only reads a coefficient's result; the estimator
+contracts a zero-stride result as one product.
 """
 
 from __future__ import annotations
@@ -81,8 +80,8 @@ class OuParams:
         d = len(self.a0)
         for name, want in (("A1", (d, d)), ("A2", (d, d)), ("b", (d, d)), ("B", (d, d, d))):
             object.__setattr__(self, name, real_array(getattr(self, name), name, want))
-        op = _ou_operand(self.B, self.b)
-        B, b = _ou_views(op)
+        op = _operand(self.B, self.b)
+        B, b = _views(op)
         object.__setattr__(self, "operand", op)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "b", b)
@@ -94,20 +93,24 @@ class OuParams:
 
 @dataclass(frozen=True)
 class KuramotoParams:
-    """Parameters of the multidimensional geometric Kuramoto model."""
+    """Parameters of the multidimensional geometric Kuramoto model.
+
+    `Sigma` is a view of `operand`, the diffusion's (d+1, d*d) GEMM operand
+    laid out as OU's, whose offset row is all zeros.
+    """
 
     mu0: float
     Sigma: np.ndarray   # (d, d, d), Sigma[k] applied to x1 in column k
-    operand: np.ndarray = field(init=False, repr=False)   # (d, d*d), a view of Sigma
+    operand: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         real_number(self.mu0, "mu0")
         Sigma = real_array(self.Sigma, "Sigma")
         if Sigma.ndim != 3 or len(set(Sigma.shape)) != 1:
             raise ValueError(f"Sigma must have shape (d, d, d), got {Sigma.shape}")
-        d = len(Sigma)
-        object.__setattr__(self, "Sigma", _gemm_layout(Sigma))
-        object.__setattr__(self, "operand", self.Sigma.transpose(2, 0, 1).reshape(d, d * d))
+        op = _operand(Sigma, np.zeros(Sigma.shape[1:]))
+        object.__setattr__(self, "operand", op)
+        object.__setattr__(self, "Sigma", _views(op)[0])
 
     @property
     def d(self) -> int:
@@ -131,35 +134,26 @@ def ou_drift(p: OuParams, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return np.add(out, x2 @ p.A2.T, out=out if x1.shape == x2.shape else None)
 
 
-def _gemm_layout(P: np.ndarray) -> np.ndarray:
-    """P as a (d, d, d) view of a C-contiguous (d, d*d) buffer [j, (k, i)].
+def _operand(P: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The C-contiguous (d+1, d*d) operand: P's [j, (k, i)] rows, then the offset's [k, i] row.
 
-    No copy when P is already such a view (as `random_params` builds it).
-    Kuramoto's layout; OU's family takes one more row, its offset's, in
-    `_ou_operand`.
+    P's own buffer when P is its `_views` family and its offset row holds
+    `offset` bit for bit (as `random_params` draws them and the params hold
+    them), else a new one.
     """
-    return np.ascontiguousarray(P.transpose(2, 0, 1)).transpose(1, 2, 0)
-
-
-def _ou_operand(B: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The C-contiguous (d+1, d*d) operand: B's [j, (k, i)] rows, then b's [k, i] row.
-
-    B and b's own buffer when they are its `_ou_views` (as `random_params`
-    draws them and OuParams holds them), else a new one.
-    """
-    d = len(b)
-    op = B.base
+    d = len(P)
+    op = P.base
     if not (isinstance(op, np.ndarray) and op.shape == (d + 1, d * d) and op.flags.c_contiguous
-            and all(view.__array_interface__ == given.__array_interface__
-                    for view, given in zip(_ou_views(op), (B, b)))):
+            and _views(op)[0].__array_interface__ == P.__array_interface__
+            and _views(op)[1].tobytes() == offset.tobytes()):
         op = np.empty((d + 1, d * d))
-        op[:d].reshape(d, d, d)[...] = B.transpose(2, 0, 1)
-        op[d].reshape(d, d)[...] = b.T
+        op[:d].reshape(d, d, d)[...] = P.transpose(2, 0, 1)
+        op[d].reshape(d, d)[...] = offset.T
     return op
 
 
-def _ou_views(op: np.ndarray) -> tuple:
-    """B (d, d, d) and b (d, d), the views of a C-contiguous (d+1, d*d) OU operand."""
+def _views(op: np.ndarray) -> tuple:
+    """The family P (d, d, d) and the offset (d, d), the views of a (d+1, d*d) operand."""
     d = len(op) - 1
     return op[:d].reshape(d, d, d).transpose(1, 2, 0), op[d].reshape(d, d).T
 
@@ -167,44 +161,38 @@ def _ou_views(op: np.ndarray) -> tuple:
 def _stacked_apply(op: np.ndarray, x: np.ndarray, known: tuple = ()) -> np.ndarray:
     """[..., k, i] = offset[k, i] + sum_j P[k, i, j] x[..., j], as one BLAS GEMM.
 
-    `op` is the params' operand, a view of the contiguous buffer BLAS packs
-    fastest: P's (d, d*d) [j, (k, i)] rows, then, for an offset, its [k, i]
-    row, against which a call multiplies [x | 1], so the offset is a term
-    of each sum and no pass adds it after the product. Callers return the
-    swapped view, the [i, k] layout, and swap back to work on the faster
+    `op` is the params' operand, the contiguous buffer BLAS packs fastest:
+    P's (d, d*d) [j, (k, i)] rows, then the offset's [k, i] row, against
+    which a call multiplies [x | 1], so the offset is a term of each sum
+    and no pass adds it after the product. Callers return the swapped
+    view, the [i, k] layout, and swap back to work on the faster
     contiguous [k, i] layout (a contraction with increments) without a copy.
 
     Any (..., d) input is read as its (rows, d) reshape. One decision per
-    call: all-zero rows return the offset (a (d, d) zero matrix if there is
-    none), and rows all equal to the state of a `known` (state, (d, d)
-    matrix) pair return its matrix, each as a read-only view with zero
-    leading strides made directly on the matrix's buffer, which must be
-    C-contiguous; any other call is one product of all its rows. The
-    estimator's hi and lo halves are one K-row call each, so U_0 = 0 at
-    l = 1 (and the base call sigma(0, 0)) and Kuramoto's U_1 = xi are whole
-    calls. BLAS bits depend on the number of rows per call. A constant
-    stays a (d, d) matrix: a product against a view of a scalar (all
-    strides zero) skips BLAS.
+    call: all-zero rows return sigma(0), the offset row's view, and rows
+    all equal to the state of a `known` (state, (d, d) matrix) pair return
+    its matrix, each as a read-only view with zero leading strides made
+    directly on the matrix's buffer, which must be C-contiguous; any other
+    call is one product of all its rows. The estimator's hi and lo halves
+    are one K-row call each, so U_0 = 0 at l = 1 (and the base call
+    sigma(0, 0)) and Kuramoto's U_1 = xi are whole calls. BLAS bits depend
+    on the number of rows per call. A constant stays a (d, d) matrix: a
+    product against a view of a scalar (all strides zero) skips BLAS.
     """
     d = x.shape[-1]
     lead = x.shape[:-1]
     x = x.reshape(-1, d)
-    # sigma(0): the offset row's view, or none
-    offset = op[d].reshape(d, d) if len(op) > d else None
-    for state, matrix in ((0.0, offset), *known):
+    for state, matrix in ((0.0, op[d].reshape(d, d)), *known):
         # the last row screens out a general call at one d-wide compare
         if not (np.count_nonzero(x[-1:] != state) or np.count_nonzero(x != state)):
-            matrix = np.zeros((d, d)) if matrix is None else matrix
             # np.broadcast_to makes the same view at several times the cost
             view = np.ndarray(lead + (d, d), float, matrix, 0, (0,) * len(lead) + matrix.strides)
             view.flags.writeable = False
             return view
-    if offset is not None:
-        augmented = np.empty((len(x), d + 1))
-        augmented[:, :d] = x
-        augmented[:, d] = 1.0
-        x = augmented
-    return np.matmul(x, op).reshape(lead + (d, d))
+    augmented = np.empty((len(x), d + 1))
+    augmented[:, :d] = x
+    augmented[:, d] = 1.0
+    return np.matmul(augmented, op).reshape(lead + (d, d))
 
 
 def _initial_value(xi: Optional[np.ndarray], d: int, default: float) -> np.ndarray:
@@ -277,17 +265,18 @@ def random_params(
         rows *= scale / np.linalg.norm(rows)
         return view.transpose(1, 2, 0)
 
-    if model_kind == "ou":
-        a0 = to_norm(u(d), scale)
-        A1 = to_norm(u((d, d)), scale)
-        A2 = to_norm(u((d, d)), scale)
-        op = np.empty((d + 1, d * d))
-        # the offsets b_k first, into the operand's last row in [k, i] order
-        op[d] = np.concatenate([to_norm(u(d), scale) for _ in range(d)])
-        return OuParams(a0=a0, A1=A1, A2=A2, b=op[d].reshape(d, d).T, B=family(op))
+    if model_kind not in ("ou", "kuramoto"):
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    op = np.empty((d + 1, d * d))
     if model_kind == "kuramoto":
-        return KuramotoParams(mu0=mu0, Sigma=family(np.empty((d, d * d))))
-    raise ValueError(f"unknown model kind {model_kind!r}")
+        op[d] = 0.0
+        return KuramotoParams(mu0=mu0, Sigma=family(op))
+    a0 = to_norm(u(d), scale)
+    A1 = to_norm(u((d, d)), scale)
+    A2 = to_norm(u((d, d)), scale)
+    # the offsets b_k first, into the operand's last row in [k, i] order
+    op[d] = np.concatenate([to_norm(u(d), scale) for _ in range(d)])
+    return OuParams(a0=a0, A1=A1, A2=A2, b=op[d].reshape(d, d).T, B=family(op))
 
 
 @dataclass(frozen=True)

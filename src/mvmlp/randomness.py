@@ -46,11 +46,7 @@ _local = threading.local()
 
 
 def _stream_key(root_seed: int, index: MultiIndex, domain: int) -> int:
-    for part in index:
-        # int() would read 1.5 or True as 1, and struct refuses a part past 64
-        # bits; the exact-int test spares the hot path integer's ABC check
-        if not (type(part) is int and 0 <= part < _U64):
-            integer(part, "multi-index entry", 0, _U64)
+    """The 128-bit key of a `stream_address`-checked (root_seed, index) on one domain."""
     data = struct.pack(f"<QQQ{len(index)}Q", root_seed % _U64, domain % _U64, len(index),
                        *index)
     return int.from_bytes(hashlib.sha256(data).digest()[:16], "little")
@@ -138,28 +134,38 @@ class RandomStream:
         return out
 
 
-def multi_index(index) -> MultiIndex:
-    """`index` as a tuple, else a ValueError naming the multi-index; the keys check its parts."""
-    try:
-        return tuple(index)
-    except TypeError:   # tuple(5) names no field
-        raise ValueError(f"multi-index must be a sequence of integers, got {index!r}") from None
+def stream_address(root_seed, index) -> Tuple[int, MultiIndex]:
+    """(root_seed, index) as an int and a tuple of ints, else a ValueError naming the part.
 
-
-def derive_stream(root_seed: int, index: MultiIndex) -> RandomStream:
-    """Stream for a multi-index; equal arguments give identical sequences."""
+    The one check of a stream's address, for `derive_stream` and
+    `mlp_estimate` alike: the root seed and each multi-index entry must be
+    integers in [0, 2**64), and the multi-index a sequence.
+    """
     # the key reads the seed mod 2**64: a seed outside [0, 2**64) would alias
     # one inside, and struct refuses a float; a numpy integer is read as its
     # int, whose mod does not overflow
     if not (type(root_seed) is int and 0 <= root_seed < _U64):
         root_seed = integer(root_seed, "root seed", 0, _U64)
-    index = multi_index(index)
-    # the keys first: _stream_key checks each part before int() reads it
+    try:
+        index = tuple(index)
+    except TypeError:   # tuple(5) names no field
+        raise ValueError(f"multi-index must be a sequence of integers, got {index!r}") from None
+    for part in index:
+        # int() would read 1.5 or True as 1, and struct refuses a part past 64
+        # bits; the exact-int test spares the hot path integer's ABC check
+        if not (type(part) is int and 0 <= part < _U64):
+            integer(part, "multi-index entry", 0, _U64)
+    return root_seed, tuple(map(int, index))
+
+
+def derive_stream(root_seed: int, index: MultiIndex) -> RandomStream:
+    """Stream for a multi-index; equal arguments give identical sequences."""
+    root_seed, index = stream_address(root_seed, index)
     return RandomStream(
         root_seed=root_seed,
         _gauss_key=_key_words(_stream_key(root_seed, index, _DOMAIN_GAUSS)),
         _uniform_key=_key_words(_stream_key(root_seed, index, _DOMAIN_UNIFORM)),
-        index=tuple(map(int, index)),
+        index=index,
     )
 
 

@@ -162,6 +162,16 @@ class TestRunCell:
         with pytest.raises(ValueError, match=r"K = 10\*\*308.25 leaves no positive finite"):
             run_cell(ExperimentConfig(model="ou", d=2, runs=1), 1024, 2)
 
+    @pytest.mark.parametrize("n, m, message", [
+        (2, 0, "m must be >= 1, got 0"),
+        (2.0, 2, "n must be an integer, got 2.0"),
+        (-1, 2, "n must be >= 0, got -1"),
+    ])
+    def test_depth_and_fanout_checked_before_k(self, n, m, message):
+        # the message names the n or m the caller passed, not K = m**n
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_cell(ExperimentConfig(model="ou", d=2, runs=1), n, m)
+
     def test_per_run_errors_aggregate(self):
         cfg = ExperimentConfig(model="ou", d=2, runs=4, seed=3)
         row = run_cell(cfg, 2, 2)
@@ -267,16 +277,17 @@ class TestExperiment:
                 run_experiment(ExperimentConfig(d=d, levels=((1, 1), (2000, 2000)), runs=1))
 
     def test_memory_estimate_is_its_terms(self):
-        # d = 50, K = 27: the family, a slab, one K-row sigma half per thread,
-        # the paths (a frame's Brownian path with its t and 1 columns), the
-        # reference's block and the interpreter
+        # d = 50, K = 27: the (d+1, d*d) operand (family and offset row), a
+        # slab, one K-row sigma half per thread, the paths (a frame's Brownian
+        # path with its t and 1 columns), the reference's block and the interpreter
         d, K, n, runs = 50, 27, 3, 4
         ou = ExperimentConfig(model="ou", d=d, levels=((1, 1), (n, n)), runs=runs, threads=2)
         ku = ExperimentConfig(model="kuramoto", d=d, levels=((n, n),), runs=runs)
         paths, frame = (K + 1) * d, (K + 1) * (7 * d + 2)
-        want_ou = (d**3 + d * d + 2 * K * d * d + 3 * runs * paths + n * 2 * frame
+        operand = (d + 1) * d * d
+        want_ou = (operand + d * d + 2 * K * d * d + 3 * runs * paths + n * 2 * frame
                    + K * d * d)
-        want_ku = d**3 + d * d + K * d * d + 3 * runs * paths + n * frame + 8 * 2**20
+        want_ku = operand + d * d + K * d * d + 3 * runs * paths + n * frame + 8 * 2**20
         assert estimate_experiment_bytes(ou) == 8 * want_ou + 64 * 2**20
         assert estimate_experiment_bytes(ku) == 8 * want_ku + 64 * 2**20
 

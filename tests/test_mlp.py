@@ -370,6 +370,20 @@ class TestMlpConfig:
         cfg = MlpConfig(n=np.int64(2), m=np.int32(2), grid=TimeGrid(T=1.0, K=4))
         assert (cfg.n, cfg.m) == (2, 2)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("root_seed, theta, message", [
+        (-1, (0,), "root seed must be in [0, 2**64), got -1"),
+        (1.5, (0,), "root seed must be an integer, got 1.5"),
+        (0, (1.5,), "multi-index entry must be an integer, got 1.5"),
+        (0, (-1,), "multi-index entry must be in [0, 2**64), got -1"),
+    ])
+    def test_stream_address_checked_at_every_depth(self, n, root_seed, theta, message):
+        # n < 2 derives no stream, so the estimator checks the address at entry
+        model = _models(2)[0]
+        cfg = MlpConfig(n=n, m=2, grid=TimeGrid(T=1.0, K=4))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mlp_estimate(model, cfg, theta, root_seed, np.zeros((4, 2)), CostLedger())
+
 
 class TestCallShape:
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
@@ -412,8 +426,8 @@ class TestCallShape:
     def test_paired_calls_multiply_the_rows_before_their_blocks(self, kind, d, n, m,
                                                                 monkeypatch):
         # each paired call makes one product against the family, of all its
-        # rows (OU's with a ones column, for its offset row), unless it is all
-        # zero or (Kuramoto) all xi, a constant it returns
+        # rows with a ones column, for the offset row, unless it is all zero
+        # or (Kuramoto) all xi, a constant it returns
         base = _models(d, seed=6)[0 if kind == "ou" else 1]
         family = base.params.B if kind == "ou" else base.params.Sigma
         products, calls = [], []
@@ -431,7 +445,7 @@ class TestCallShape:
             if np.ndim(state) == 2:
                 reuse = reuse_class(state, base.initial_value)
                 constant = reuse == "zero" or (reuse == "xi" and kind == "kuramoto")
-                rows = np.c_[state, np.ones(len(state))] if kind == "ou" else state
+                rows = np.c_[state, np.ones(len(state))]
                 calls.append((len(products), constant,
                               all(np.array_equal(a, rows) for a in products)))
             return out

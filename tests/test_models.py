@@ -131,13 +131,20 @@ def _family(p):
     return p.B if isinstance(p, OuParams) else p.Sigma
 
 
-def _gemm_operand(P):
+def _offset(p):
+    """sigma(0) of either model, read off its operand's offset row: OU's b, Kuramoto's zeros."""
+    d = p.d
+    return p.operand[d].reshape(d, d).T
+
+
+def _gemm_operand(P, offset):
+    """The (d+1, d*d) operand by its definition: P's [j, (k, i)] rows, then the offset's [k, i] row."""
     d = P.shape[0]
-    return P.transpose(2, 0, 1).reshape(d, d * d)
+    return np.concatenate([P.transpose(2, 0, 1).reshape(d, d * d), offset.T.reshape(1, d * d)])
 
 
 class TestGemmLayout:
-    """Each family is a (d, d, d) view of one C-contiguous (d, d*d) operand."""
+    """Each family is a (d, d, d) view of one C-contiguous (d+1, d*d) operand."""
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     def test_random_params_written_once(self, kind, monkeypatch):
@@ -157,7 +164,8 @@ class TestGemmLayout:
         monkeypatch.undo()
         P = _family(p)
         assert P.transpose(2, 0, 1).flags.c_contiguous
-        assert np.shares_memory(_gemm_operand(P), P)
+        assert P.base is p.operand
+        assert p.operand.tobytes() == _gemm_operand(P, _offset(p)).tobytes()
         # rebuilding the params from the family keeps its buffer
         assert np.shares_memory(_family(dataclasses.replace(p)), P)
         if kind == "kuramoto":
@@ -180,33 +188,60 @@ class TestGemmLayout:
 
     @pytest.mark.parametrize("source", ["random_params", "user"])
     def test_ou_family_and_offset_share_one_operand(self, source):
-        # B's [j, (k, i)] rows and b's [k, i] row are one C-contiguous
-        # (d+1, d*d) buffer, the diffusion's operand, whatever built the
-        # params; sigma(0) is the view of its last row
+        # the family's [j, (k, i)] rows and the offset's [k, i] row (OU's b,
+        # Kuramoto's zeros) are one C-contiguous (d+1, d*d) buffer, the
+        # diffusion's operand, whatever built the params; sigma(0) is the
+        # view of its last row
         d = 4
-        if source == "random_params":
-            p = _ou_params(d)
-        else:
-            rng = np.random.default_rng(0)
-            B, b = rng.normal(size=(d, d, d)), rng.normal(size=(d, d))
-            zeros = np.zeros((d, d))
-            p = OuParams(a0=np.zeros(d), A1=zeros, A2=zeros, b=b, B=B)
-            np.testing.assert_array_equal(p.B, B)
-            np.testing.assert_array_equal(p.b, b)
-        op = p.operand
-        assert op.shape == (d + 1, d * d) and op.flags.c_contiguous and op.base is None
-        assert p.B.base is op and p.b.base is op
-        assert p.B.transpose(2, 0, 1).reshape(d, d * d).tobytes() == op[:d].tobytes()
-        assert p.b.T.tobytes() == op[d].tobytes()
-        assert np.shares_memory(ou_diffusion(p, np.zeros(d)), op[d])
-        # rebuilt from its views, the params keep the buffer; a new offset
-        # makes a new one and leaves the old params as they were
-        assert dataclasses.replace(p).operand is op
-        before = op.copy()
+        rng = np.random.default_rng(0)
+        P, b, zeros = rng.normal(size=(d, d, d)), rng.normal(size=(d, d)), np.zeros((d, d))
+        params = {}
+        for kind, coefficient in (("ou", ou_diffusion), ("kuramoto", kuramoto_diffusion)):
+            if source == "random_params":
+                p = random_params(kind, d, derive_stream(0, (0,)))
+            elif kind == "ou":
+                p = OuParams(a0=np.zeros(d), A1=zeros, A2=zeros, b=b, B=P)
+            else:
+                p = KuramotoParams(mu0=0.5, Sigma=P)
+            if source == "user":
+                np.testing.assert_array_equal(_family(p), P)
+            op = p.operand
+            assert op.shape == (d + 1, d * d) and op.flags.c_contiguous and op.base is None
+            assert _family(p).base is op
+            assert _family(p).transpose(2, 0, 1).reshape(d, d * d).tobytes() == op[:d].tobytes()
+            if kind == "ou":
+                assert p.b.base is op
+                assert p.b.T.tobytes() == op[d].tobytes()
+                if source == "user":
+                    np.testing.assert_array_equal(p.b, b)
+            else:
+                assert op[d].tobytes() == np.zeros(d * d).tobytes()
+            assert np.shares_memory(coefficient(p, np.zeros(d)), op[d])
+            # rebuilt from its views, the params keep the buffer
+            assert dataclasses.replace(p).operand is op
+            params[kind] = p
+        # a new offset makes a new one and leaves the old params as they were
+        p = params["ou"]
+        before = p.operand.copy()
         q = dataclasses.replace(p, b=np.ones((d, d)))
-        assert not np.shares_memory(q.operand, op)
-        assert op.tobytes() == before.tobytes()
+        assert not np.shares_memory(q.operand, p.operand)
+        assert p.operand.tobytes() == before.tobytes()
         np.testing.assert_array_equal(q.B, p.B)
+
+    def test_ou_family_as_kuramoto_gets_a_fresh_operand(self):
+        # OU's B is the family view of its operand, but that operand's
+        # offset row is b, not zero: Kuramoto copies B into a new operand
+        # with a zero offset row, and the OU params stay as they were
+        d = 4
+        ou = _ou_params(d)
+        before = ou.operand.copy()
+        ku = KuramotoParams(mu0=0.5, Sigma=ou.B)
+        assert not np.shares_memory(ku.operand, ou.operand)
+        assert ku.Sigma.base is ku.operand
+        assert ku.operand[d].tobytes() == np.zeros(d * d).tobytes()
+        np.testing.assert_array_equal(ku.Sigma, ou.B)
+        assert ou.operand.tobytes() == before.tobytes()
+        assert ou.B.base is ou.operand and ou.b.base is ou.operand
 
     def test_product_runs_against_the_family_buffer(self, monkeypatch):
         d = 5
@@ -221,7 +256,7 @@ class TestGemmLayout:
         monkeypatch.setattr(models.np, "matmul", spy)
         kuramoto_diffusion(p, np.ones((4, d)))
         assert len(operands) == 1
-        assert operands[0].shape == (d, d * d) and operands[0].flags.c_contiguous
+        assert operands[0].shape == (d + 1, d * d) and operands[0].flags.c_contiguous
         assert np.shares_memory(operands[0], p.Sigma)
 
 
@@ -243,11 +278,9 @@ def _model(kind, p, initial_value=None):
     return build(p, initial_value=initial_value)
 
 
-def _multiplied(p, rows):
-    """The rows a product against `p.operand` multiplies: OU's offset row takes a ones column."""
-    if isinstance(p, OuParams):
-        return np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
-    return rows
+def _multiplied(rows):
+    """The rows a product against an operand multiplies: its offset row takes a ones column."""
+    return np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
 
 
 def _spy_products(monkeypatch, family):
@@ -270,24 +303,24 @@ def _check_rule(model, x, products):
     Every row is the einsum definition. An all-zero call, and a Kuramoto
     all-xi call, make no product and return sigma(0), bit for bit the
     definition, or the model's one-row product of xi, as a read-only view
-    of one (d, d) matrix with zero leading strides (OU's sigma(0) is its
-    offset b); any other call is one product of all its rows (OU's with a
-    ones column, against its offset row too), whose values it returns in a
-    fresh writable block. `products` is a `_spy_products` list, cleared
+    of one (d, d) matrix with zero leading strides (sigma(0) is the view of
+    the operand's offset row); any other call is one product of all its
+    rows with a ones column, against the offset row too, whose values it
+    returns in a fresh writable block. `products` is a `_spy_products` list, cleared
     before the call.
     """
     p, d, xi = model.params, model.d, model.initial_value
-    P = _family(p)
+    P, offset = _family(p), _offset(p)
     ou = model.name == "ou"
 
     def product(rows):
         # the [i, k] layout of one GEMM of `rows`; `@` bypasses the spy
-        return (_multiplied(p, rows) @ p.operand).reshape(len(rows), d, d).swapaxes(-1, -2)
+        return (_multiplied(rows) @ p.operand).reshape(len(rows), d, d).swapaxes(-1, -2)
 
     products.clear()
     got = model.diffusion(x, x)
-    want = np.einsum("kij,...j->...ik", P, x) + (p.b if ou else 0.0)
-    scale = np.einsum("kij,...j->...ik", np.abs(P), np.abs(x)) + (np.abs(p.b) if ou else 0.0)
+    want = np.einsum("kij,...j->...ik", P, x) + offset
+    scale = np.einsum("kij,...j->...ik", np.abs(P), np.abs(x)) + np.abs(offset)
     assert got.shape == x.shape + (d,)
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
     kind = reuse_class(x, xi)
@@ -300,13 +333,12 @@ def _check_rule(model, x, products):
         assert d == 1 or 0 not in got.strides[-2:]
     else:
         assert len(products) == 1
-        np.testing.assert_array_equal(products[0], _multiplied(p, rows))
+        np.testing.assert_array_equal(products[0], _multiplied(rows))
         assert got.flags.writeable and got.swapaxes(-1, -2).flags.c_contiguous
-        assert not any(np.shares_memory(got, a) for a in (x, P, p.b if ou else xi))
+        assert not any(np.shares_memory(got, a) for a in (x, p.operand, xi))
     flat = got.reshape(-1, d, d)
     if kind == "zero":
-        if ou:
-            assert np.shares_memory(got, p.b)
+        assert np.shares_memory(got, offset)
         assert flat.tobytes() == want.tobytes()
     elif kind == "xi" and not ou:
         assert np.shares_memory(got, model.diffusion(xi, xi))
@@ -352,14 +384,14 @@ class TestZeroStateRows:
         p = random_params(kind, d, derive_stream(d, (0,)))
         got = _model(kind, p).diffusion(np.zeros(d), np.zeros(d))
         assert got.shape == (d, d)
-        assert (got == (p.b if kind == "ou" else 0.0)).all()
+        assert (got == _offset(p)).all() and (kind == "ou" or not got.any())
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
     @pytest.mark.parametrize("lead", [(16,), (4, 27)])
     def test_all_zero_call_is_a_view_of_sigma0(self, kind, lead):
         # the coefficient and the model both return one (d, d) sigma(0)
-        # through zero leading strides: OU's offset b, which the params hold
-        # once, or a (d, d) zero matrix for Kuramoto, which has no offset
+        # through zero leading strides: the view of the operand's offset
+        # row, OU's b or Kuramoto's zeros, which the params hold once
         d = 10
         p = random_params(kind, d, derive_stream(d, (0,)))
         coefficient = ou_diffusion if kind == "ou" else kuramoto_diffusion
@@ -368,10 +400,9 @@ class TestZeroStateRows:
             assert got.shape == lead + (d, d)
             assert not got.flags.writeable
             assert got.strides[:-2] == (0,) * len(lead) and 0 not in got.strides[-2:]
-            if kind == "ou":
-                assert np.shares_memory(got, p.b)
-                assert got.swapaxes(-1, -2)[(0,) * len(lead)].flags.c_contiguous
-            want = np.broadcast_to(p.b if kind == "ou" else np.zeros((d, d)), got.shape)
+            assert np.shares_memory(got, p.operand[d])
+            assert got.swapaxes(-1, -2)[(0,) * len(lead)].flags.c_contiguous
+            want = np.broadcast_to(_offset(p), got.shape)
             assert got.tobytes() == want.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 got[(0,) * len(lead)] = 1.0
@@ -429,8 +460,8 @@ class TestStateRows:
         assert _check_rule(model, x, products) == "tail"
         zero = np.zeros_like(x)
         got = model.diffusion(zero, zero).reshape(-1, d, d)
-        # no second product; OU's rows carry a ones column
-        assert [a.shape for a in products] == [(4 * 27, d + (kind == "ou"))]
+        # no second product; the rows carry a ones column, for the offset row
+        assert [a.shape for a in products] == [(4 * 27, d + 1)]
         for row in got:
             assert row.tobytes() == sigma0.tobytes()
 
@@ -551,14 +582,14 @@ class TestKnownRows:
     def test_xi_call_is_a_view_of_the_known_matrix(self, d):
         # every all-xi call, of any lead, is a read-only view of the one
         # (d, d) sigma(xi) the model made at build, bit for bit a one-row
-        # product of xi, and none makes a (K, d, d) block
+        # product of [xi | 1], and none makes a (K, d, d) block
         K = 16
         p = random_params("kuramoto", d, derive_stream(d, (0,)))
         model = kuramoto_model(p)
         xi = model.initial_value
         held = model.diffusion(xi, xi)
         assert held.shape == (d, d) and not held.flags.writeable
-        one_row = (xi[None, :] @ _gemm_operand(p.Sigma)).reshape(d, d).T
+        one_row = (_multiplied(xi[None, :]) @ _gemm_operand(p.Sigma, _offset(p))).reshape(d, d).T
         assert held.tobytes() == one_row.tobytes()
         for lead in ((K,), (2, K // 2)):
             x = np.broadcast_to(xi, lead + (d,)).copy()

@@ -51,3 +51,14 @@ def test_seed_outside_range_exits_2(seed):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == f"error: seed must be in [0, 2**64), got {seed}\n"
+
+
+def test_runs_its_own_tree_from_any_directory(tmp_path):
+    # no PYTHONPATH and a working directory outside the tree: the tool puts
+    # its own src/ on the path, so it reaches the seed check, not an ImportError
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "path_digest.py"), "--seed", "-1"],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: seed must be in [0, 2**64), got -1\n"

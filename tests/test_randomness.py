@@ -112,7 +112,7 @@ class TestDeriveStream:
     def test_negative_index_rejected(self):
         message = "multi-index entry must be in [0, 2**64), got -1"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            _stream_key(0, (2, -1), 0)
+            derive_stream(0, (2, -1))
 
     @pytest.mark.parametrize("index, message", [
         ((1.5,), "must be an integer, got 1.5"),

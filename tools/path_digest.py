@@ -1,6 +1,6 @@
 """Print one SHA-256 over every estimator path and reference array of a fixed sweep.
 
-    PYTHONPATH=src python3 tools/path_digest.py [--seed 2]
+    python3 tools/path_digest.py [--seed 2]
 
 The sweep: OU and Kuramoto, d in {1, 3, 10, 50, 100}, cells (n, m) from
 (0, 2) to (4, 4) (without (4, 4) for d >= 50), two runs each, on the
@@ -12,8 +12,10 @@ with a label naming the array and its shape ahead of its bytes.
 Two trees that print the same digest on one host, with the same BLAS
 build and thread count, give the same bits for every array of the sweep,
 so a refactor that claims "same outputs" is checked with one command on
-each tree. The digest itself depends on the BLAS build and thread count,
-so it is a comparison between trees, not a fixed value to test against.
+each tree. The tool imports the `mvmlp` of its own tree, the `src/` next
+to its `tools/`, from any working directory and ahead of any installed
+copy. The digest itself depends on the BLAS build and thread count, so it
+is a comparison between trees, not a fixed value to test against.
 """
 
 from __future__ import annotations
@@ -21,12 +23,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from mvmlp import bench
-from mvmlp.mlp import CostLedger, MlpConfig, mlp_estimate
-from mvmlp.numerics import TimeGrid
+# this tree's package, not whichever mvmlp the path would find first
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from mvmlp import bench  # noqa: E402
+from mvmlp.mlp import CostLedger, MlpConfig, mlp_estimate  # noqa: E402
+from mvmlp.numerics import TimeGrid  # noqa: E402
 
 MODELS = ("ou", "kuramoto")
 DIMS = (1, 3, 10, 50, 100)
