@@ -32,8 +32,7 @@ from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate
 from .models import ModelSpec, default_cost_units, kuramoto_model, ou_model, random_params
 from .numerics import TimeGrid, format_number, integer, is_int, real_number
 from .randomness import derive_stream, sample_brownian_increments
-from .reference import (_BLOCK_DOUBLES, kuramoto_moments, kuramoto_reference_path,
-                        ou_exact_path)
+from .reference import kuramoto_moments, kuramoto_reference_path, ou_exact_path
 
 _PARAM_INDEX = (0,)
 _RUN_PREFIX = 1
@@ -263,16 +262,16 @@ def estimate_experiment_bytes(cfg: ExperimentConfig) -> int:
     thread), its (K+1, d) paths (each run's increments, reference and
     estimate, and seven per recursion frame of each call in flight, whose
     Brownian path carries two more columns, t and 1) and the reference's
-    largest block: OU's sigma at the K left means, or the
-    Kuramoto reference's capped block of contracted increments.
+    one K*d*d block: OU's sigma at the K left means, which also bounds a
+    chunk of one Kuramoto run's contracted increments.
     """
     d, calls = cfg.d, min(cfg.threads, cfg.runs)
     cell = 0
     for n, m in cfg.levels:
         K = m**n
-        reference = K * d * d if cfg.model == "ou" else max(_BLOCK_DOUBLES, d * d)
         paths = (3 * cfg.runs * d + n * calls * (7 * d + 2)) * (K + 1)
-        cell = max(cell, calls * K * d * d + paths + reference)
+        # a K-row sigma half per call in flight, and the reference's block
+        cell = max(cell, (calls + 1) * K * d * d + paths)
     return 8 * ((d + 1) * d * d + d * d + cell) + _PROCESS_BYTES
 
 

@@ -9,9 +9,9 @@ run's values do not depend on R.
 
 The Kuramoto reference applies its diffusion only to increments, so it
 never forms sigma(X): sigma(X) dW = sum_j X_j G_j with G_j = dW Sigma[:, :, j]
-is linear in the state, and each run's increments are contracted against
-the (d, d, d) family once, in chunks of steps, before stepping. A step is
-then one d x d matrix-vector product.
+is linear in the state. It steps one run at a time, and contracts the
+run's increments against the (d, d, d) family once, in chunks of steps,
+before stepping them. A step is then one d x d matrix-vector product.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ from .models import KuramotoParams, OuParams, ou_diffusion
 from .numerics import TimeGrid, mat_exp, real_array
 
 # the Kuramoto reference contracts a run's increments one chunk of steps at
-# a time, at most _RUN_DOUBLES doubles per run, and stacks as many runs as
-# keep the block within _BLOCK_DOUBLES (8 runs of the largest chunk); both
-# sizes follow from (K, d) alone, so they bound the memory without moving a
-# run's bits
+# a time, at most _RUN_DOUBLES doubles (or one step's d*d); the chunk
+# follows from (K, d) alone, so it bounds the memory without moving a run's bits
 _RUN_DOUBLES = 2**20
-_BLOCK_DOUBLES = 8 * _RUN_DOUBLES
 
 
 def _flow(A: np.ndarray, c: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -114,11 +111,12 @@ def kuramoto_reference_path(
 ) -> np.ndarray:
     """Euler-Maruyama reference with moment-damped mean-field drift.
 
-    Increments (R, K, d) -> values (R, K+1, d). The diffusion
-    term of step t is sum_j X_j G_j[t] with G_j = dW Sigma[:, :, j]; G is
-    made one chunk of steps at a time, as one BLAS (steps x d)(d x d)
-    product per (run, j), and each run's step is its own matrix-vector
-    product, so a run's row does not depend on how many runs share the call.
+    Increments (R, K, d) -> values (R, K+1, d). The runs are stepped one
+    after another, so a run's row does not depend on how many runs share
+    the call. The diffusion term of step t is sum_j X_j G_j[t] with
+    G_j = dW Sigma[:, :, j]; a run's G is made one chunk of steps at a
+    time, as one BLAS (steps x d)(d x d) product per j, and each step is
+    one matrix-vector product.
     """
     d, K, dt = p.d, grid.K, grid.dt
     xi = real_array(xi, "initial value", (d,))
@@ -126,19 +124,16 @@ def kuramoto_reference_path(
     runs = _check_increments(increments, K, d)
     family = p.Sigma.transpose(2, 0, 1)     # [j, k, i]: a contiguous (d, d) block per j
     steps = max(1, min(K, _RUN_DOUBLES // (d * d)))
-    per_block = max(1, _BLOCK_DOUBLES // (steps * d * d))
 
     out = np.empty((len(runs), K + 1, d))
-    out[:, 0] = xi
-    for r in range(0, len(runs), per_block):
-        group = slice(r, r + per_block)
-        X = out[group, 0].copy()
+    for incr, path in zip(runs, out):
+        path[0] = X = xi
         for start in range(0, K, steps):
-            G = np.matmul(runs[group, None, start:start + steps], family)
-            for s in range(G.shape[2]):
+            G = np.matmul(incr[None, start:start + steps], family)
+            for s in range(G.shape[1]):
                 j = start + s
                 drift = p.mu0 * (1.0 - 0.5 * variance[j]) * np.sin(X - xi)
-                X = X + drift * dt + np.matmul(X[:, None, :], G[:, :, s])[:, 0]
-                out[group, j + 1] = X
-            del G       # before the next block is made
+                X = X + drift * dt + X @ G[:, s]
+                path[j + 1] = X
+            del G       # before the next chunk is made
     return out

@@ -3,8 +3,9 @@
 None of this code runs in `mvmlp-bench`: a matrix-exponential series, a
 classical RK4 stepper for the linear and Lyapunov ODEs, the OU marginal
 covariance, the N-particle system whose empirical law approximates the
-McKean-Vlasov law (propagation of chaos), and the call classes of the
-diffusion kernel's reuse rule.
+McKean-Vlasov law (propagation of chaos), the call classes of the
+diffusion kernel's reuse rule, and the MLP recursion written out
+evaluation by evaluation.
 """
 
 from functools import lru_cache
@@ -12,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from mvmlp.models import (
+    KuramotoParams,
     OuParams,
     kuramoto_diffusion,
     ou_diffusion,
@@ -174,3 +176,75 @@ def reuse_class(x: np.ndarray, xi: np.ndarray) -> str:
     if (x == xi).all():
         return "xi"
     return "tail" if not x[-1].any() or (x[-1] == xi).all() else "general"
+
+
+def literal_mlp(p, xi, n: int, m: int, grid, theta: tuple, root_seed: int, increments):
+    """The level-n MLP path (K+1, d) as `mvmlp.mlp`'s docstring writes it, and its tallies.
+
+    The same index convention and the same `derive_stream` draws as
+    `mlp_estimate`, with every coefficient evaluated from the parameters
+    of `p` (OuParams or KuramotoParams) one state at a time: sigma as a
+    (d, d) matrix by einsum (column k = b_k + B_k x2, or Sigma_k x1), mu
+    at each gathered row, and the Ito sum as a loop over grid steps. The
+    tallies count what the cost model charges: one mu evaluation per
+    gathered pair of paths (and per base call), one sigma evaluation per
+    state pair, and one draw per scalar.
+    """
+    K, dt, d = grid.K, grid.dt, len(xi)
+    times = grid.times()
+    zero = np.zeros(d)
+    tally = {"mu": 0, "sigma": 0, "draws": 0}
+
+    def mu(x1, x2):
+        if isinstance(p, KuramotoParams):
+            return p.mu0 * np.sin(x1 - x2)
+        return p.a0 + np.einsum("ij,j->i", p.A1, x1) + np.einsum("ij,j->i", p.A2, x2)
+
+    def sigma(x1, x2):
+        tally["sigma"] += 1
+        if isinstance(p, KuramotoParams):
+            return np.einsum("kij,j->ik", p.Sigma, x1)
+        return p.b + np.einsum("kij,j->ik", p.B, x2)
+
+    def floor(s):
+        # the largest grid index strictly below s, and 0 for s = 0
+        return max([i for i in range(K) if i * grid.T / K < s], default=0)
+
+    def estimate(level, index, incr):
+        if level == 0:
+            return np.zeros((K + 1, d))
+        mu_0, sigma_0 = mu(zero, zero), sigma(zero, zero)
+        tally["mu"] += 1
+        X = np.empty((K + 1, d))
+        W = zero
+        for j in range(K + 1):
+            X[j] = xi + times[j] * mu_0 + sigma_0 @ W
+            if j < K:
+                W = W + incr[j]
+        for l in range(1, level):
+            fanout = m ** (level - l)
+            for k in range(1, fanout + 1):
+                block = index + (level, k, l)
+                stream = derive_stream(root_seed, block + (0,))
+                fresh = np.sqrt(dt) * stream.normals((K, d))
+                tally["draws"] += K * d
+                x1 = estimate(l, block + (1,), incr)
+                x2 = estimate(l, block + (0,), fresh)
+                x3 = estimate(l - 1, block + (2,), incr)
+                x4 = estimate(l - 1, block + (0,), fresh)
+                ito = zero
+                for j in range(K):
+                    hi = sigma(x1[j], x2[j]) @ incr[j]
+                    lo = sigma(x3[j], x4[j]) @ incr[j]
+                    ito = ito + (hi - lo) / fanout
+                    X[j + 1] += ito
+                u = stream.uniform()
+                tally["draws"] += 1
+                rows = [floor(t * u) for t in times]
+                gap = [mu(x1[r], x2[r]) - mu(x3[r], x4[r]) for r in rows]
+                tally["mu"] += 2
+                for j in range(K + 1):
+                    X[j] += times[j] / fanout * gap[j]
+        return X
+
+    return estimate(n, tuple(theta), np.asarray(increments, dtype=float)), tally

@@ -279,7 +279,8 @@ class TestExperiment:
     def test_memory_estimate_is_its_terms(self):
         # d = 50, K = 27: the (d+1, d*d) operand (family and offset row), a
         # slab, one K-row sigma half per thread, the paths (a frame's Brownian
-        # path with its t and 1 columns), the reference's block and the interpreter
+        # path with its t and 1 columns), the reference's K*d*d block (OU's
+        # sigma at the means, Kuramoto's chunk bound) and the interpreter
         d, K, n, runs = 50, 27, 3, 4
         ou = ExperimentConfig(model="ou", d=d, levels=((1, 1), (n, n)), runs=runs, threads=2)
         ku = ExperimentConfig(model="kuramoto", d=d, levels=((n, n),), runs=runs)
@@ -287,15 +288,16 @@ class TestExperiment:
         operand = (d + 1) * d * d
         want_ou = (operand + d * d + 2 * K * d * d + 3 * runs * paths + n * 2 * frame
                    + K * d * d)
-        want_ku = operand + d * d + K * d * d + 3 * runs * paths + n * frame + 8 * 2**20
+        want_ku = operand + d * d + K * d * d + 3 * runs * paths + n * frame + K * d * d
         assert estimate_experiment_bytes(ou) == 8 * want_ou + 64 * 2**20
         assert estimate_experiment_bytes(ku) == 8 * want_ku + 64 * 2**20
 
-    def test_memory_estimate_bounds_a_run(self):
+    @pytest.mark.parametrize("model", ["ou", "kuramoto"])
+    def test_memory_estimate_bounds_a_run(self, model):
         # without the interpreter's share, the estimate still bounds what
-        # tracing the run's own allocations sees (OU: no 64 MiB reference cap
-        # to hide a missing term; two threads: two calls in flight)
-        cfg = ExperimentConfig(model="ou", d=60, levels=((3, 3),), runs=2, threads=2)
+        # tracing the run's own allocations sees (two threads: two calls in
+        # flight; each term is charged at its size, with no cap above it)
+        cfg = ExperimentConfig(model=model, d=60, levels=((3, 3),), runs=2, threads=2)
         tracemalloc.start()
         try:
             run_experiment(cfg)

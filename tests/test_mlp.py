@@ -31,7 +31,7 @@ from mvmlp.models import (
 )
 from mvmlp.numerics import TimeGrid, grid_floor_index
 from mvmlp.randomness import derive_stream, sample_brownian_increments
-from oracles import reuse_class
+from oracles import literal_mlp, reuse_class
 
 
 def _models(d, seed=0):
@@ -216,6 +216,27 @@ class TestTranscriptionOracle:
         want = base + ito + drift
 
         np.testing.assert_allclose(path[:, 0], want, rtol=1e-13, atol=1e-13)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["ou", "kuramoto"]), n=st.integers(0, 3), m=st.integers(1, 3),
+           d=st.integers(1, 3), seed=st.integers(0, 2**64 - 1), run=st.integers(0, 3))
+    def test_estimate_and_ledger_match_the_literal_recursion(self, kind, n, m, d, seed, run):
+        # every evaluation written out one state at a time: the path, the
+        # ledger and the closed-form cost all agree with the literal oracle
+        p = random_params(kind, d, derive_stream(seed, (0,)))
+        model = (ou_model if kind == "ou" else kuramoto_model)(p)
+        K = m**n
+        grid = TimeGrid(T=1.0, K=K)
+        inc = _top_increments(seed, run, K, d, grid.dt)
+        ledger = CostLedger()
+        path = mlp_estimate(model, MlpConfig(n=n, m=m, grid=grid), (1, run), seed, inc, ledger)
+        want, tally = literal_mlp(p, model.initial_value, n, m, grid, (1, run), seed, inc)
+        assert np.max(np.abs(path - want)) <= 1e-13 * np.max(np.abs(want))
+        counts = (ledger.mu_evals, ledger.sigma_evals, ledger.rv_draws)
+        assert counts == (tally["mu"], tally["sigma"], tally["draws"])
+        for unit, count in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), counts):
+            assert analytic_cost(n, m, K, d, CostUnits(*unit)) == count
 
 
 class TestInvariants:

@@ -32,6 +32,17 @@ def test_every_def_is_named_in_the_package():
     assert not unreached, unreached
 
 
+def test_no_private_name_crosses_a_module():
+    # a `_` name is its module's own: a module that imports one from another
+    # module depends on a detail that module may change without notice
+    crossing = [f"{path.name}:{node.lineno} {alias.name} from {node.module}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name.startswith("_")]
+    assert not crossing, crossing
+
+
 def test_integer_checks_are_written_once():
     # every integer from outside goes through numerics.integer, so its wording
     # is written there alone: a check written by hand elsewhere would bring a

@@ -289,8 +289,8 @@ class TestKuramotoReferencePath:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_contracted_increments_are_chunked(self):
-        # a run's chunk of contracted increments holds at most 2**20 doubles,
-        # and the runs stacked in one block at most 8 times that
+        # the runs are stepped one at a time, and a run's chunk of contracted
+        # increments holds at most 2**20 doubles
         d, K, R = 50, 256, 20
         p = random_params("kuramoto", d, derive_stream(d, (0,)))
         xi = np.full(d, 10.0)
@@ -298,9 +298,6 @@ class TestKuramotoReferencePath:
         variance = kuramoto_moments(p, xi, grid)
         incr = _batch_increments(d, R, K, d, grid.dt)
         assert reference._RUN_DOUBLES == 2**20
-        assert reference._BLOCK_DOUBLES == 8 * 2**20
-        # 13 runs of 256 steps per block here: the call makes two blocks
-        assert 1 < reference._BLOCK_DOUBLES // (K * d * d) < R
         tracemalloc.start()
         try:
             out = kuramoto_reference_path(p, xi, grid, incr, variance)
@@ -308,7 +305,7 @@ class TestKuramotoReferencePath:
         finally:
             tracemalloc.stop()
         # all R runs' increments contracted at once would take 102 MB
-        assert peak < 8 * 2**20 * 8 + out.nbytes + 2**20, peak
+        assert peak < 2**20 * 8 + out.nbytes + 2**20, peak
 
 
 class TestParticleSystem:
