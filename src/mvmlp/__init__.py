@@ -2,7 +2,6 @@
 
 from .bench import (
     ExperimentConfig,
-    LedgerMismatchError,
     ResultRow,
     l2_errors,
     run_cell,

@@ -6,7 +6,11 @@ sweep varies only the estimator. Run r uses top-level multi-index (1, r).
 A cell draws every run's increments (`_run_increments`), computes the
 reference of all runs in one call, then runs the estimator per run,
 serially or on a thread pool; results are assembled by run index, so the
-output is byte-identical for any thread count. `ExperimentConfig` checks
+output is byte-identical for any thread count. Every failure of a cell is
+one `ValueError` naming the cell: a non-finite reference path or L2
+error, and per run a cost ledger that differs from the closed-form cost
+or an estimator failure (a `NumericOverflowError`, its `__cause__`), each
+naming the run too. `ExperimentConfig` checks
 every field for all front ends alike: `mvmlp-bench` sets each field from
 the flag of its name (`--out` sets `out_dir`, `--format` sets `formats`)
 or from the config file's key. The cost units are the model's: a custom
@@ -28,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .mlp import CostLedger, MlpConfig, analytic_cost, mlp_estimate
+from .mlp import CostLedger, MlpConfig, NumericOverflowError, analytic_cost, mlp_estimate
 from .models import ModelSpec, default_cost_units, kuramoto_model, ou_model, random_params
 from .numerics import TimeGrid, format_number, integer, is_int, real_number
 from .randomness import derive_stream, sample_brownian_increments
@@ -49,16 +53,6 @@ DESK_MAX_K = 256
 # a bound on the interpreter with numpy, scipy.special and the package
 # loaded (~53 MiB resident): an OU run of d = 10, n = m = 4 peaks near 57 MiB
 _PROCESS_BYTES = 64 * 2**20
-
-
-class LedgerMismatchError(RuntimeError):
-    """A run's cost ledger differs from the closed-form cost of its cell."""
-
-    def __init__(self, model: str, d: int, n: int, m: int, run: int):
-        self.location = (model, d, n, m, run)
-        super().__init__(
-            f"cost ledger mismatch at model={model}, d={d}, n={n}, m={m}, run={run}"
-        )
 
 
 @dataclass
@@ -222,10 +216,14 @@ def run_cell(
     def one(r: int) -> Tuple[np.ndarray, float]:
         ledger = CostLedger()
         start = time.perf_counter()
-        estimate = mlp_estimate(model, mlp_cfg, (_RUN_PREFIX, r), cfg.seed, increments[r], ledger)
+        try:
+            estimate = mlp_estimate(model, mlp_cfg, (_RUN_PREFIX, r), cfg.seed, increments[r],
+                                    ledger)
+        except NumericOverflowError as exc:
+            raise ValueError(f"estimator failed in {cell}, run={r}: {exc}") from exc
         elapsed = time.perf_counter() - start
         if ledger.weighted(model.unit_costs) != cost:
-            raise LedgerMismatchError(cfg.model, model.d, n, m, r)
+            raise ValueError(f"cost ledger mismatch in {cell}, run={r}")
         return estimate, elapsed
 
     if cfg.threads > 1:

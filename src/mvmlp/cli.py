@@ -18,12 +18,10 @@ from typing import List, Optional, Tuple, Union
 
 from .bench import (
     ExperimentConfig,
-    LedgerMismatchError,
     estimate_experiment_bytes,
     estimate_experiment_cost,
     run_experiment,
 )
-from .mlp import NumericOverflowError
 from .numerics import format_number
 
 _REAL_FLAGS = ("--T", "--rho", "--mu0")
@@ -114,7 +112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"estimated peak memory: "
                   f"{format_number(estimate_experiment_bytes(cfg) >> 20)} MiB", file=sys.stderr)
         rows = run_experiment(cfg)
-    except (ValueError, OSError, NumericOverflowError, LedgerMismatchError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for row in rows:

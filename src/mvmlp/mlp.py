@@ -46,6 +46,12 @@ Arrays: the Brownian paths, the base path and the Ito and drift steps are
 the estimator's own and are updated in place. It never writes into an
 array a coefficient returned, which may be a read-only view.
 
+Failure: the recursion runs with numpy's floating-point warnings off, in
+the calling thread (numpy's error state is per thread), and checks its
+path after each iteration; the first non-finite row raises
+`NumericOverflowError`, whose `location` is (n, l, k, j). `run_cell`
+reports it as a `ValueError` naming the cell and run.
+
 Lifetime: a call holds no reference to its model, ledger or increments
 once it returns or raises, so they are freed by reference counting and
 calls made one after another never hold two models' coefficients at once.
@@ -201,7 +207,9 @@ def mlp_estimate(
         return X
 
     try:
-        return estimate(cfg.n, theta, increments, brownian_path(increments))
+        # numpy's warnings would come before the failure _check_finite names
+        with np.errstate(all="ignore"):
+            return estimate(cfg.n, theta, increments, brownian_path(increments))
     finally:
         # estimate reaches itself through its closure cell, a cycle that holds
         # the model, the ledger and the increments until the cyclic gc runs;

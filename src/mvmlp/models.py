@@ -147,8 +147,9 @@ def _operand(P: np.ndarray, offset: np.ndarray) -> np.ndarray:
             and _views(op)[0].__array_interface__ == P.__array_interface__
             and _views(op)[1].tobytes() == offset.tobytes()):
         op = np.empty((d + 1, d * d))
-        op[:d].reshape(d, d, d)[...] = P.transpose(2, 0, 1)
-        op[d].reshape(d, d)[...] = offset.T
+        family, op_offset = _views(op)
+        family[...] = P
+        op_offset[...] = offset
     return op
 
 
@@ -255,15 +256,14 @@ def random_params(
 
     def family(op):
         # the [k, i, j] draw, one k-slab at a time (the same words in the
-        # same order as one draw), each written straight into the GEMM
-        # layout [j, k, i] of the operand's first d rows and then scaled in
-        # place: the peak is the operand plus one slab
-        rows = op[:d]
-        view = rows.reshape(d, d, d)
+        # same order as one draw), each written through the family's view
+        # into the operand and then scaled in place, the norm taken over
+        # the contiguous rows: the peak is the operand plus one slab
+        P = _views(op)[0]
         for k in range(d):
-            view[:, k, :] = u((d, d)).T
-        rows *= scale / np.linalg.norm(rows)
-        return view.transpose(1, 2, 0)
+            P[k] = u((d, d))
+        op[:d] *= scale / np.linalg.norm(op[:d])
+        return P
 
     if model_kind not in ("ou", "kuramoto"):
         raise ValueError(f"unknown model kind {model_kind!r}")

@@ -149,6 +149,13 @@ class TestRunCell:
         # the moment path overflows, and the reference refuses its variance by name
         (["--rho", "40", "--T", "10"], "reference path failed in cell model=kuramoto, d=3, n=2, "
                                        "m=2: variance contains non-finite entries"),
+        # the estimator overflows, without numpy's warnings, also in a pool worker
+        (["--model", "ou", "--d", "1", "--T", "1e300"],
+         "estimator failed in cell model=ou, d=1, n=2, m=2, run=0: "
+         "non-finite value at level n=2, l=1, k=1, row j=2"),
+        (["--model", "ou", "--d", "1", "--T", "1e300", "--runs", "2", "--threads", "2"],
+         "estimator failed in cell model=ou, d=1, n=2, m=2, run=0: "
+         "non-finite value at level n=2, l=1, k=1, row j=2"),
     ])
     def test_numeric_failure_names_the_cell(self, flag, message, capsys):
         argv = ["--model", "kuramoto", "--d", "3", "--levels", "2", "--runs", "1", *flag]
@@ -156,6 +163,25 @@ class TestRunCell:
             warnings.simplefilter("error")
             assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_estimator_failure_names_the_run(self, threads, monkeypatch):
+        # the ValueError names the cell and run; the estimator's error is its cause
+        failure = NumericOverflowError(2, 1, 3, 0)
+
+        def fails_in_run_1(model, cfg, theta, root_seed, increments, ledger):
+            if theta == (1, 1):
+                raise failure
+            return mlp_estimate(model, cfg, theta, root_seed, increments, ledger)
+
+        monkeypatch.setattr("mvmlp.bench.mlp_estimate", fails_in_run_1)
+        cfg = ExperimentConfig(model="kuramoto", d=2, runs=3, threads=threads)
+        message = ("^estimator failed in cell model=kuramoto, d=2, n=2, m=2, run=1: "
+                   "non-finite value at level n=2, l=1, k=3, row j=0$")
+        with pytest.raises(ValueError, match=message) as err:
+            run_cell(cfg, 2, 2)
+        assert err.value.__cause__ is failure
+        assert err.value.__cause__.location == (2, 1, 3, 0)
 
     def test_grid_past_the_float_range(self):
         # run_cell takes its cell from its arguments, not from cfg.levels
@@ -673,14 +699,15 @@ def configs(tmp_path_factory):
 
 
 def test_overflow_exits_2(monkeypatch, capsys):
-    def overflow(cfg):
+    def overflow(model, cfg, theta, root_seed, increments, ledger):
         raise NumericOverflowError(2, 1, 1, 3)
 
-    monkeypatch.setattr("mvmlp.cli.run_experiment", overflow)
+    monkeypatch.setattr("mvmlp.bench.mlp_estimate", overflow)
     rc = main(["--model", "ou", "--d", "2", "--levels", "1", "--runs", "1"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err == "error: non-finite value at level n=2, l=1, k=1, row j=3\n"
+    assert err == ("error: estimator failed in cell model=ou, d=2, n=1, m=1, run=0: "
+                   "non-finite value at level n=2, l=1, k=1, row j=3\n")
 
 
 def test_ledger_mismatch_exits_2(monkeypatch, capsys):
@@ -693,4 +720,4 @@ def test_ledger_mismatch_exits_2(monkeypatch, capsys):
     rc = main(["--model", "kuramoto", "--d", "2", "--levels", "1", "--runs", "1"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err == "error: cost ledger mismatch at model=kuramoto, d=2, n=1, m=1, run=0\n"
+    assert err == "error: cost ledger mismatch in cell model=kuramoto, d=2, n=1, m=1, run=0\n"

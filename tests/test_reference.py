@@ -384,7 +384,7 @@ class TestBatchDeterminism:
         self._check(kind, d, K=8, runs=64)
 
     def test_chunked_rows_independent_of_run_count(self):
-        # at d = 100 a chunk holds 104 of the 128 steps, and a block 8 runs
+        # at d = 100 a chunk holds 104 of the 128 steps, so each run takes two chunks
         d, K = 100, 128
         assert reference._RUN_DOUBLES // (d * d) < K
         self._check("kuramoto", d, K, runs=20)
