@@ -11,9 +11,10 @@ one `ValueError` naming the cell: a non-finite reference path or L2
 error, and per run a cost ledger that differs from the closed-form cost
 or an estimator failure (a `NumericOverflowError`, its `__cause__`), each
 naming the run too. `ExperimentConfig` checks
-every field for all front ends alike: `mvmlp-bench` sets each field from
-the flag of its name (`--out` sets `out_dir`, `--format` sets `formats`)
-or from the config file's key. The cost units are the model's: a custom
+every field for all front ends alike, once, as it is frozen: `mvmlp-bench`
+sets each field from the flag of its name (`--out` sets `out_dir`) or from
+the config file's key. A run with an `out_dir` writes `results.csv`,
+`results.json` and `table.md` there. The cost units are the model's: a custom
 `CostUnits` goes to `ou_model` or `kuramoto_model`, whose model is then
 passed to `run_cell`.
 """
@@ -33,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .mlp import CostLedger, MlpConfig, NumericOverflowError, analytic_cost, mlp_estimate
-from .models import ModelSpec, default_cost_units, kuramoto_model, ou_model, random_params
+from .models import MODELS, ModelSpec, default_cost_units, kuramoto_model, ou_model, random_params
 from .numerics import TimeGrid, format_number, integer, is_int, real_number
 from .randomness import derive_stream, sample_brownian_increments
 from .reference import kuramoto_moments, kuramoto_reference_path, ou_exact_path
@@ -42,7 +43,6 @@ _PARAM_INDEX = (0,)
 _RUN_PREFIX = 1
 
 CSV_HEADER = "model,d,n,m,K,l2_error,time_s,cost"
-FORMATS = ("csv", "json", "md")
 
 # guard rails before launching very large cells without --allow-large;
 # K = m**n is the grid, the largest desk cell (n = m = 4) has K = 256
@@ -55,7 +55,7 @@ DESK_MAX_K = 256
 _PROCESS_BYTES = 64 * 2**20
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment; every front end (Python, JSON file, flags) is checked here.
 
@@ -73,16 +73,17 @@ class ExperimentConfig:
     mu0: float = 0.5
     threads: int = 1
     out_dir: Optional[str] = None
-    formats: Sequence[str] = FORMATS
     allow_large: bool = False
 
     def __post_init__(self) -> None:
-        # a seed that derive_stream would refuse is refused here, before any cell runs
+        # a seed that derive_stream would refuse is refused here, before any
+        # cell runs; the pool starts up to `threads` threads at once, so the
+        # bound keeps one command from asking the OS for thousands
         for name, low, high in (("d", 1, None), ("runs", 1, None), ("seed", 0, 2**64),
-                                ("threads", 1, None)):
+                                ("threads", 1, 2**8)):
             integer(getattr(self, name), name, low, high)
-        for name in ("T", "rho", "mu0"):
-            real_number(getattr(self, name), name)
+        for name, positive in (("T", True), ("rho", True), ("mu0", False)):
+            real_number(getattr(self, name), name, positive)
         if not isinstance(self.levels, (list, tuple)):
             raise ValueError(f"levels must be a list of n or (n, m) entries, got {self.levels!r}")
         if not self.levels:
@@ -93,10 +94,7 @@ class ExperimentConfig:
             if not (isinstance(pair, tuple) and len(pair) == 2 and all(is_int(v) for v in pair)):
                 raise ValueError(f"levels entries must be an integer n or an integer pair (n, m), "
                                  f"got {pair!r}")
-        self.levels = cells
-        if not (isinstance(self.formats, (list, tuple))
-                and all(isinstance(f, str) for f in self.formats)):
-            raise ValueError(f"formats must be a list of names, got {self.formats!r}")
+        object.__setattr__(self, "levels", cells)
         if not (self.out_dir is None or isinstance(self.out_dir, (str, PathLike))):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         if self.out_dir is not None and not os.fspath(self.out_dir):
@@ -104,13 +102,6 @@ class ExperimentConfig:
             raise ValueError("out_dir must be a non-empty path, got ''")
         if not isinstance(self.allow_large, bool):
             raise ValueError(f"allow_large must be true or false, got {self.allow_large!r}")
-        for name in ("T", "rho"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        unknown = sorted(set(self.formats) - set(FORMATS))
-        if unknown or not self.formats:
-            # an empty list would write nothing and exit 0
-            raise ValueError(f"formats must be among {', '.join(FORMATS)}, got {unknown or 'none'}")
         for n, m in self.levels:
             integer(n, "levels n", 0)
             integer(m, "levels m", 1)
@@ -119,7 +110,7 @@ class ExperimentConfig:
             if self.allow_large and m > 1 and n >= 1024 / math.log2(m):
                 raise ValueError(f"cell (n={n}, m={m}) has a grid K = m**n too large "
                                  f"for a float (n * log2(m) >= 1024)")
-        if self.model not in ("ou", "kuramoto"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
 
 
@@ -307,7 +298,7 @@ def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
     model = build_model(cfg)
     rows = [run_cell(cfg, n, m, model) for n, m in cfg.levels]
     if cfg.out_dir is not None:
-        write_outputs(rows, Path(cfg.out_dir), cfg.formats)
+        write_outputs(rows, Path(cfg.out_dir))
     return rows
 
 
@@ -344,14 +335,11 @@ def render_markdown(rows: Sequence[ResultRow]) -> str:
     return "\n".join(lines)
 
 
-def write_outputs(rows: Sequence[ResultRow], out_dir: Path, formats: Sequence[str]) -> None:
-    """The result files under `out_dir`, which `run_experiment` has created."""
+def write_outputs(rows: Sequence[ResultRow], out_dir: Path) -> None:
+    """The three result files under `out_dir`, which `run_experiment` has created."""
     try:
-        if "csv" in formats:
-            (out_dir / "results.csv").write_text(render_csv(rows), newline="\n")
-        if "json" in formats:
-            (out_dir / "results.json").write_text(rows_to_json(rows), newline="\n")
-        if "md" in formats:
-            (out_dir / "table.md").write_text(render_markdown(rows), newline="\n")
+        (out_dir / "results.csv").write_text(render_csv(rows), newline="\n")
+        (out_dir / "results.json").write_text(rows_to_json(rows), newline="\n")
+        (out_dir / "table.md").write_text(render_markdown(rows), newline="\n")
     except OSError as exc:
         raise OSError(f"failed writing results under {out_dir}: {exc}") from exc

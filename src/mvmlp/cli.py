@@ -1,11 +1,11 @@
 """Benchmark command line: `mvmlp-bench`.
 
 Each flag sets the `ExperimentConfig` field of its name (`--out` sets
-`out_dir`, `--format` sets `formats`), as does the same key in the JSON
-config file; flags given on the command line override config-file values.
-File values go to `ExperimentConfig` as they are, which checks every field
-and owns the `levels` rule; the only conversion here is of the `--levels`
-and `--format` strings into lists.
+`out_dir`), as does the same key in the JSON config file; flags given on
+the command line override config-file values. File values go to
+`ExperimentConfig` as they are, which checks every field and owns the
+`levels` rule; the only conversion here is of the `--levels` string into
+a list. `--out DIR` writes `results.csv`, `results.json` and `table.md`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .bench import (
     estimate_experiment_cost,
     run_experiment,
 )
+from .models import MODELS
 from .numerics import format_number
 
 _REAL_FLAGS = ("--T", "--rho", "--mu0")
@@ -53,17 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--model", choices=["ou", "kuramoto"])
+    p.add_argument("--model", choices=MODELS)
     p.add_argument("--d", type=int)
     p.add_argument("--levels", help="comma list of N (n = m = N) or NxM, e.g. '1,2,3x4'")
     p.add_argument("--runs", type=int)
     p.add_argument("--seed", type=int)
     for flag in _REAL_FLAGS:
         p.add_argument(flag, type=float)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="runs at once; pays off only with one BLAS thread")
     p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
-    p.add_argument("--format", dest="formats", metavar="FORMAT",
-                   help="comma list among csv,json,md")
     p.add_argument("--allow-large", action="store_true", default=None,
                    help="permit cells beyond the desk-scale caps")
     return p
@@ -97,8 +96,6 @@ def config_from_args(argv: Optional[List[str]] = None) -> ExperimentConfig:
     values = _read_config(path) if path else {}
     if args["levels"] is not None:
         args["levels"] = _parse_levels(args["levels"])
-    if args["formats"] is not None:
-        args["formats"] = args["formats"].split(",")
     values.update({k: v for k, v in args.items() if v is not None})
     return ExperimentConfig(**values)
 

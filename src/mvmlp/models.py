@@ -32,8 +32,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import format_number, integer, is_finite, is_real, real_array, real_number
+from .numerics import integer, real_array, real_number
 from .randomness import RandomStream
+
+# the model names every front end accepts
+MODELS = ("ou", "kuramoto")
 
 
 @dataclass(frozen=True)
@@ -238,8 +241,7 @@ def random_params(
     `scale` a larger d is a more weakly coupled problem.
     """
     integer(d, "d", 1)
-    if not (is_real(scale) and is_finite(scale) and scale > 0):
-        raise ValueError(f"scale must be positive and finite, got {format_number(scale)}")
+    real_number(scale, "scale", positive=True)
 
     def u(shape):
         # 2 v - 1 in place: the same bits as the expression, one array
@@ -265,8 +267,8 @@ def random_params(
         op[:d] *= scale / np.linalg.norm(op[:d])
         return P
 
-    if model_kind not in ("ou", "kuramoto"):
-        raise ValueError(f"unknown model kind {model_kind!r}")
+    if model_kind not in MODELS:
+        raise ValueError(f"unknown model {model_kind!r}")
     op = np.empty((d + 1, d * d))
     if model_kind == "kuramoto":
         op[d] = 0.0

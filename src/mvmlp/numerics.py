@@ -3,8 +3,9 @@
 :func:`real_array`, :func:`real_number` and :func:`integer` are the one
 check for a value from outside the package (model parameters, an initial
 value, Brownian increments, a config's numbers, sizes, seeds and
-multi-index parts): each refuses a value that is not real and finite, or
-not an integer in range, with one ValueError that names it.
+multi-index parts): each refuses a value that is not real and finite (and,
+where asked, > 0), or not an integer in range, with one ValueError that
+names it.
 
 The grid quantizer here is the single canonical one: every piece of code
 that needs to map a continuous time to a stored path row goes through
@@ -55,12 +56,16 @@ def is_finite(value) -> bool:
         return False
 
 
-def real_number(value, name: str) -> None:
-    """Refuse, naming `name`, a value that is not a finite real number (a bool is not one)."""
+def real_number(value, name: str, positive: bool = False) -> None:
+    """Refuse, naming `name`, a value that is not a finite real number (a bool is not one),
+    or, if `positive`, one that is not > 0.
+    """
     if not is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not is_finite(value):
         raise ValueError(f"{name} must be finite, got {format_number(value)}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be > 0, got {format_number(value)}")
 
 
 def integer(value, name: str, low: int, high: int | None = None) -> int:
@@ -109,9 +114,7 @@ class TimeGrid:
     K: int
 
     def __post_init__(self) -> None:
-        if not (is_real(self.T) and is_finite(self.T) and self.T > 0):
-            raise ValueError(f"horizon T must be positive and finite, got "
-                             f"{format_number(self.T)}")
+        real_number(self.T, "T", positive=True)
         integer(self.K, "K", 1)
         if self.K > sys.float_info.max or self.T / self.K == 0:
             raise ValueError(f"K = 10**{math.log10(self.K):.2f} leaves no positive finite "

@@ -242,7 +242,7 @@ def test_08_thread_count_determinism(tmp_path):
         out = tmp_path / f"t{threads}"
         cfg = ExperimentConfig(
             model="ou", d=3, levels=((1, 1), (2, 2), (3, 3)), runs=10,
-            seed=4, threads=threads, out_dir=str(out), formats=("csv",),
+            seed=4, threads=threads, out_dir=str(out),
         )
         run_experiment(cfg)
         lines = (out / "results.csv").read_bytes().decode().splitlines()

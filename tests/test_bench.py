@@ -384,7 +384,7 @@ class TestExperiment:
             ExperimentConfig(runs=0)
         with pytest.raises(ValueError):
             ExperimentConfig(levels=((1, 0),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown model 'heat'$"):
             ExperimentConfig(model="heat")
         # a value that is not a list or tuple names its field, not a TypeError
         for values, message in (
@@ -392,12 +392,18 @@ class TestExperiment:
             ({"levels": None}, "levels must be a list of n or (n, m) entries, got None"),
             ({"levels": [2.5]},
              "levels entries must be an integer n or an integer pair (n, m), got 2.5"),
-            ({"formats": None}, "formats must be a list of names, got None"),
             # repr() of this T would raise inside the message
             ({"T": 10**5000}, "T must be finite, got 10**5000.00"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 ExperimentConfig(**values)
+
+    def test_config_is_frozen(self):
+        # a field set after construction would skip its check: runs = 0 ended
+        # in numpy's "need at least one array to stack"
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.runs = 0
 
 
 class TestOutputs:
@@ -435,14 +441,14 @@ class TestOutputs:
             assert f"| {label} |" in text
 
     def test_write_outputs(self, tmp_path):
-        cfg = ExperimentConfig(
-            model="ou", d=2, levels=((1, 1),), runs=2, seed=2,
-            out_dir=str(tmp_path), formats=("csv", "json", "md"),
-        )
+        cfg = ExperimentConfig(model="ou", d=2, levels=((1, 1),), runs=2, seed=2,
+                               out_dir=str(tmp_path))
         rows = run_experiment(cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "results.csv", "results.json", "table.md"]
         assert (tmp_path / "results.csv").read_text() == render_csv(rows)
-        assert json.loads((tmp_path / "results.json").read_text())[0]["model"] == "ou"
-        assert (tmp_path / "table.md").exists()
+        assert (tmp_path / "results.json").read_text() == rows_to_json(rows)
+        assert (tmp_path / "table.md").read_text() == render_markdown(rows)
 
 
 class TestCli:
@@ -476,7 +482,7 @@ class TestCli:
     def test_end_to_end(self, tmp_path, capsys):
         rc = main(
             ["--model", "ou", "--d", "2", "--levels", "1,2", "--runs", "2",
-             "--seed", "2", "--out", str(tmp_path), "--format", "csv"]
+             "--seed", "2", "--out", str(tmp_path)]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -492,7 +498,6 @@ class TestCli:
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert dests == fields
         assert "--out OUT" in parser.format_help()
-        assert "--format FORMAT" in parser.format_help()
 
     def test_levels_help_names_both_entry_forms(self):
         help_text = " ".join(build_parser().format_help().split())
@@ -557,8 +562,8 @@ class TestCli:
 @pytest.mark.parametrize("argv, message", [
     (["--levels", "2x"], "levels entry '2x'"),
     (["--runs", "0"], "runs must be >= 1"),
-    (["--format", "xml"], "formats must be among csv, json, md"),
-    (["--threads", "0"], "threads must be >= 1"),
+    (["--threads", "256"], "threads must be in [1, 2**8), got 256"),
+    (["--threads", "0"], "threads must be in [1, 2**8), got 0"),
     (["--d", "0"], "d must be >= 1"),
     (["--config", "{configs}/nope.json"], "cannot read config file {configs}/nope.json"),
     (["--config", "{configs}/typo.json"], "unknown config key(s) in {configs}/typo.json: dd"),
@@ -580,7 +585,8 @@ class TestCli:
      "unknown config key(s) in {configs}/units_str.json: unit_costs"),
     (["--config", "{configs}/units_float.json"],
      "unknown config key(s) in {configs}/units_float.json: unit_costs"),
-    (["--config", "{configs}/formats_str.json"], "formats must be a list of names, got 'csv'"),
+    (["--config", "{configs}/formats_str.json"],
+     "unknown config key(s) in {configs}/formats_str.json: formats"),
     (["--config", "{configs}/allow_large_str.json"],
      "allow_large must be true or false, got 'no'"),
     (["--rho", "-1"], "rho must be > 0, got -1.0"),
@@ -602,16 +608,20 @@ class TestCli:
     (["--config", "{configs}/utf16.json"],
      "cannot parse config file {configs}/utf16.json: 'utf-8' codec can't decode"),
     (["--config", "{configs}/levels_empty.json"], "levels must have at least one entry, got []"),
-    (["--config", "{configs}/formats_null.json"], "formats must be a list of names, got None"),
-    (["--config", "{configs}/formats_int.json"], "formats must be a list of names, got 3"),
-    (["--config", "{configs}/formats_empty.json"], "formats must be among csv, json, md, got none"),
+    (["--config", "{configs}/formats_null.json"],
+     "unknown config key(s) in {configs}/formats_null.json: formats"),
+    (["--config", "{configs}/formats_int.json"],
+     "unknown config key(s) in {configs}/formats_int.json: formats"),
+    (["--config", "{configs}/formats_empty.json"],
+     "unknown config key(s) in {configs}/formats_empty.json: formats"),
     (["--levels=-1x2"], "levels n must be >= 0, got -1"),
     (["--levels", "2x0"], "levels m must be >= 1, got 0"),
+    (["--config", "{configs}/model_heat.json"], "unknown model 'heat'"),
 ])
 def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
-    # no --d/--levels/--runs here: they would override the config files' values
+    # no --model/--d/--levels/--runs here: they would override the config files' values
     argv = [a.format(configs=configs) for a in argv]
-    rc = main(["--model", "ou", "--out", str(tmp_path), *argv])
+    rc = main(["--out", str(tmp_path), *argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and message.format(configs=configs) in err
@@ -622,6 +632,8 @@ def test_bad_cli_input_exits_2(argv, message, configs, tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--mu", "-1e3"], "unrecognized arguments: --mu -1e3"),
     (["--r", "3"], "unrecognized arguments: --r 3"),
+    # the result files are not chosen: --out writes all three
+    (["--format", "xml"], "unrecognized arguments: --format xml"),
 ])
 def test_abbreviated_flag_is_not_expanded(argv, message, capsys):
     # '--mu' must not stand for '--mu0', nor '--r' for '--rho' or '--runs'
@@ -684,11 +696,12 @@ def configs(tmp_path_factory):
         "levels_empty": {"levels": []},
         "units_str": {"unit_costs": {"cost_mu": "1", "cost_sigma": 1, "cost_rv": 1}},
         "units_float": {"unit_costs": {"cost_mu": 1.5, "cost_sigma": 1, "cost_rv": 1}},
+        # a removed key is unknown, whatever its value
         "formats_str": {"formats": "csv"},
         "formats_null": {"formats": None},
         "formats_int": {"formats": 3},
-        # a cell that would run and write nothing
-        "formats_empty": {"formats": [], "d": 2, "levels": [1], "runs": 1},
+        "formats_empty": {"formats": []},
+        "model_heat": {"model": "heat"},
         "allow_large_str": {"allow_large": "no"},
         "T_huge_int": {"T": 10**400},
         "seed_2_64": {"seed": 2**64},

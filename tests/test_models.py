@@ -709,7 +709,7 @@ class TestRandomParams:
             assert gap <= 0.5 * c * np.linalg.norm(x2 - y2) + 1e-12
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown model 'heat'$"):
             random_params("heat", 3, derive_stream(0, (0,)))
 
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
@@ -743,10 +743,18 @@ class TestRandomParams:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
-    @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0, True, "1", "x", 1j])
-    def test_scale_must_be_positive_and_finite(self, kind, scale):
+    @pytest.mark.parametrize("scale, message", [
+        (np.nan, "scale must be finite, got nan"),
+        (np.inf, "scale must be finite, got inf"),
+        (0.0, "scale must be > 0, got 0.0"),
+        (-1.0, "scale must be > 0, got -1.0"),
         # a value that is not a real number prints as its repr: "1", not 1
-        message = f"scale must be positive and finite, got {scale!r}"
+        (True, "scale must be a real number, got True"),
+        ("1", "scale must be a real number, got '1'"),
+        ("x", "scale must be a real number, got 'x'"),
+        (1j, "scale must be a real number, got 1j"),
+    ], ids=["nan", "inf", "0.0", "-1.0", "True", "1", "x", "1j"])
+    def test_scale_must_be_positive_and_finite(self, kind, scale, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             random_params(kind, 3, derive_stream(0, (0,)), scale=scale)
 

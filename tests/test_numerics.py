@@ -22,7 +22,7 @@ _INTEGER_FIELDS = [
     ("ExperimentConfig", "d", 1, None, lambda v: ExperimentConfig(d=v)),
     ("ExperimentConfig", "runs", 1, None, lambda v: ExperimentConfig(runs=v)),
     ("ExperimentConfig", "seed", 0, 2**64, lambda v: ExperimentConfig(seed=v)),
-    ("ExperimentConfig", "threads", 1, None, lambda v: ExperimentConfig(threads=v)),
+    ("ExperimentConfig", "threads", 1, 2**8, lambda v: ExperimentConfig(threads=v)),
     ("CostUnits", "cost_mu", 0, None, lambda v: CostUnits(v, 1, 1)),
     ("CostUnits", "cost_sigma", 0, None, lambda v: CostUnits(1, v, 1)),
     ("CostUnits", "cost_rv", 0, None, lambda v: CostUnits(1, 1, v)),
@@ -60,19 +60,20 @@ class TestTimeGrid:
         (1.0, float("nan"), "K must be an integer, got nan"),
         (1.0, "2", "K must be an integer, got '2'$"),
         (1.0, 0, "K must be >= 1, got 0$"),
-        (10**400, 1, "horizon T must be positive and finite, got 1000"),
+        (10**400, 1, "^T must be finite, got 1000"),
         # str() refuses an integer past 4,300 digits: the error names T
-        (10**5000, 1, r"horizon T must be positive and finite, got 10\*\*5000.00$"),
-        (-10**5000, 1, r"horizon T must be positive and finite, got -10\*\*5000.00$"),
+        (10**5000, 1, r"^T must be finite, got 10\*\*5000.00$"),
+        (-10**5000, 1, r"^T must be finite, got -10\*\*5000.00$"),
         # a bool is not read as 1, nor a string or complex as a number; a
         # value that is not a real number prints as its repr
-        (True, 4, "horizon T must be positive and finite, got True$"),
-        ("1", 4, "horizon T must be positive and finite, got '1'$"),
-        ("x", 4, "horizon T must be positive and finite, got 'x'$"),
-        (1j, 4, "horizon T must be positive and finite, got 1j$"),
+        (True, 4, "^T must be a real number, got True$"),
+        ("1", 4, "^T must be a real number, got '1'$"),
+        ("x", 4, "^T must be a real number, got 'x'$"),
+        (1j, 4, "^T must be a real number, got 1j$"),
+        (0.0, 4, "^T must be > 0, got 0.0$"),
     ], ids=["bool", "2**1024", "10**5000", "float K", "K=inf", "K=nan", "K=str", "K=0",
             "T=10**400", "T=10**5000", "T=-10**5000", "T=bool", "T=numeric-str", "T=str",
-            "T=complex"])
+            "T=complex", "T=0"])
     def test_step_must_be_a_float(self, T, K, message):
         with pytest.raises(ValueError, match=message):
             TimeGrid(T=T, K=K)
@@ -92,7 +93,7 @@ class TestInteger:
         elif high is None:
             message = f"{name} must be >= {low}, got {value}"
         else:
-            message = f"{name} must be in [{low}, 2**64), got {value}"
+            message = f"{name} must be in [{low}, 2**{high.bit_length() - 1}), got {value}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(value)
 

@@ -54,6 +54,15 @@ def test_integer_checks_are_written_once():
     assert holders == ["numerics.py"]
 
 
+def test_positivity_checks_are_written_once():
+    # every positive real from outside (T, rho, scale) goes through
+    # numerics.real_number, so its wording is written there alone; a
+    # Brownian step dt keeps its own rule, as a step of 0 is valid
+    holders = sorted(path.name for path in PACKAGE.glob("*.py")
+                     if "must be > 0" in path.read_text())
+    assert holders == ["numerics.py"]
+
+
 def test_a_run_never_imports_scipy_linalg():
     # scipy.linalg alone adds ~7 MiB to a process's resident memory, and
     # the package's one use of scipy is scipy.special's ndtri
