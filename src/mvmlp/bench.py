@@ -81,20 +81,9 @@ class ExperimentConfig:
         # bound keeps one command from asking the OS for thousands
         for name, low, high in (("d", 1, None), ("runs", 1, None), ("seed", 0, 2**64),
                                 ("threads", 1, 2**8)):
-            integer(getattr(self, name), name, low, high)
+            object.__setattr__(self, name, integer(getattr(self, name), name, low, high))
         for name, positive in (("T", True), ("rho", True), ("mu0", False)):
-            real_number(getattr(self, name), name, positive)
-        if not isinstance(self.levels, (list, tuple)):
-            raise ValueError(f"levels must be a list of n or (n, m) entries, got {self.levels!r}")
-        if not self.levels:
-            raise ValueError(f"levels must have at least one entry, got {self.levels!r}")
-        cells = tuple((v, v) if is_int(v) else tuple(v) if isinstance(v, (list, tuple)) else v
-                      for v in self.levels)
-        for pair in cells:
-            if not (isinstance(pair, tuple) and len(pair) == 2 and all(is_int(v) for v in pair)):
-                raise ValueError(f"levels entries must be an integer n or an integer pair (n, m), "
-                                 f"got {pair!r}")
-        object.__setattr__(self, "levels", cells)
+            object.__setattr__(self, name, real_number(getattr(self, name), name, positive))
         if not (self.out_dir is None or isinstance(self.out_dir, (str, PathLike))):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         if self.out_dir is not None and not os.fspath(self.out_dir):
@@ -102,14 +91,24 @@ class ExperimentConfig:
             raise ValueError("out_dir must be a non-empty path, got ''")
         if not isinstance(self.allow_large, bool):
             raise ValueError(f"allow_large must be true or false, got {self.allow_large!r}")
-        for n, m in self.levels:
-            integer(n, "levels n", 0)
-            integer(m, "levels m", 1)
+        if not isinstance(self.levels, (list, tuple)):
+            raise ValueError(f"levels must be a list of n or (n, m) entries, got {self.levels!r}")
+        if not self.levels:
+            raise ValueError(f"levels must have at least one entry, got {self.levels!r}")
+        cells = []
+        for v in self.levels:
+            pair = (v, v) if is_int(v) else tuple(v) if isinstance(v, (list, tuple)) else v
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(is_int, pair))):
+                raise ValueError(f"levels entries must be an integer n or an integer pair (n, m), "
+                                 f"got {pair!r}")
+            n, m = integer(pair[0], "levels n", 0), integer(pair[1], "levels m", 1)
             # the grid step T / K needs K = m**n as a float: n log2(m) < 1024,
             # checked without forming m**n (the desk caps bound K without it)
             if self.allow_large and m > 1 and n >= 1024 / math.log2(m):
                 raise ValueError(f"cell (n={n}, m={m}) has a grid K = m**n too large "
                                  f"for a float (n * log2(m) >= 1024)")
+            cells.append((n, m))
+        object.__setattr__(self, "levels", tuple(cells))
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
 

@@ -92,8 +92,8 @@ class MlpConfig:
     grid: TimeGrid
 
     def __post_init__(self) -> None:
-        integer(self.n, "n", 0)
-        integer(self.m, "m", 1)
+        object.__setattr__(self, "n", integer(self.n, "n", 0))
+        object.__setattr__(self, "m", integer(self.m, "m", 1))
 
 
 @dataclass
@@ -166,8 +166,6 @@ def mlp_estimate(
         ledger.sigma_evals += 1
         X = W @ base
         _check_finite(X, n, 0, 0)
-        if n == 1:
-            return X
 
         for level in range(1, n):
             fanout = cfg.m ** (n - level)
@@ -247,8 +245,8 @@ def analytic_cost(n: int, m: int, K: int, d: int, units: CostUnits) -> int:
     iteration cost at l is carried from level to level as
     S_n = m (S_{n-1} + 2 c_{n-1} + 2 c_{n-2} + e), so one pass does it.
     """
-    for value, name, low in ((n, "n", 0), (m, "m", 1), (K, "K", 1), (d, "d", 1)):
-        integer(value, name, low)
+    n, m, K, d = (integer(value, name, low)
+                  for value, name, low in ((n, "n", 0), (m, "m", 1), (K, "K", 1), (d, "d", 1)))
     if n == 0:
         return 0
     base = units.cost_mu + units.cost_sigma

@@ -50,7 +50,7 @@ class CostUnits:
     def __post_init__(self) -> None:
         # the cost recursion is exact integer arithmetic
         for name in ("cost_mu", "cost_sigma", "cost_rv"):
-            integer(getattr(self, name), name, 0)
+            object.__setattr__(self, name, integer(getattr(self, name), name, 0))
 
 
 def default_cost_units(d: int) -> CostUnits:
@@ -107,7 +107,7 @@ class KuramotoParams:
     operand: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        real_number(self.mu0, "mu0")
+        object.__setattr__(self, "mu0", real_number(self.mu0, "mu0"))
         Sigma = real_array(self.Sigma, "Sigma")
         if Sigma.ndim != 3 or len(set(Sigma.shape)) != 1:
             raise ValueError(f"Sigma must have shape (d, d, d), got {Sigma.shape}")
@@ -240,8 +240,8 @@ def random_params(
     d*d x d map x2 -> vec sigma) fall roughly like d**-0.5, so at fixed
     `scale` a larger d is a more weakly coupled problem.
     """
-    integer(d, "d", 1)
-    real_number(scale, "scale", positive=True)
+    d = integer(d, "d", 1)
+    scale = real_number(scale, "scale", positive=True)
 
     def u(shape):
         # 2 v - 1 in place: the same bits as the expression, one array

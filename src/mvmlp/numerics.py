@@ -5,7 +5,10 @@ check for a value from outside the package (model parameters, an initial
 value, Brownian increments, a config's numbers, sizes, seeds and
 multi-index parts): each refuses a value that is not real and finite (and,
 where asked, > 0), or not an integer in range, with one ValueError that
-names it.
+names it. Each returns the value its caller keeps: `integer` an `int`,
+`real_number` a `float`, `real_array` a float array, so a numpy scalar
+neither wraps in integer arithmetic nor rounds in single precision past
+its check.
 
 The grid quantizer here is the single canonical one: every piece of code
 that needs to map a continuous time to a stored path row goes through
@@ -56,9 +59,10 @@ def is_finite(value) -> bool:
         return False
 
 
-def real_number(value, name: str, positive: bool = False) -> None:
-    """Refuse, naming `name`, a value that is not a finite real number (a bool is not one),
-    or, if `positive`, one that is not > 0.
+def real_number(value, name: str, positive: bool = False) -> float:
+    """`value` as a float, else a ValueError naming `name`.
+
+    A finite real number, not a bool, is taken; if `positive`, it must also be > 0.
     """
     if not is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
@@ -66,6 +70,7 @@ def real_number(value, name: str, positive: bool = False) -> None:
         raise ValueError(f"{name} must be finite, got {format_number(value)}")
     if positive and value <= 0:
         raise ValueError(f"{name} must be > 0, got {format_number(value)}")
+    return float(value)
 
 
 def integer(value, name: str, low: int, high: int | None = None) -> int:
@@ -114,8 +119,8 @@ class TimeGrid:
     K: int
 
     def __post_init__(self) -> None:
-        real_number(self.T, "T", positive=True)
-        integer(self.K, "K", 1)
+        object.__setattr__(self, "T", real_number(self.T, "T", positive=True))
+        object.__setattr__(self, "K", integer(self.K, "K", 1))
         if self.K > sys.float_info.max or self.T / self.K == 0:
             raise ValueError(f"K = 10**{math.log10(self.K):.2f} leaves no positive finite "
                              f"grid step T / K for T = {self.T}")
@@ -177,9 +182,9 @@ def mat_exp(A: np.ndarray, t: float = 1.0) -> np.ndarray:
     A = real_array(A, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    real_number(t, "t")
+    t = real_number(t, "t")
     with np.errstate(over="ignore"):
-        M = A * float(t)
+        M = A * t
         norm = float(np.abs(M).sum(axis=0).max(initial=0.0))
     if not math.isfinite(norm):
         raise ValueError(f"A * t overflows for t = {t}")

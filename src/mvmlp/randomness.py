@@ -150,12 +150,12 @@ def stream_address(root_seed, index) -> Tuple[int, MultiIndex]:
         index = tuple(index)
     except TypeError:   # tuple(5) names no field
         raise ValueError(f"multi-index must be a sequence of integers, got {index!r}") from None
-    for part in index:
-        # int() would read 1.5 or True as 1, and struct refuses a part past 64
-        # bits; the exact-int test spares the hot path integer's ABC check
-        if not (type(part) is int and 0 <= part < _U64):
-            integer(part, "multi-index entry", 0, _U64)
-    return root_seed, tuple(map(int, index))
+    # each part is integer's int, as int() would read 1.5 or True as 1 and
+    # struct refuses a part past 64 bits; the exact-int test spares the hot
+    # path integer's ABC check
+    index = tuple(part if type(part) is int and 0 <= part < _U64
+                  else integer(part, "multi-index entry", 0, _U64) for part in index)
+    return root_seed, index
 
 
 def derive_stream(root_seed: int, index: MultiIndex) -> RandomStream:
@@ -173,10 +173,10 @@ def sample_brownian_increments(
     stream: RandomStream, K: int, d: int, dt: float
 ) -> np.ndarray:
     """K x d array of i.i.d. N(0, dt) increments."""
-    integer(K, "K", 1)
-    integer(d, "d", 1)
+    K, d = integer(K, "K", 1), integer(d, "d", 1)
     if not (is_real(dt) and is_finite(dt) and dt >= 0):
         raise ValueError(f"dt must be finite and nonnegative, got {format_number(dt)}")
+    dt = float(dt)
     out = stream.normals((K, d))
     out *= np.sqrt(dt)
     return out

@@ -270,6 +270,11 @@ class TestExperiment:
         # K = 10**10 steps: refused before any draw, whose increments alone would be 224 GiB
         with pytest.raises(ValueError, match="K = m\\*\\*n <= 256"):
             run_experiment(ExperimentConfig(d=3, levels=((2, 100000),), runs=1))
+        # a numpy m is stored as an int: m**n as an int64 wrapped to 0 and passed the cap
+        cfg = ExperimentConfig(model="ou", d=1, levels=[(4, np.int64(65536))], runs=1)
+        assert [type(v) for v in cfg.levels[0]] == [int, int]
+        with pytest.raises(ValueError, match=r"^cell \(n=4, m=65536\) exceeds desk-scale caps"):
+            run_experiment(cfg)
 
     def test_desk_cap_refusal_draws_no_model(self, monkeypatch, capsys):
         # a d = 1000 draw would allocate an 8 GB (d, d, d) family just to
@@ -317,6 +322,13 @@ class TestExperiment:
         want_ku = operand + d * d + K * d * d + 3 * runs * paths + n * frame + K * d * d
         assert estimate_experiment_bytes(ou) == 8 * want_ou + 64 * 2**20
         assert estimate_experiment_bytes(ku) == 8 * want_ku + 64 * 2**20
+        # a numpy d is stored as an int: its int64 terms overflowed with a warning
+        big = {"model": "kuramoto", "levels": ((1, 1),), "runs": 1, "allow_large": True}
+        cfg = ExperimentConfig(d=np.int64(2_100_000), **big)
+        assert type(cfg.d) is int
+        assert (estimate_experiment_bytes(cfg)
+                == estimate_experiment_bytes(ExperimentConfig(d=2_100_000, **big))
+                == 74_088_141_120_403_108_896)
 
     @pytest.mark.parametrize("model", ["ou", "kuramoto"])
     def test_memory_estimate_bounds_a_run(self, model):

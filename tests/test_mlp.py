@@ -677,6 +677,13 @@ class TestVerifyLedger:
         mlp_estimate(model, cfg, (1, 0), 8, inc, led)
         assert led.weighted(model.unit_costs) == analytic_cost(n, m, K, d, model.unit_costs)
 
+    def test_numpy_units_do_not_wrap(self):
+        # numpy units are stored as ints: their int64 products overflowed
+        units = CostUnits(np.int64(2**40), np.int64(2**40), np.int64(1))
+        assert [type(getattr(units, name)) for name in ("cost_mu", "cost_sigma", "cost_rv")] \
+            == [int, int, int]
+        assert CostLedger(2**30, 2**30, 1).weighted(units) == 2**71 + 1
+
     def test_tampered_ledger_rejected(self, monkeypatch):
         def tampered(model, cfg, theta, root_seed, increments, ledger):
             path = mlp_estimate(model, cfg, theta, root_seed, increments, ledger)

@@ -9,7 +9,8 @@ from scipy.linalg import expm
 from mvmlp.bench import ExperimentConfig
 from mvmlp.mlp import analytic_cost
 from mvmlp.models import CostUnits
-from mvmlp.numerics import TimeGrid, grid_floor_index, integer, mat_exp, real_array
+from mvmlp.numerics import (TimeGrid, grid_floor_index, integer, mat_exp, real_array,
+                             real_number)
 from mvmlp.randomness import derive_stream, sample_brownian_increments
 from oracles import solve_linear_ode, solve_lyapunov_ode, taylor_expm
 
@@ -43,6 +44,11 @@ class TestTimeGrid:
         assert g.dt == 0.5
         np.testing.assert_allclose(g.times(), [0, 0.5, 1.0, 1.5, 2.0])
         assert TimeGrid(T=1.0, K=2**1023).dt == 2.0**-1023
+        # numpy T and K are stored as a float and an int: a float32 T gave a float32 step
+        g = TimeGrid(T=np.float32(1.0), K=np.int64(3))
+        assert (type(g.T), type(g.K), type(g.dt)) == (float, int, float)
+        assert g.dt == 1 / 3
+        np.testing.assert_array_equal(g.times(), TimeGrid(T=1.0, K=3).times())
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -100,6 +106,11 @@ class TestInteger:
     def test_value_comes_back_as_an_int(self):
         got = integer(np.uint64(2**64 - 1), "x", 0, 2**64)
         assert type(got) is int and got == 2**64 - 1
+
+    def test_real_number_comes_back_as_a_float(self):
+        for value in (np.float32(0.1), np.int64(3), 3, 0.1):
+            got = real_number(value, "x")
+            assert type(got) is float and got == float(value)
 
     @pytest.mark.parametrize("value, low, high, message", [
         # a bound that is a power of two prints as one; an integer too long

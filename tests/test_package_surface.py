@@ -54,6 +54,19 @@ def test_integer_checks_are_written_once():
     assert holders == ["numerics.py"]
 
 
+def test_every_check_result_is_kept():
+    # integer and real_number return the int or float they checked: a call
+    # that drops it lets a numpy scalar through, to wrap in int64 arithmetic
+    # or to round in single precision after its check
+    dropped = [f"{path.name}:{node.lineno}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+               and isinstance(node.value.func, ast.Name)
+               and node.value.func.id in ("integer", "real_number")]
+    assert not dropped, dropped
+
+
 def test_positivity_checks_are_written_once():
     # every positive real from outside (T, rho, scale) goes through
     # numerics.real_number, so its wording is written there alone; a

@@ -32,9 +32,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mvmlp import bench  # noqa: E402
 from mvmlp.mlp import CostLedger, MlpConfig, mlp_estimate  # noqa: E402
+from mvmlp.models import MODELS  # noqa: E402
 from mvmlp.numerics import TimeGrid  # noqa: E402
 
-MODELS = ("ou", "kuramoto")
 DIMS = (1, 3, 10, 50, 100)
 CELLS = ((0, 2), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 4))
 RUNS = 2
