@@ -250,35 +250,36 @@ def random_params(
         draw -= 1.0
         return draw
 
-    def to_norm(arr, target):
-        nrm = float(np.linalg.norm(arr))
+    def scaled(arr, target):
+        # in place, the norm summed by einsum's own loop in buffer order:
+        # no BLAS call, so no dependence on the BLAS thread count
+        flat = arr.reshape(-1)
+        nrm = float(np.sqrt(np.einsum("i,i->", flat, flat)))
         if nrm == 0.0:
             raise ValueError("degenerate zero draw")
-        return arr * (target / nrm)
-
-    def family(op):
-        # the [k, i, j] draw, one k-slab at a time (the same words in the
-        # same order as one draw), each written through the family's view
-        # into the operand and then scaled in place, the norm taken over
-        # the contiguous rows: the peak is the operand plus one slab
-        P = _views(op)[0]
-        for k in range(d):
-            P[k] = u((d, d))
-        op[:d] *= scale / np.linalg.norm(op[:d])
-        return P
+        arr *= target / nrm
+        return arr
 
     if model_kind not in MODELS:
         raise ValueError(f"unknown model {model_kind!r}")
     op = np.empty((d + 1, d * d))
+    op[d] = 0.0
+    if model_kind == "ou":
+        a0, A1, A2 = (scaled(u(shape), scale) for shape in (d, (d, d), (d, d)))
+        # the offsets b_k first, into the operand's last row in [k, i] order
+        for b_k in op[d].reshape(d, d):
+            b_k[...] = scaled(u(d), scale)
+    # the [k, i, j] family, one k-slab at a time (the same words in the
+    # same order as one draw), each written through the family's view into
+    # the operand, then scaled over the contiguous rows: the peak is the
+    # operand plus one slab
+    P = _views(op)[0]
+    for k in range(d):
+        P[k] = u((d, d))
+    scaled(op[:d], scale)
     if model_kind == "kuramoto":
-        op[d] = 0.0
-        return KuramotoParams(mu0=mu0, Sigma=family(op))
-    a0 = to_norm(u(d), scale)
-    A1 = to_norm(u((d, d)), scale)
-    A2 = to_norm(u((d, d)), scale)
-    # the offsets b_k first, into the operand's last row in [k, i] order
-    op[d] = np.concatenate([to_norm(u(d), scale) for _ in range(d)])
-    return OuParams(a0=a0, A1=A1, A2=A2, b=op[d].reshape(d, d).T, B=family(op))
+        return KuramotoParams(mu0=mu0, Sigma=P)
+    return OuParams(a0=a0, A1=A1, A2=A2, b=op[d].reshape(d, d).T, B=P)
 
 
 @dataclass(frozen=True)

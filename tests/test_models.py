@@ -1,7 +1,11 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +28,23 @@ from mvmlp.models import (
     random_params,
 )
 from mvmlp.numerics import TimeGrid
-from mvmlp.randomness import derive_stream, sample_brownian_increments
+from mvmlp.randomness import RandomStream, derive_stream, sample_brownian_increments
 from oracles import reuse_class
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# one SHA-256 over the drawn parameters of both models at d in {30, 50, 100}
+_DRAW_DIGEST = """
+import hashlib
+from mvmlp.models import random_params
+from mvmlp.randomness import derive_stream
+digest = hashlib.sha256()
+for kind in ("ou", "kuramoto"):
+    for d in (30, 50, 100):
+        p = random_params(kind, d, derive_stream(2, (0,)))
+        for arr in (p.operand, p.a0, p.A1, p.A2) if kind == "ou" else (p.operand,):
+            digest.update(arr.tobytes())
+print(digest.hexdigest())
+"""
 
 
 def _ou_params(d, seed=0, scale=0.25):
@@ -153,13 +172,13 @@ class TestGemmLayout:
         # reordered sum of d**3 positive terms, then a root and a product
         tol = 4 * d**3 * np.finfo(float).eps
         normed = []
-        norm = np.linalg.norm
+        einsum = np.einsum
 
-        def spy(a, *args, **kwargs):
-            normed.append(np.array(a))
-            return norm(a, *args, **kwargs)
+        def spy(subscripts, *operands, **kwargs):
+            normed.append(np.array(operands[0]))
+            return einsum(subscripts, *operands, **kwargs)
 
-        monkeypatch.setattr(models.np.linalg, "norm", spy)
+        monkeypatch.setattr(models.np, "einsum", spy)
         p = random_params(kind, d, derive_stream(3, (0,)))
         monkeypatch.undo()
         P = _family(p)
@@ -174,7 +193,7 @@ class TestGemmLayout:
             draw = 2.0 * derive_stream(3, (0,)).uniforms((d, d, d)) - 1.0
             (unscaled,) = normed
             np.testing.assert_array_equal(unscaled.reshape(d, d, d).transpose(1, 2, 0), draw)
-            np.testing.assert_allclose(P, draw * (0.25 / norm(draw)), rtol=tol, atol=0)
+            np.testing.assert_allclose(P, draw * (0.25 / np.linalg.norm(draw)), rtol=tol, atol=0)
 
     def test_c_ordered_input_is_laid_out(self):
         d = 4
@@ -697,6 +716,23 @@ class TestRandomParams:
         p2 = random_params("ou", 4, derive_stream(2, (0,)))
         np.testing.assert_array_equal(p1.A1, p2.A1)
         np.testing.assert_array_equal(p1.B, p2.B)
+
+    def test_draw_does_not_depend_on_the_blas_thread_count(self):
+        # a BLAS norm of d**3 squares sums in an order set by the thread count
+        def digest(threads):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            return subprocess.run([sys.executable, "-c", _DRAW_DIGEST], capture_output=True,
+                                  text=True, timeout=120, env=env, check=True).stdout
+
+        assert digest("1") == digest("2")
+
+    @pytest.mark.parametrize("kind", ["ou", "kuramoto"])
+    def test_zero_draw_refused(self, kind, monkeypatch):
+        # every draw 2 v - 1 is then 0: the family is refused as a0 is
+        monkeypatch.setattr(RandomStream, "uniforms", lambda self, shape: np.full(shape, 0.5))
+        with pytest.raises(ValueError, match="^degenerate zero draw$"):
+            random_params(kind, 3, derive_stream(0, (0,)))
 
     def test_sigma_lipschitz_sampled(self):
         rho = 0.25

@@ -14,8 +14,12 @@ build and thread count, give the same bits for every array of the sweep,
 so a refactor that claims "same outputs" is checked with one command on
 each tree. The tool imports the `mvmlp` of its own tree, the `src/` next
 to its `tools/`, from any working directory and ahead of any installed
-copy. The digest itself depends on the BLAS build and thread count, so it
-is a comparison between trees, not a fixed value to test against.
+copy. The digest itself depends on the BLAS build, so it is a comparison
+between trees, not a fixed value to test against. The drawn parameters do
+not depend on the BLAS thread count, but 15 of the 318 arrays still do:
+all 10 OU d = 100 references (`mat_exp`'s solves at n in {100, 101} and
+its 101 x 101 products) and five estimator paths at d = 50 (the
+(K, 51) x (51, 2500) sigma product at K in {16, 27}).
 """
 
 from __future__ import annotations
